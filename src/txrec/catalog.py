@@ -194,6 +194,40 @@ class ModelInput:
         return len(self.token_ids)
 
 
+@dataclass(frozen=True, eq=False)
+class ModelBatch:
+    """Right-padded index arrays for one batched encoder call.
+
+    Slots past a sequence's length hold PAD_ID and index 0 everywhere; the
+    encoder masks them as keys and never reads their rows back.
+    """
+
+    token_ids: np.ndarray        # int64 (B, len)
+    token_positions: np.ndarray  # int64 (B, len)
+    token_types: np.ndarray      # int64 (B, len)
+    item_positions: np.ndarray   # int64 (B, len)
+    lengths: np.ndarray          # int64 (B,)
+    global_idx: tuple[int, ...]  # positions that are global in every sequence
+
+    @classmethod
+    def pack(cls, inputs: Sequence[ModelInput]) -> "ModelBatch":
+        if not inputs:
+            raise ValueError("a batch needs at least one input")
+        global_idx = tuple(int(i) for i in np.flatnonzero(inputs[0].global_mask))
+        lengths = np.array([len(x) for x in inputs], dtype=np.int64)
+        fields = ("token_ids", "token_positions", "token_types", "item_positions")
+        arrays = {f: np.zeros((len(inputs), lengths.max()), dtype=np.int64) for f in fields}
+        for b, x in enumerate(inputs):
+            n = lengths[b]
+            if any(len(getattr(x, f)) != n for f in fields) or len(x.global_mask) != n:
+                raise ValueError("model input arrays disagree on length")
+            if tuple(np.flatnonzero(x.global_mask)) != global_idx:
+                raise ValueError("inputs of one batch must share their global positions")
+            for f in fields:
+                arrays[f][b, :n] = getattr(x, f)
+        return cls(lengths=lengths, global_idx=global_idx, **arrays)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr

@@ -15,6 +15,7 @@ bit-for-bit through load and save.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -72,6 +73,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         config = json.loads(raw[off : off + json_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt config blob ({e})") from None
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config blob is not a JSON object")
     off += json_len
     n_tensors, = struct.unpack_from("<I", raw, off); off += 4
     tensors: dict[str, np.ndarray] = {}
@@ -85,12 +88,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             shape = struct.unpack_from(f"<{ndim}I", raw, off) if ndim else ()
             off += 4 * ndim
             dt = _DTYPE_TAGS[tag]
-            n_bytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize if ndim else dt.itemsize
+            n_bytes = math.prod(shape) * dt.itemsize
+            if off + n_bytes > len(raw) - 4:
+                raise CheckpointError(f"{path}: tensor '{name}' of shape {tuple(shape)} "
+                                      f"overruns the payload")
             arr = np.frombuffer(raw, dtype=dt, count=n_bytes // dt.itemsize, offset=off)
             tensors[name] = arr.reshape(shape).astype(np.float32)
             off += n_bytes
-    except struct.error:
-        raise CheckpointError(f"{path}: truncated tensor directory") from None
+    except (struct.error, UnicodeDecodeError):
+        raise CheckpointError(f"{path}: truncated or corrupt tensor directory") from None
     if off != len(raw) - 4:
         raise CheckpointError(f"{path}: trailing bytes after tensor directory")
     return config, tensors

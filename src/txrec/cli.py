@@ -364,11 +364,13 @@ def _pick_matrix(args, encoder, catalog, vocab, limits,
         matrix = _load_item_matrix(args.item_matrix)
         if set(matrix.ids) != set(catalog.ids):
             raise DataError("item-matrix file does not cover the evaluation catalog")
+        if matrix.rows.ndim != 2 or matrix.rows.shape[1] != encoder.config.d:
+            raise CheckpointError(f"{args.item_matrix}: item rows have width "
+                                  f"{matrix.rows.shape[-1]} but the model has d={encoder.config.d}")
         return matrix
     if stored is not None and set(stored.ids) == set(catalog.ids):
         return stored
-    return encode_all_items(encoder, catalog, vocab, limits,
-                            workers=getattr(args, "workers", 1))
+    return encode_all_items(encoder, catalog, vocab, limits)
 
 
 def cmd_evaluate(args) -> int:
@@ -381,8 +383,7 @@ def cmd_evaluate(args) -> int:
         raise DataError("no users with enough interactions to evaluate")
     if args.zero_shot:
         # fresh re-encode with the untouched checkpoint, never a stored matrix
-        matrix = encode_all_items(encoder, catalog, vocab, limits,
-                                  workers=args.workers)
+        matrix = encode_all_items(encoder, catalog, vocab, limits)
     else:
         matrix = _pick_matrix(args, encoder, catalog, vocab, limits, stored)
     base_protocol = "zero-shot" if args.zero_shot else "leave-one-out"
@@ -417,7 +418,7 @@ def cmd_evaluate(args) -> int:
 def cmd_encode_items(args) -> int:
     _, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.ckpt)
     catalog, _, _ = _load_corpus([args.items], [])
-    matrix = encode_all_items(encoder, catalog, vocab, limits, workers=args.workers)
+    matrix = encode_all_items(encoder, catalog, vocab, limits)
     save_checkpoint(args.out, {
         "kind": "item_matrix",
         "item_ids": matrix.ids,
@@ -426,6 +427,18 @@ def cmd_encode_items(args) -> int:
     }, {"rows": matrix.rows})
     log.info("encoded %d items -> %s", len(matrix.ids), args.out)
     return 0
+
+
+def top_k(scores: np.ndarray, ids: list[str], k: int) -> list[int]:
+    """Indices of the k best items in (-score, id) order, as a full sort gives.
+
+    argpartition finds the k-th best score; every item scoring at least that
+    much is a candidate, so ties that straddle the cut are settled by id.
+    """
+    k = min(k, len(ids))
+    kth = scores[np.argpartition(-scores, k - 1)[k - 1]]
+    cand = np.flatnonzero(scores >= kth)
+    return sorted(cand.tolist(), key=lambda i: (-scores[i], ids[i]))[:k]
 
 
 def cmd_recommend(args) -> int:
@@ -439,8 +452,7 @@ def cmd_recommend(args) -> int:
     matrix = _pick_matrix(args, encoder, catalog, vocab, limits, stored)
     x = build_model_input(history, catalog, vocab, limits)
     scores = cosine_scores(encoder.sequence_repr(x), matrix.rows)
-    order = sorted(range(len(matrix.ids)), key=lambda i: (-scores[i], matrix.ids[i]))
-    top = order[: min(args.topk, len(order))]
+    top = top_k(scores, matrix.ids, args.topk)
     print(json.dumps([{"item_id": matrix.ids[i], "score": float(scores[i])} for i in top]))
     return 0
 
@@ -488,14 +500,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="ignore any stored matrix; encode the catalog fresh, no training")
     p.add_argument("--cold-start", action="store_true")
     p.add_argument("--csv", default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("encode-items", help="encode a catalog into an item matrix file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--items", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_encode_items)
 
     p = sub.add_parser("recommend", help="top-K items for a comma-separated history")

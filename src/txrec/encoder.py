@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import tensor as T
-from .catalog import Catalog, InputLimits, ModelInput, Vocabulary, item_input
+from .catalog import Catalog, InputLimits, ModelBatch, ModelInput, Vocabulary, item_input
 from .errors import DataError
 from .tensor import Parameter, Tensor
 
@@ -71,25 +71,28 @@ def attention_mask(length: int, window: int, global_idx: tuple[int, ...] = (0,))
 @lru_cache(maxsize=256)
 def build_window_index(length: int, window: int,
                        global_idx: tuple[int, ...] = (0,)) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row candidate key slots for the windowed attention kernel.
+    """Per-row candidate key slots for the sliding-chunk attention kernel.
 
-    Returns (idx, valid), both (length, 2*window+1+len(global_idx)). Window
-    slots cover offsets -w..+w clipped to the sequence; one extra slot per
-    global key is valid only when that key is outside the row's window, so
-    each allowed pair appears exactly once. Rows that are themselves global
-    are handled densely by the kernel and keep only their window slots here.
+    Returns (idx, valid), both (length, 3*w + len(global_idx)), where w is
+    the window clamped to the sequence (a wider window changes no pair).
+    Rows are cut into chunks of w; slot s of a row in chunk i holds key
+    i*w - w + s, valid when it lies in the sequence and within w of the row.
+    One extra slot per global key is valid only when that key is outside the
+    row's window, so each allowed pair appears exactly once. Rows that are
+    themselves global are handled densely by the kernel and keep only their
+    window slots here. Invalid slots point at key 0.
     """
+    w = max(min(window, length - 1), 1)
     pos = np.arange(length)
-    offsets = np.arange(-window, window + 1)
-    idx = pos[:, None] + offsets[None, :]
-    valid = (idx >= 0) & (idx < length)
+    idx = (pos // w * w - w)[:, None] + np.arange(3 * w)[None, :]
+    valid = (idx >= 0) & (idx < length) & (np.abs(idx - pos[:, None]) <= w)
     idx = np.where(valid, idx, 0)
     cols = [idx]
     vals = [valid]
     for g in global_idx:
         if not 0 <= g < length:
             raise ValueError(f"global index {g} outside sequence of length {length}")
-        outside = np.abs(pos - g) > window
+        outside = np.abs(pos - g) > w
         cols.append(np.full((length, 1), g, dtype=np.int64))
         vals.append(outside[:, None])
     idx_full = np.hstack(cols).astype(np.int64)
@@ -156,12 +159,9 @@ class Encoder:
                 raise ValueError(f"parameter '{p.name}' shape {src.shape} != {p.data.shape}")
             p.data[...] = src
 
-    def _check_input(self, x: ModelInput) -> None:
+    def _check_input(self, x: ModelInput | ModelBatch) -> None:
         cfg = self.config
-        length = len(x.token_ids)
-        if not (len(x.token_positions) == len(x.token_types)
-                == len(x.item_positions) == len(x.global_mask) == length):
-            raise ValueError("model input arrays disagree on length")
+        length = x.token_ids.shape[-1]
         if length > cfg.max_tokens + 1:
             raise DataError(f"input of {length} tokens exceeds the configured {cfg.max_tokens + 1} slots")
         if x.token_ids.max(initial=0) >= cfg.vocab_size:
@@ -169,8 +169,11 @@ class Encoder:
         if x.item_positions.max(initial=0) > cfg.max_items:
             raise DataError(f"item position {int(x.item_positions.max())} exceeds {cfg.max_items}")
 
-    def embed(self, x: ModelInput) -> Tensor:
-        """Sum of the four per-token embeddings, layer-normalized."""
+    def embed(self, x: ModelInput | ModelBatch) -> Tensor:
+        """Sum of the four per-token embeddings, layer-normalized.
+
+        (len, d) for one input, (B, len, d) for a padded batch.
+        """
         self._check_input(x)
         e = T.add(
             T.add(T.embedding_lookup(self.token_emb, x.token_ids),
@@ -180,25 +183,31 @@ class Encoder:
         )
         return T.layer_norm(e, self.emb_ln_g, self.emb_ln_b)
 
-    def encode(self, x: ModelInput, train: bool = False,
-               dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Hidden states (len, d) after all layers; row 0 aggregates the input."""
+    def encode_batch(self, batch: ModelBatch, train: bool = False,
+                     dropout_rng: np.random.Generator | None = None) -> Tensor:
+        """Hidden states (B, len, d) of a padded batch; row 0 of each aggregates it.
+
+        Padded keys are masked in attention, so each sequence's real rows
+        match its unpadded encoding up to float roundoff; padded rows hold
+        values nothing reads.
+        """
         cfg = self.config
-        h = self.embed(x)
-        length = len(x.token_ids)
-        global_idx = tuple(int(i) for i in np.flatnonzero(x.global_mask))
-        idx, valid = build_window_index(length, cfg.window, global_idx)
-        g_arr = np.asarray(global_idx, dtype=np.int64)
+        n_seq, length = batch.token_ids.shape
+        n_rows = n_seq * length
+        h = T.reshape(self.embed(batch), (n_rows, cfg.d))
+        idx, valid = build_window_index(length, cfg.window, batch.global_idx)
+        g_arr = np.asarray(batch.global_idx, dtype=np.int64)
+        lengths = batch.lengths if batch.lengths.min() < length else None
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and dropout_rng is None:
             raise ValueError("training with dropout needs a dropout rng")
-        n_heads, d_head = cfg.n_heads, cfg.d // cfg.n_heads
+        heads = (n_seq, length, cfg.n_heads, cfg.d // cfg.n_heads)
         for layer in self.layers:
-            q = self._split_heads(T.matmul(h, layer.wq), length, n_heads, d_head)
-            k = self._split_heads(T.matmul(h, layer.wk), length, n_heads, d_head)
-            v = self._split_heads(T.matmul(h, layer.wv), length, n_heads, d_head)
-            ctx = T.windowed_attention(q, k, v, idx, valid, g_arr)
-            ctx = T.reshape(T.transpose(ctx, (1, 0, 2)), (length, cfg.d))
+            q = T.transpose(T.reshape(T.matmul(h, layer.wq), heads), (0, 2, 1, 3))
+            k = T.transpose(T.reshape(T.matmul(h, layer.wk), heads), (0, 2, 1, 3))
+            v = T.transpose(T.reshape(T.matmul(h, layer.wv), heads), (0, 2, 1, 3))
+            ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, lengths)
+            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n_rows, cfg.d))
             a = T.matmul(ctx, layer.wo)
             if rate > 0.0:
                 a = T.dropout(a, rate, dropout_rng)
@@ -207,11 +216,13 @@ class Encoder:
             if rate > 0.0:
                 f = T.dropout(f, rate, dropout_rng)
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
-        return h
+        return T.reshape(h, (n_seq, length, cfg.d))
 
-    @staticmethod
-    def _split_heads(x: Tensor, length: int, n_heads: int, d_head: int) -> Tensor:
-        return T.transpose(T.reshape(x, (length, n_heads, d_head)), (1, 0, 2))
+    def encode(self, x: ModelInput, train: bool = False,
+               dropout_rng: np.random.Generator | None = None) -> Tensor:
+        """Hidden states (len, d) after all layers; row 0 aggregates the input."""
+        h = self.encode_batch(ModelBatch.pack([x]), train, dropout_rng)
+        return T.reshape(h, (len(x), self.config.d))
 
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
         """Inference-time representation of a history: the aggregate row."""

@@ -155,7 +155,7 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
 
 def zero_shot_evaluate(encoder: Encoder, sequences: Sequence[InteractionSequence],
                        catalog: Catalog, vocab: Vocabulary,
-                       limits: InputLimits = InputLimits(), workers: int = 1) -> EvalReport:
+                       limits: InputLimits = InputLimits()) -> EvalReport:
     """Evaluate an encoder on a domain it never trained on, as-is.
 
     Out-of-vocabulary words degrade to the unknown token inside the shared
@@ -166,7 +166,7 @@ def zero_shot_evaluate(encoder: Encoder, sequences: Sequence[InteractionSequence
     split = leave_one_out(sequences)
     if not split.test:
         raise ValueError("no users with enough interactions to evaluate")
-    matrix = encode_all_items(encoder, catalog, vocab, limits, workers=workers)
+    matrix = encode_all_items(encoder, catalog, vocab, limits)
     return evaluate_cases(encoder, matrix.rows, matrix.index, split.test, catalog,
                           vocab, limits, fingerprint=matrix.fingerprint,
                           protocol="zero-shot")

@@ -522,75 +522,184 @@ class PairCounter:
 attention_pairs = PairCounter()
 
 
+_MASKED = -1e30  # finite, so a fully masked padded row softmaxes to finite weights
+
+
+def _softmax_masked(s: np.ndarray, mask, axis: int) -> np.ndarray:
+    """Softmax over `axis` of the entries where mask holds; the rest get weight 0."""
+    s = np.where(mask, s, _MASKED)
+    s -= s.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
+    return s
+
+
+def _padded(x: np.ndarray, before: int, rows: int) -> np.ndarray:
+    """x (B, H, L, ...) placed at row `before` of `rows` zero rows (axis 2)."""
+    out = np.zeros(x.shape[:2] + (rows,) + x.shape[3:], dtype=x.dtype)
+    out[:, :, before : before + x.shape[2]] = x
+    return out
+
+
+def _chunk_view(x: np.ndarray, w: int) -> np.ndarray:
+    """Contiguous (B, H, C*w + 2w, d) -> (B, H, C, d, 3w) overlapping views, no copy.
+
+    Chunk i sees rows [i*w, i*w + 3w) of x, which hold keys i*w - w ..
+    i*w + 2w - 1 when x is the key sequence padded by w rows on the left.
+    """
+    b, h, n, d = x.shape
+    s0, s1, s2, s3 = x.strides
+    return np.ndarray((b, h, n // w - 2, d, 3 * w), x.dtype, x, 0, (s0, s1, w * s2, s3, s2))
+
+
 def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray,
                        neighbor_valid: np.ndarray, global_idx: np.ndarray,
+                       lengths: np.ndarray | None = None,
                        counter: PairCounter = attention_pairs) -> Tensor:
     """Sliding-window attention with a few rows that attend everywhere.
 
-    q, k, v are (heads, len, d_head). neighbor_idx / neighbor_valid are
-    (len, slots): for each query row the candidate key positions (its window
-    plus any out-of-window global keys), invalid slots masked. Rows listed in
-    global_idx ignore their window and attend densely; every row can attend
-    the global rows, so the pattern is symmetric. Work is O(len * slots)
-    plus O(len) per global row instead of O(len^2).
+    q, k, v are (batch, heads, len, d_head), or (heads, len, d_head) for one
+    sequence. neighbor_idx / neighbor_valid come from
+    `encoder.build_window_index` and are (len, 3w + G): query rows are cut
+    into chunks of w rows, and slot s of a row in chunk i holds key
+    i*w - w + s, so one batched matmul against overlapping views of the
+    padded keys scores every chunk at once (the sliding-chunk form of
+    Longformer). The last G slots hold the global keys, valid only outside
+    the row's window. The kernel reads w off the slot count and uses
+    neighbor_idx, the slot-to-key map its views realize, only to check the
+    layout. Rows listed in global_idx ignore their window and attend
+    densely; every row can attend the global rows, so the pattern is
+    symmetric. Work is O(len * w) plus O(len) per global row instead of
+    O(len^2).
 
-    The counter is incremented by the number of scored pairs summed over
-    heads, which is what the linear-scaling checks measure.
+    `lengths` (batch,) marks a padded batch: keys at or past a sequence's
+    length are masked, and its padded rows come out as zeros. Global rows
+    must lie inside every sequence.
+
+    The counter is incremented by the number of scored pairs of real rows
+    and keys summed over heads, which is what the linear-scaling checks
+    measure.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.shape != kd.shape or qd.shape != vd.shape or qd.ndim != 3:
+    if qd.shape != kd.shape or qd.shape != vd.shape or qd.ndim not in (3, 4):
         raise ValueError(f"attention shapes must match: {qd.shape}, {kd.shape}, {vd.shape}")
-    n_heads, length, d_head = qd.shape
-    alpha = 1.0 / math.sqrt(d_head)
+    single = qd.ndim == 3
+    if single:
+        qd, kd, vd = qd[None], kd[None], vd[None]
+    n_seq, n_heads, length, d_head = qd.shape
     global_idx = np.asarray(global_idx, dtype=np.int64)
-    is_global = np.zeros(length, dtype=bool)
-    is_global[global_idx] = True
-    local_rows = (~is_global).astype(qd.dtype)[None, :, None]
+    n_glob = global_idx.size
+    n_slots = neighbor_valid.shape[-1]
+    w = (n_slots - n_glob) // 3
+    if w < 1 or neighbor_valid.shape != (length, 3 * w + n_glob) \
+            or neighbor_idx.shape != neighbor_valid.shape:
+        raise ValueError(f"window index {neighbor_valid.shape} does not fit length {length} "
+                         f"with {n_glob} global rows")
+    n_chunks = -(-length // w)
+    span = n_chunks * w
+    win = 3 * w
+    alpha = 1.0 / math.sqrt(d_head)
 
-    k_nb = kd[:, neighbor_idx, :]                       # (H, L, S, dh)
-    v_nb = vd[:, neighbor_idx, :]
-    s = np.einsum("hld,hlsd->hls", qd, k_nb) * alpha
-    s = np.where(neighbor_valid[None, :, :], s, -np.inf)
-    m = s.max(axis=-1, keepdims=True)                   # finite: self slot is valid
-    e = np.exp(s - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    p = p * local_rows                                  # global rows use the dense path
-    out_data = np.einsum("hls,hlsd->hld", p, v_nb)
+    # Scores and weights live slot-first, (S, B, H, C, w), so the softmax
+    # reduces over a leading axis; matmuls read and write them through
+    # (B, H, C, w, S) views. mask is (S, B|1, 1, C, w): the window layout,
+    # then each sequence's real keys. row_local (B|1, 1, C, w) marks the
+    # rows the band serves: real and not global.
+    slots = np.zeros((span, n_slots), dtype=bool)
+    slots[:length] = neighbor_valid
+    mask = slots.T.reshape(n_slots, 1, 1, n_chunks, w)
+    row_local = np.zeros(span, dtype=bool)
+    row_local[:length] = True
+    row_local[global_idx] = False
+    row_local = row_local.reshape(1, 1, n_chunks, w)
+    if lengths is None:
+        n_real = n_seq * length
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (n_seq,) or lengths.max() > length \
+                or lengths.min() <= global_idx.max(initial=0):
+            raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
+                             f"{n_seq} x {length} with global rows {global_idx.tolist()}")
+        n_real = int(lengths.sum())
+        key_real = np.arange(span + 2 * w) - w < lengths[:, None]     # (B, span + 2w)
+        win_real = _chunk_view(key_real.reshape(n_seq, 1, -1, 1), w)[:, 0, :, 0]  # (B, C, 3w)
+        mask = np.repeat(mask, n_seq, axis=1)
+        mask[:win] &= win_real.transpose(2, 0, 1)[:, :, None, :, None]
+        row_local = row_local & key_real[:, w : w + span].reshape(n_seq, 1, n_chunks, w)
+
+    qc = _padded(qd, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
+    kc = _chunk_view(_padded(kd, w, span + 2 * w), w)      # (B, H, C, dh, 3w)
+    vc = _chunk_view(_padded(vd, w, span + 2 * w), w)
+    s = np.empty((n_slots, n_seq, n_heads, n_chunks, w), dtype=qd.dtype)
+    s_rows = s.transpose(1, 2, 3, 4, 0)
+    np.matmul(qc, kc, out=s_rows[..., :win])
+    np.matmul(qc, kd[:, :, None, global_idx].swapaxes(-1, -2), out=s_rows[..., win:])
+    s *= alpha
+    p = _softmax_masked(s, mask, axis=0)
+    p *= row_local
+    p_rows = p.transpose(1, 2, 3, 4, 0)
+    out_c = p_rows[..., :win] @ vc.swapaxes(-1, -2)          # (B, H, C, w, dh)
+    for j, g_j in enumerate(global_idx):
+        out_c += p[win + j][..., None] * vd[:, :, None, None, g_j]
+    out_data = out_c.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
 
     p_gl = None
     q_gl = None
-    if global_idx.size:
-        q_gl = qd[:, global_idx, :]                     # (H, G, dh)
-        s_gl = np.einsum("hgd,hld->hgl", q_gl, kd) * alpha
-        m_gl = s_gl.max(axis=-1, keepdims=True)
-        e_gl = np.exp(s_gl - m_gl)
-        p_gl = e_gl / e_gl.sum(axis=-1, keepdims=True)
-        out_data[:, global_idx, :] = np.einsum("hgl,hld->hgd", p_gl, vd)
+    if n_glob:
+        q_gl = qd[:, :, global_idx]                          # (B, H, G, dh)
+        keys = True if lengths is None else key_real[:, None, None, w : w + length]
+        p_gl = _softmax_masked((q_gl @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
+        out_data[:, :, global_idx] = p_gl @ vd
 
-    n_local = int(neighbor_valid[~is_global].sum())
-    counter.add(n_heads * (n_local + int(global_idx.size) * length))
+    n_local = int(np.count_nonzero(mask & row_local))
+    if lengths is None:
+        n_local *= n_seq
+    counter.add(n_heads * (n_local + n_glob * n_real))
 
-    out = Tensor(out_data)
+    out = Tensor(out_data[0] if single else out_data)
     tape = _traced(q, k, v)
     if tape is not None:
         out.needs_grad = True
 
         def bwd(g: np.ndarray) -> None:
-            g_loc = g * local_rows
-            dp = np.einsum("hld,hlsd->hls", g_loc, v_nb)
-            ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
-            dq = alpha * np.einsum("hls,hlsd->hld", ds, k_nb)
-            dk = np.zeros_like(kd)
-            dv = np.zeros_like(vd)
-            np.add.at(dk, (slice(None), neighbor_idx), alpha * np.einsum("hls,hld->hlsd", ds, qd))
-            np.add.at(dv, (slice(None), neighbor_idx), np.einsum("hls,hld->hlsd", p, g_loc))
-            if global_idx.size:
-                g_gl = g[:, global_idx, :]
-                dp_gl = np.einsum("hgd,hld->hgl", g_gl, vd)
+            g = g[None] if single else g
+            gc = _padded(g, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
+            dp = np.empty_like(p)
+            dp_rows = dp.transpose(1, 2, 3, 4, 0)
+            np.matmul(gc, vc, out=dp_rows[..., :win])
+            np.matmul(gc, vd[:, :, None, global_idx].swapaxes(-1, -2), out=dp_rows[..., win:])
+            ds = p * (dp - (p * dp).sum(axis=0))
+            ds_rows = ds.transpose(1, 2, 3, 4, 0)
+            dq = ds_rows[..., :win] @ kc.swapaxes(-1, -2)
+            # window slots j*w .. j*w + w - 1 of chunk i are padded key rows (i + j)*w ..
+            dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=qd.dtype)
+            dvp = np.zeros_like(dkp)
+            dk_win = ds_rows[..., :win].swapaxes(-1, -2) @ qc      # (B, H, C, 3w, dh)
+            dv_win = p_rows[..., :win].swapaxes(-1, -2) @ gc
+            for j in range(3):
+                dkp[:, :, j : j + n_chunks] += dk_win[:, :, :, j * w : (j + 1) * w]
+                dvp[:, :, j : j + n_chunks] += dv_win[:, :, :, j * w : (j + 1) * w]
+            dk = dkp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
+            dv = dvp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
+            flat = (n_seq, n_heads, 1, span)
+            q_flat = qc.reshape(n_seq, n_heads, span, d_head)
+            g_flat = gc.reshape(n_seq, n_heads, span, d_head)
+            for j, g_j in enumerate(global_idx):
+                dq += ds[win + j][..., None] * kd[:, :, None, None, g_j]
+                dk[:, :, g_j] += (ds[win + j].reshape(flat) @ q_flat)[:, :, 0]
+                dv[:, :, g_j] += (p[win + j].reshape(flat) @ g_flat)[:, :, 0]
+            dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
+            if n_glob:
+                g_gl = g[:, :, global_idx]
+                dp_gl = g_gl @ vd.swapaxes(-1, -2)
                 ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
-                dq[:, global_idx, :] += alpha * np.einsum("hgl,hld->hgd", ds_gl, kd)
-                dk += alpha * np.einsum("hgl,hgd->hld", ds_gl, q_gl)
-                dv += np.einsum("hgl,hgd->hld", p_gl, g_gl)
+                dq[:, :, global_idx] += ds_gl @ kd
+                dk += ds_gl.swapaxes(-1, -2) @ q_gl
+                dv += p_gl.swapaxes(-1, -2) @ g_gl
+            dq *= alpha
+            dk *= alpha
+            if single:
+                dq, dk, dv = dq[0], dk[0], dv[0]
             if q.needs_grad:
                 _accum(q, dq)
             if k.needs_grad:

@@ -147,3 +147,15 @@ def test_unicode_names_and_values_survive(tmp_path):
     config2, tensors2 = load_checkpoint(path)
     assert config2 == config
     npt.assert_array_equal(tensors2["emb/λ"], [0, 1, 2])
+
+
+def test_rejects_a_tensor_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {}, {"w": np.ones(2, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())[:-4]
+    name_at = raw.index(b"w", 4 + 4 + 4 + 2 + 4)  # after magic, version, json, "{}", count
+    raw[name_at] = 0xFF  # a lone continuation byte, then re-sign
+    raw += struct.pack("<I", zlib.crc32(bytes(raw)) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="corrupt tensor directory"):
+        load_checkpoint(path)

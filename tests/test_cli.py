@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +14,7 @@ import pytest
 
 from txrec.catalog import RESERVED_TOKENS, load_items_jsonl
 from txrec.checkpoint import load_checkpoint, save_checkpoint
-from txrec.cli import main
+from txrec.cli import main, top_k
 
 
 def run(*argv):
@@ -212,7 +214,7 @@ def test_evaluate_csv_output(workdir, tmp_path, capsys):
 
 def test_evaluate_zero_shot_re_encodes(workdir, capsys):
     rep = _eval_json(capsys, "evaluate", "--ckpt", workdir["pre"],
-                     "--data", workdir["data"], "--zero-shot", "--workers", 2)
+                     "--data", workdir["data"], "--zero-shot")
     assert rep["protocol"] == "zero-shot"
     assert rep["n_users"] == 24
 
@@ -253,8 +255,7 @@ def test_evaluate_bad_ckpt_is_exit_4(workdir, tmp_path):
 def test_encode_items_matches_in_process_encoding(workdir, tmp_path, capsys):
     mat_path = tmp_path / "items.mat"
     assert run("encode-items", "--ckpt", workdir["pre"],
-               "--items", workdir["data"] / "items.jsonl", "--out", mat_path,
-               "--workers", 2) == 0
+               "--items", workdir["data"] / "items.jsonl", "--out", mat_path) == 0
     config, tensors = load_checkpoint(mat_path)
     assert config["kind"] == "item_matrix"
     assert len(config["item_ids"]) == 12
@@ -324,6 +325,77 @@ def test_recommend_argument_validation(workdir, tmp_path, capsys):
                "--history", "no_such_item") == 3
     err = capsys.readouterr().err
     assert "topk" in err and "history" in err and "unknown item" in err
+
+
+def test_top_k_settles_ties_at_the_cut_like_a_stable_sort():
+    rng = np.random.default_rng(3)
+    ids = [f"item{j:02d}" for j in rng.permutation(40)]
+    scores = rng.choice([0.9, 0.5, 0.5, 0.2, -0.1], size=40).astype(np.float32)
+    order = sorted(range(40), key=lambda i: (-scores[i], ids[i]))
+    for k in (1, 3, 7, 12, 40, 99):
+        assert top_k(scores, ids, k) == order[:k]
+    # ties straddle the cut: the tied block is wider than what is left of k
+    n_best = int((scores == 0.9).sum())
+    assert 0 < n_best < 12 < n_best + int((scores == 0.5).sum())
+
+
+def test_recommend_breaks_tied_scores_by_id(workdir, tmp_path, capsys):
+    """Rows repeat in three groups of four, so the cut at 5 falls inside a tie."""
+    items = load_items_jsonl(workdir["data"] / "items.jsonl")
+    ids = [it.item_id for it in items][::-1]
+    group = {iid: r % 3 for r, iid in enumerate(ids)}
+    base = np.random.default_rng(4).normal(size=(3, 8)).astype(np.float32)
+    tied = tmp_path / "tied.mat"
+    save_checkpoint(tied, {"kind": "item_matrix", "item_ids": ids, "fingerprint": ""},
+                    {"rows": base[np.arange(len(ids)) % 3]})
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", workdir["pre"], "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000", "--topk", 5, "--item-matrix", tied) == 0
+    got = [r["item_id"] for r in json.loads(capsys.readouterr().out)]
+    best, second = group[got[0]], group[got[4]]
+    assert best != second
+    # the stable-sort order: the whole best group by id, then the lowest id of the next
+    assert got == sorted(i for i in ids if group[i] == best) \
+        + [min(i for i in ids if group[i] == second)]
+
+
+def test_item_matrix_of_another_width_is_exit_4(workdir, tmp_path, capsys):
+    ids = [it.item_id for it in load_items_jsonl(workdir["data"] / "items.jsonl")]
+    wide = tmp_path / "wide.mat"
+    save_checkpoint(wide, {"kind": "item_matrix", "item_ids": ids, "fingerprint": ""},
+                    {"rows": np.ones((len(ids), 16), dtype=np.float32)})
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", workdir["pre"], "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000", "--item-matrix", wide) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "width 16" in err and "d=8" in err
+
+
+def _with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
+
+
+def test_checkpoint_whose_shape_overruns_its_payload_is_exit_4(workdir, tmp_path, capsys):
+    blob = json.dumps({"kind": "model"}).encode()
+    body = (b"TXRC" + struct.pack("<II", 1, len(blob)) + blob + struct.pack("<I", 1)
+            + struct.pack("<H", 1) + b"t" + struct.pack("<BB", 0, 2)
+            + struct.pack("<II", 1000, 1000) + bytes(16))
+    crafted = tmp_path / "overrun.ckpt"
+    crafted.write_bytes(_with_crc(body))
+    capsys.readouterr()
+    assert run("evaluate", "--ckpt", crafted, "--data", workdir["data"]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "overruns the payload" in err
+
+
+def test_checkpoint_config_that_is_not_an_object_is_exit_4(workdir, tmp_path, capsys):
+    crafted = tmp_path / "list.ckpt"
+    save_checkpoint(crafted, ["kind", "model"], {})
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and "not a JSON object" in err
 
 
 # ---------------------------------------------------------------------------

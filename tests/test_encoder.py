@@ -9,7 +9,7 @@ import pytest
 import reference as ref
 from conftest import fd_gradcheck, scalarize
 from txrec import tensor as T
-from txrec.catalog import ModelInput, build_model_input
+from txrec.catalog import ModelBatch, ModelInput, build_model_input
 from txrec.encoder import (
     Encoder,
     EncoderConfig,
@@ -193,6 +193,56 @@ def test_sequence_and_item_repr_are_row_zero(tiny_corpus):
     npt.assert_array_equal(enc.sequence_repr(x), enc.encode(x).data[0])
     r = enc.item_repr("i2", catalog, vocab, limits)
     assert r.shape == (enc.config.d,)
+
+
+# ---------------------------------------------------------------------------
+# padded batches
+
+
+def test_model_batch_pack_pads_right_and_keeps_lengths(tiny_corpus):
+    short = _history(tiny_corpus, ids=("i1",))
+    long = _history(tiny_corpus)
+    batch = ModelBatch.pack([short, long])
+    n = len(short)
+    assert batch.token_ids.shape == (2, len(long))
+    npt.assert_array_equal(batch.lengths, [n, len(long)])
+    assert batch.global_idx == (0,)
+    npt.assert_array_equal(batch.token_ids[0, :n], short.token_ids)
+    npt.assert_array_equal(batch.item_positions[1], long.item_positions)
+    assert not batch.token_ids[0, n:].any() and not batch.token_positions[0, n:].any()
+
+
+def test_model_batch_rejects_mixed_global_positions(tiny_corpus):
+    x = _history(tiny_corpus)
+    moved = ModelInput(x.token_ids, x.token_positions, x.token_types, x.item_positions,
+                       np.roll(x.global_mask, 1))
+    with pytest.raises(ValueError, match="global"):
+        ModelBatch.pack([x, moved])
+    with pytest.raises(ValueError, match="at least one"):
+        ModelBatch.pack([])
+
+
+def test_encode_batch_matches_dense_reference_per_sequence(tiny_corpus):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(21, "init"), dtype=F64)
+    xs = [_history(tiny_corpus, ids) for ids in (("i0",), ("i0", "i3", "i5"), ("i2", "i7"))]
+    out = enc.encode_batch(ModelBatch.pack(xs)).data
+    for b, x in enumerate(xs):
+        expected = ref.encode_ref(enc.state_dict(), enc.config, x, masked=True)
+        npt.assert_allclose(out[b, : len(x)], expected, atol=1e-10)
+
+
+def test_sequence_alone_and_next_to_a_longer_one_agree(tiny_corpus):
+    """Batch invariance in float32: padding a sequence out to a longer
+    batch-mate changes its rows by roundoff only."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(22, "init"))
+    short = _history(tiny_corpus, ids=("i6",))
+    long = _history(tiny_corpus, ids=("i0", "i3", "i5", "i1"))
+    assert len(long) > len(short) + 2 * enc.config.window
+    alone = enc.encode(short).data
+    padded = enc.encode_batch(ModelBatch.pack([long, short])).data[1, : len(short)]
+    npt.assert_allclose(padded, alone, rtol=0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

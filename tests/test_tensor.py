@@ -354,6 +354,13 @@ def _attention_setup(rng, n_heads, length, d_head, window, global_idx=(0,)):
     (17, 3, (0,)),      # long, narrow window
     (12, 2, ()),        # no global rows at all
     (11, 2, (0, 5)),    # two global rows
+    (1, 3, (0,)),       # a single row: one chunk, nothing but the aggregate
+    (1, 2, ()),
+    (10, 4, (0,)),      # length not a multiple of the chunk size w
+    (10, 4, (0, 5)),
+    (11, 3, ()),
+    (6, 8, (0, 5)),     # window wider than the sequence
+    (5, 5, ()),
 ])
 def test_windowed_attention_matches_masked_dense(length, window, global_idx):
     rng = np.random.default_rng(17 + length)
@@ -380,6 +387,60 @@ def test_windowed_attention_pair_count_is_exact():
         T.windowed_attention(q, k, v, idx, valid, g)
         expected = 3 * int(ref.allowed_pairs_ref(length, window, gidx).sum())
         assert T.attention_pairs.pairs == expected
+
+
+def _padded_setup(rng, lengths, n_heads, d_head, window, global_idx):
+    shape = (len(lengths), n_heads, max(lengths), d_head)
+    q, k, v = (_param(name, shape, rng) for name in "qkv")
+    idx, valid = build_window_index(max(lengths), window, global_idx)
+    return q, k, v, idx, valid, np.asarray(global_idx, dtype=np.int64), np.asarray(lengths)
+
+
+@pytest.mark.parametrize("global_idx", [(0, 5), ()])
+def test_padded_batch_matches_dense_per_sequence(global_idx):
+    rng = np.random.default_rng(41)
+    lengths = [13, 6, 9, 13, 7]
+    q, k, v, idx, valid, g, lens = _padded_setup(rng, lengths, 2, 3, 3, global_idx)
+    out = T.windowed_attention(q, k, v, idx, valid, g, lens).data
+    for b, n in enumerate(lengths):
+        allowed = ref.allowed_pairs_ref(n, 3, global_idx)
+        expected = ref.dense_attention_ref(q.data[b, :, :n], k.data[b, :, :n],
+                                           v.data[b, :, :n], allowed)
+        npt.assert_allclose(out[b, :, :n], expected, atol=1e-12)
+        assert not out[b, :, n:].any()  # padded rows come out as zeros
+
+
+def test_padded_batch_gradcheck():
+    rng = np.random.default_rng(42)
+    q, k, v, idx, valid, g, lens = _padded_setup(rng, [9, 4, 7], 2, 3, 2, (0,))
+    w = rng.normal(size=q.data.size)
+    fd_gradcheck(lambda: scalarize(T.windowed_attention(q, k, v, idx, valid, g, lens), w),
+                 [q, k, v], rng, coords_per_tensor=30)
+    # nothing flows into the padding
+    for p in (q, k, v):
+        T.zero_grads([p])
+    with T.GradTape() as tape:
+        loss = scalarize(T.windowed_attention(q, k, v, idx, valid, g, lens), w)
+    tape.backward(loss)
+    for p in (q, k, v):
+        assert not p.grad[1, :, 4:].any() and not p.grad[2, :, 7:].any()
+
+
+def test_padded_batch_pair_count_excludes_padding():
+    rng = np.random.default_rng(43)
+    lengths = [30, 11, 1, 17]
+    q, k, v, idx, valid, g, lens = _padded_setup(rng, lengths, 3, 2, 4, (0,))
+    T.windowed_attention(q, k, v, idx, valid, g, lens)
+    expected = 3 * sum(int(ref.allowed_pairs_ref(n, 4, (0,)).sum()) for n in lengths)
+    assert T.attention_pairs.pairs == expected
+
+
+def test_padded_batch_rejects_lengths_that_do_not_fit():
+    rng = np.random.default_rng(44)
+    q, k, v, idx, valid, g, _ = _padded_setup(rng, [8, 8], 1, 2, 2, (0, 5))
+    for bad in ([8, 5], [9, 8], [8]):
+        with pytest.raises(ValueError, match="lengths"):
+            T.windowed_attention(q, k, v, idx, valid, g, np.asarray(bad))
 
 
 # ---------------------------------------------------------------------------

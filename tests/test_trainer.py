@@ -104,15 +104,6 @@ def test_encode_all_items_matches_per_item_encoding(tiny_corpus):
     assert m.fingerprint == params_fingerprint(enc.parameters())
 
 
-def test_encode_all_items_parallel_equals_serial(tiny_corpus):
-    catalog, vocab, limits = tiny_corpus
-    enc = _encoder(vocab, seed=2)
-    serial = encode_all_items(enc, catalog, vocab, limits, workers=1)
-    parallel = encode_all_items(enc, catalog, vocab, limits, workers=4)
-    npt.assert_array_equal(serial.rows, parallel.rows)
-    assert serial.ids == parallel.ids
-
-
 def test_encode_all_items_rejects_empty_catalog(tiny_corpus):
     from txrec.catalog import Catalog
     _, vocab, limits = tiny_corpus

@@ -137,7 +137,10 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except OSError as e:
+            raise DataError(f"cannot read {path}: {e}") from None
         if tuple(lines[:NUM_RESERVED]) != RESERVED_TOKENS:
             raise DataError(f"vocabulary file {path} does not start with the reserved tokens")
         return cls(lines[NUM_RESERVED:])

@@ -13,7 +13,8 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,25 +43,29 @@ class RunConfig:
     seed: int = 0
     data_items: list[str] = field(default_factory=list)
     data_interactions: list[str] = field(default_factory=list)
-    valid_items: list[str] = field(default_factory=list)
     valid_interactions: list[str] = field(default_factory=list)
     vocab_path: str | None = None
     log_path: str | None = None
-    min_count: int = 1
     limits: InputLimits = field(default_factory=InputLimits)
-    encoder: dict = field(default_factory=dict)
-    encoder_given: bool = False
+    encoder: dict = field(default_factory=dict)   # the encoder.* keys the config sets
+    catalog: dict = field(default_factory=dict)   # the catalog.* keys the config sets
     train: TrainConfig = field(default_factory=TrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
 
 
-_ENCODER_KEYS = {"d": int, "n_layers": int, "n_heads": int, "window": int,
-                 "ffn_dim": int, "max_tokens": int, "max_items": int, "dropout": float}
-_TRAIN_KEYS = {"n_epochs": int, "pretrain_batch": int, "finetune_batch": int,
-               "lr": float, "patience": int, "grad_clip": float}
-_LOSS_KEYS = {"temperature": float, "mlm_weight": float}
+def _schema(cls, skip: tuple[str, ...] = ()) -> dict:
+    """Config key -> type for each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+# vocab_size comes from the vocabulary and the seed from the top-level key
+_ENCODER_KEYS = _schema(EncoderConfig, skip=("vocab_size",))
+_TRAIN_KEYS = _schema(TrainConfig, skip=("seed",))
+_LOSS_KEYS = _schema(LossConfig)
+_LIMIT_KEYS = _schema(InputLimits)
 _CATALOG_KEYS = {"tokens_per_field": int, "min_count": int}
-_DATA_KEYS = ("items", "interactions", "valid_items", "valid_interactions")
+_DATA_KEYS = ("items", "interactions", "valid_interactions")
 
 
 def _typed(value, want, where: str, errors: list[str]):
@@ -130,8 +135,6 @@ def validate_run_config(raw: dict) -> RunConfig:
         cfg.data_items = _path_list(data["items"], "data.items", errors)
     if "interactions" in data:
         cfg.data_interactions = _path_list(data["interactions"], "data.interactions", errors)
-    if "valid_items" in data:
-        cfg.valid_items = _path_list(data["valid_items"], "data.valid_items", errors)
     if "valid_interactions" in data:
         cfg.valid_interactions = _path_list(data["valid_interactions"],
                                             "data.valid_interactions", errors)
@@ -143,18 +146,14 @@ def validate_run_config(raw: dict) -> RunConfig:
 
     if not errors:
         try:
-            cfg.min_count = cat.get("min_count", 1)
-            cfg.limits = InputLimits(
-                max_tokens=enc.get("max_tokens", 1024),
-                max_items=enc.get("max_items", 50),
-                tokens_per_field=cat.get("tokens_per_field", 16),
-            )
+            cfg.limits = InputLimits(**{k: v for k, v in {**enc, **cat}.items()
+                                        if k in _LIMIT_KEYS})
             cfg.encoder = enc
-            cfg.encoder_given = "encoder" in raw
-            cfg.train = TrainConfig(**trn)
+            cfg.catalog = cat
+            cfg.train = TrainConfig(**trn, seed=cfg.seed)
             cfg.loss = LossConfig(**lss)
-            if cfg.min_count < 1:
-                errors.append(f"catalog.min_count={cfg.min_count} must be >= 1")
+            if cat.get("min_count", 1) < 1:
+                errors.append(f"catalog.min_count={cat['min_count']} must be >= 1")
         except ValueError as e:
             errors.append(str(e))
     if errors:
@@ -187,9 +186,8 @@ def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
     config = {
         "kind": "model",
         "encoder": encoder.config.to_dict(),
-        "limits": {"max_tokens": limits.max_tokens, "max_items": limits.max_items,
-                   "tokens_per_field": limits.tokens_per_field},
-        "loss": {"temperature": loss_cfg.temperature, "mlm_weight": loss_cfg.mlm_weight},
+        "limits": asdict(limits),
+        "loss": asdict(loss_cfg),
         "seed": seed,
         "vocab_tokens": vocab.token_list(),
         "item_ids": matrix.ids if matrix is not None else None,
@@ -215,17 +213,14 @@ def _load_model_ckpt(path: str):
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed model config ({e})") from None
     encoder = Encoder(enc_cfg, rng=stream(0, "init"))
+    head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=stream(0, "init")) \
+        if "mlm.w_h" in tensors else None
     try:
         encoder.load_state_dict(tensors)
+        if head is not None:
+            head.load_state_dict(tensors)
     except (KeyError, ValueError) as e:
         raise CheckpointError(f"{path}: {e}") from None
-    head = None
-    if "mlm.w_h" in tensors:
-        head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=stream(0, "init"))
-        try:
-            head.load_state_dict(tensors)
-        except (KeyError, ValueError) as e:
-            raise CheckpointError(f"{path}: {e}") from None
     matrix = None
     if config.get("item_ids"):
         if "item_matrix" not in tensors:
@@ -257,14 +252,12 @@ def _load_corpus(item_paths: list[str], interaction_paths: list[str]):
 
 
 def _epoch_logger(log_path: str | None):
-    fh = open(log_path, "a", encoding="utf-8") if log_path else None
-
     def write(record: dict) -> None:
         line = json.dumps(record)
         print(line, file=sys.stderr)
-        if fh:
-            fh.write(line + "\n")
-            fh.flush()
+        if log_path:
+            with open(log_path, "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
 
     return write
 
@@ -312,7 +305,7 @@ def cmd_pretrain(args) -> int:
     if cfg.valid_interactions:
         _, _, valid_seqs = _load_corpus([], cfg.valid_interactions)
     vocab = Vocabulary.load(cfg.vocab_path) if cfg.vocab_path else \
-        Vocabulary.build(items, min_count=cfg.min_count)
+        Vocabulary.build(items, min_count=cfg.catalog.get("min_count", 1))
     enc_kwargs = dict(cfg.encoder)
     enc_kwargs["vocab_size"] = vocab.size
     try:
@@ -335,15 +328,32 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_against_checkpoint(cfg: RunConfig, path: str, enc_cfg: EncoderConfig,
+                              limits: InputLimits, vocab: Vocabulary) -> None:
+    """Finetuning keeps the checkpoint's encoder, limits and vocabulary.
+
+    A config key that asks for a different one would be silently ignored,
+    so it is an error instead.
+    """
+    asked = {k: (v, getattr(enc_cfg, k)) for k, v in cfg.encoder.items()}
+    if "tokens_per_field" in cfg.catalog:
+        asked["tokens_per_field"] = (cfg.catalog["tokens_per_field"], limits.tokens_per_field)
+    for key, (want, have) in asked.items():
+        if want != have:
+            raise ConfigError(f"config asks for {key}={want} but checkpoint has {key}={have}")
+    if cfg.vocab_path:
+        want, have = Vocabulary.load(cfg.vocab_path).token_list(), vocab.token_list()
+        if want != have:
+            raise ConfigError(f"config vocab {cfg.vocab_path} ({len(want)} tokens) differs "
+                              f"from the vocabulary in checkpoint {path} ({len(have)} tokens)")
+
+
 def cmd_finetune(args) -> int:
     cfg = load_run_config(args.config)
     if not cfg.data_items or not cfg.data_interactions:
         raise ConfigError("finetune needs data.items and data.interactions")
-    _, encoder, head, vocab, limits, ckpt_loss, _ = _load_model_ckpt(args.init)
-    if cfg.encoder_given:
-        want_d = cfg.encoder.get("d", encoder.config.d)
-        if want_d != encoder.config.d:
-            raise ConfigError(f"config asks for d={want_d} but checkpoint has d={encoder.config.d}")
+    _, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.init)
+    _check_against_checkpoint(cfg, args.init, encoder.config, limits, vocab)
     catalog, _, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
     split = leave_one_out(seqs)
     try:

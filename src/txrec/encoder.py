@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import tensor as T
-from .catalog import Catalog, InputLimits, ModelBatch, ModelInput, Vocabulary, item_input
+from .catalog import ModelBatch, ModelInput
 from .errors import DataError
 from .tensor import Parameter, Tensor
 
@@ -56,16 +56,6 @@ class EncoderConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def attention_mask(length: int, window: int, global_idx: tuple[int, ...] = (0,)) -> np.ndarray:
-    """Boolean (length, length) matrix of allowed (query, key) pairs."""
-    pos = np.arange(length)
-    allowed = np.abs(pos[:, None] - pos[None, :]) <= window
-    for g in global_idx:
-        allowed[g, :] = True
-        allowed[:, g] = True
-    return allowed
 
 
 @lru_cache(maxsize=256)
@@ -151,13 +141,7 @@ class Encoder:
         return {p.name: p.data for p in self.parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            if p.name not in state:
-                raise KeyError(f"missing parameter '{p.name}'")
-            src = state[p.name]
-            if src.shape != p.data.shape:
-                raise ValueError(f"parameter '{p.name}' shape {src.shape} != {p.data.shape}")
-            p.data[...] = src
+        T.load_params(self.parameters(), state)
 
     def _check_input(self, x: ModelInput | ModelBatch) -> None:
         cfg = self.config
@@ -197,7 +181,6 @@ class Encoder:
         h = T.reshape(self.embed(batch), (n_rows, cfg.d))
         idx, valid = build_window_index(length, cfg.window, batch.global_idx)
         g_arr = np.asarray(batch.global_idx, dtype=np.int64)
-        lengths = batch.lengths if batch.lengths.min() < length else None
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and dropout_rng is None:
             raise ValueError("training with dropout needs a dropout rng")
@@ -206,7 +189,7 @@ class Encoder:
             q = T.transpose(T.reshape(T.matmul(h, layer.wq), heads), (0, 2, 1, 3))
             k = T.transpose(T.reshape(T.matmul(h, layer.wk), heads), (0, 2, 1, 3))
             v = T.transpose(T.reshape(T.matmul(h, layer.wv), heads), (0, 2, 1, 3))
-            ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, lengths)
+            ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, batch.lengths)
             ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n_rows, cfg.d))
             a = T.matmul(ctx, layer.wo)
             if rate > 0.0:
@@ -227,11 +210,6 @@ class Encoder:
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
         """Inference-time representation of a history: the aggregate row."""
         return self.encode(x).data[0]
-
-    def item_repr(self, item_id: str, catalog: Catalog, vocab: Vocabulary,
-                  limits: InputLimits = InputLimits()) -> np.ndarray:
-        """An item's representation: encode it as a one-item history."""
-        return self.sequence_repr(item_input(item_id, catalog, vocab, limits))
 
 
 def params_fingerprint(params: Iterable[Parameter]) -> str:

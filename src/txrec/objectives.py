@@ -35,29 +35,14 @@ class LossConfig:
 
 
 # ---------------------------------------------------------------------------
-# similarity and prediction
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray, eps: float = 1e-12) -> float:
-    """Cosine of two vectors, clipped to [-1, 1]; zero vectors score 0."""
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    dot = float(np.dot(a, b))
-    return float(np.clip(dot / max(na * nb, eps), -1.0, 1.0))
+# similarity
 
 
 def cosine_scores(h: np.ndarray, rows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Cosine of `h` against every row; same guard semantics as cosine_sim."""
+    """Cosine of `h` against every row, clipped to [-1, 1]; zero vectors score 0."""
     h_norm = h / max(float(np.linalg.norm(h)), eps)
     norms = np.maximum(np.linalg.norm(rows, axis=1), eps)
     return np.clip((rows @ h_norm) / norms, -1.0, 1.0)
-
-
-def predict_next(h: np.ndarray, item_rows: np.ndarray) -> int:
-    """Index of the best-scoring item row; ties go to the lowest index."""
-    if item_rows.ndim != 2 or item_rows.shape[0] == 0:
-        raise ValueError(f"item matrix must be non-empty 2-d, got shape {item_rows.shape}")
-    return int(np.argmax(cosine_scores(h, item_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +121,7 @@ class MLMHead:
         return {p.name: p.data for p in self.parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            src = state[p.name]
-            if src.shape != p.data.shape:
-                raise ValueError(f"parameter '{p.name}' shape {src.shape} != {p.data.shape}")
-            p.data[...] = src
+        T.load_params(self.parameters(), state)
 
     def logits(self, hidden_rows: Tensor) -> Tensor:
         """(rows, d) -> (rows, vocab): transform, GELU, plain LayerNorm, project."""

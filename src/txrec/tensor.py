@@ -43,13 +43,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, needs_grad={self.needs_grad})"
 
@@ -168,23 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                 _accum(a, _unbroadcast(g, a.data.shape))
             if b.needs_grad:
                 _accum(b, _unbroadcast(g, b.data.shape))
-
-        tape.record(out, bwd)
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data)
-    tape = _traced(a, b)
-    if tape is not None:
-        out.needs_grad = True
-        ad, bd = a.data, b.data
-
-        def bwd(g: np.ndarray) -> None:
-            if a.needs_grad:
-                _accum(a, _unbroadcast(g * bd, a.data.shape))
-            if b.needs_grad:
-                _accum(b, _unbroadcast(g * ad, b.data.shape))
 
         tape.record(out, bwd)
     return out
@@ -376,24 +352,6 @@ def gelu(x: Tensor) -> Tensor:
     return out
 
 
-def softmax_lastdim(x: Tensor) -> Tensor:
-    """Row softmax over the last axis, max-subtracted for stability."""
-    xd = x.data
-    m = xd.max(axis=-1, keepdims=True)
-    e = np.exp(xd - m)
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(p)
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
-
-        def bwd(g: np.ndarray) -> None:
-            _accum(x, p * (g - (p * g).sum(axis=-1, keepdims=True)))
-
-        tape.record(out, bwd)
-    return out
-
-
 def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine if given."""
@@ -554,8 +512,7 @@ def _chunk_view(x: np.ndarray, w: int) -> np.ndarray:
 
 def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray,
                        neighbor_valid: np.ndarray, global_idx: np.ndarray,
-                       lengths: np.ndarray | None = None,
-                       counter: PairCounter = attention_pairs) -> Tensor:
+                       lengths: np.ndarray | None = None) -> Tensor:
     """Sliding-window attention with a few rows that attend everywhere.
 
     q, k, v are (batch, heads, len, d_head), or (heads, len, d_head) for one
@@ -572,12 +529,13 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     symmetric. Work is O(len * w) plus O(len) per global row instead of
     O(len^2).
 
-    `lengths` (batch,) marks a padded batch: keys at or past a sequence's
+    `lengths` (batch,) gives each sequence's real length in a right-padded
+    batch and defaults to the full length: keys at or past a sequence's
     length are masked, and its padded rows come out as zeros. Global rows
     must lie inside every sequence.
 
-    The counter is incremented by the number of scored pairs of real rows
-    and keys summed over heads, which is what the linear-scaling checks
+    `attention_pairs` is incremented by the number of scored pairs of real
+    rows and keys summed over heads, which is what the linear-scaling checks
     measure.
     """
     qd, kd, vd = q.data, k.data, v.data
@@ -600,32 +558,27 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     win = 3 * w
     alpha = 1.0 / math.sqrt(d_head)
 
+    lengths = np.full(n_seq, length) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (n_seq,) or lengths.max() > length \
+            or lengths.min() <= global_idx.max(initial=0):
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
+                         f"{n_seq} x {length} with global rows {global_idx.tolist()}")
+    n_real = int(lengths.sum())
+
     # Scores and weights live slot-first, (S, B, H, C, w), so the softmax
     # reduces over a leading axis; matmuls read and write them through
-    # (B, H, C, w, S) views. mask is (S, B|1, 1, C, w): the window layout,
-    # then each sequence's real keys. row_local (B|1, 1, C, w) marks the
+    # (B, H, C, w, S) views. mask is (S, B, 1, C, w): the window layout,
+    # then each sequence's real keys. row_local (B, 1, C, w) marks the
     # rows the band serves: real and not global.
+    key_real = np.arange(span + 2 * w) - w < lengths[:, None]     # (B, span + 2w)
+    win_real = _chunk_view(key_real.reshape(n_seq, 1, -1, 1), w)[:, 0, :, 0]  # (B, C, 3w)
     slots = np.zeros((span, n_slots), dtype=bool)
     slots[:length] = neighbor_valid
-    mask = slots.T.reshape(n_slots, 1, 1, n_chunks, w)
-    row_local = np.zeros(span, dtype=bool)
-    row_local[:length] = True
+    mask = np.repeat(slots.T.reshape(n_slots, 1, 1, n_chunks, w), n_seq, axis=1)
+    mask[:win] &= win_real.transpose(2, 0, 1)[:, :, None, :, None]
+    row_local = np.ones(span, dtype=bool)
     row_local[global_idx] = False
-    row_local = row_local.reshape(1, 1, n_chunks, w)
-    if lengths is None:
-        n_real = n_seq * length
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if lengths.shape != (n_seq,) or lengths.max() > length \
-                or lengths.min() <= global_idx.max(initial=0):
-            raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
-                             f"{n_seq} x {length} with global rows {global_idx.tolist()}")
-        n_real = int(lengths.sum())
-        key_real = np.arange(span + 2 * w) - w < lengths[:, None]     # (B, span + 2w)
-        win_real = _chunk_view(key_real.reshape(n_seq, 1, -1, 1), w)[:, 0, :, 0]  # (B, C, 3w)
-        mask = np.repeat(mask, n_seq, axis=1)
-        mask[:win] &= win_real.transpose(2, 0, 1)[:, :, None, :, None]
-        row_local = row_local & key_real[:, w : w + span].reshape(n_seq, 1, n_chunks, w)
+    row_local = row_local.reshape(1, 1, n_chunks, w) & key_real[:, w : w + span].reshape(n_seq, 1, n_chunks, w)
 
     qc = _padded(qd, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
     kc = _chunk_view(_padded(kd, w, span + 2 * w), w)      # (B, H, C, dh, 3w)
@@ -647,14 +600,12 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     q_gl = None
     if n_glob:
         q_gl = qd[:, :, global_idx]                          # (B, H, G, dh)
-        keys = True if lengths is None else key_real[:, None, None, w : w + length]
+        keys = key_real[:, None, None, w : w + length]
         p_gl = _softmax_masked((q_gl @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
         out_data[:, :, global_idx] = p_gl @ vd
 
     n_local = int(np.count_nonzero(mask & row_local))
-    if lengths is None:
-        n_local *= n_seq
-    counter.add(n_heads * (n_local + n_glob * n_real))
+    attention_pairs.add(n_heads * (n_local + n_glob * n_real))
 
     out = Tensor(out_data[0] if single else out_data)
     tape = _traced(q, k, v)
@@ -757,6 +708,17 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= factor
     return norm
+
+
+def load_params(params: Iterable[Parameter], state: dict[str, np.ndarray]) -> None:
+    """Copy state[p.name] into each parameter; a missing or misshapen tensor raises."""
+    for p in params:
+        if p.name not in state:
+            raise KeyError(f"missing parameter '{p.name}'")
+        src = state[p.name]
+        if src.shape != p.data.shape:
+            raise ValueError(f"parameter '{p.name}' shape {src.shape} != {p.data.shape}")
+        p.data[...] = src
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -6,6 +6,7 @@ import json
 import struct
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 
 from txrec.catalog import RESERVED_TOKENS, load_items_jsonl
 from txrec.checkpoint import load_checkpoint, save_checkpoint
-from txrec.cli import main, top_k
+from txrec.cli import main, top_k, validate_run_config
 
 
 def run(*argv):
@@ -119,6 +120,23 @@ def test_pretrain_writes_epoch_log(workdir):
     assert all("loss" in r for r in pre)
 
 
+def test_pretrain_epoch_log_leaves_no_file_open(workdir, tmp_path):
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["log"] = str(tmp_path / "train.log")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("pretrain", "--config", cfg_path, "--out", tmp_path / "o.ckpt") == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert len((tmp_path / "train.log").read_text().splitlines()) == 2
+
+
+def test_config_seed_reaches_the_training_streams():
+    assert validate_run_config({"seed": 5}).train.seed == 5
+    assert validate_run_config({}).train.seed == 0
+
+
 def test_pretrain_config_errors_are_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"seedz": 1, "encoder": {"dd": 8},
@@ -170,6 +188,56 @@ def test_finetune_d_mismatch_is_exit_2(workdir, tmp_path, capsys):
     assert run("finetune", "--config", bad, "--init", workdir["pre"],
                "--out", tmp_path / "o") == 2
     assert "config asks for d=16 but checkpoint has d=8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value,message", [
+    ("encoder", "n_layers", 3, "config asks for n_layers=3 but checkpoint has n_layers=1"),
+    ("encoder", "window", 2, "config asks for window=2 but checkpoint has window=4"),
+    ("encoder", "max_tokens", 48, "config asks for max_tokens=48 but checkpoint has max_tokens=96"),
+    ("catalog", "tokens_per_field", 2,
+     "config asks for tokens_per_field=2 but checkpoint has tokens_per_field=16"),
+    ("data", "valid_items", "/nonexistent", "unknown config key 'data.valid_items'"),
+])
+def test_finetune_rejects_keys_the_checkpoint_overrides(workdir, tmp_path, capsys,
+                                                         section, key, value, message):
+    cfg = json.loads(workdir["config"].read_text())
+    cfg.setdefault(section, {})[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("finetune", "--config", bad, "--init", workdir["pre"],
+               "--out", tmp_path / "o") == 2
+    assert message in capsys.readouterr().err
+
+
+def test_finetune_vocab_must_match_the_checkpoint(workdir, tmp_path, capsys):
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["vocab"] = str(tmp_path / "vocab.txt")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    # the pretraining vocabulary, rebuilt from the same items, is accepted
+    assert run("build-vocab", "--items", workdir["data"] / "items.jsonl",
+               "--out", tmp_path / "vocab.txt") == 0
+    assert run("finetune", "--config", cfg_path, "--init", workdir["pre"],
+               "--out", tmp_path / "ok.ckpt") == 0
+    (tmp_path / "vocab.txt").write_text("\n".join(RESERVED_TOKENS + ("other",)) + "\n")
+    capsys.readouterr()
+    assert run("finetune", "--config", cfg_path, "--init", workdir["pre"],
+               "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config vocab" in err and "(1 tokens) differs from the vocabulary in checkpoint" in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_missing_vocab_file_is_exit_3(workdir, tmp_path, capsys, command):
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["vocab"] = str(tmp_path / "absent.txt")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    init = ("--init", workdir["pre"]) if command == "finetune" else ()
+    capsys.readouterr()
+    assert run(command, "--config", cfg_path, *init, "--out", tmp_path / "o") == 3
+    assert f"data error: cannot read {tmp_path / 'absent.txt'}" in capsys.readouterr().err
 
 
 def test_finetune_garbage_init_is_exit_4(workdir, tmp_path, capsys):
@@ -246,6 +314,18 @@ def test_evaluate_bad_ckpt_is_exit_4(workdir, tmp_path):
     junk = tmp_path / "junk.ckpt"
     junk.write_bytes(b"\x00" * 64)
     assert run("evaluate", "--ckpt", junk, "--data", workdir["data"]) == 4
+
+
+@pytest.mark.parametrize("name", ["emb.pos", "mlm.b_out"])
+def test_checkpoint_missing_a_tensor_is_exit_4(workdir, tmp_path, capsys, name):
+    config, tensors = load_checkpoint(workdir["pre"])
+    del tensors[name]
+    crafted = tmp_path / "missing.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    capsys.readouterr()
+    assert run("evaluate", "--ckpt", crafted, "--data", workdir["data"]) == 4
+    err = capsys.readouterr().err
+    assert "checkpoint error" in err and f"missing parameter '{name}'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ import pytest
 import reference as ref
 from conftest import fd_gradcheck, scalarize
 from txrec import tensor as T
-from txrec.catalog import ModelBatch, ModelInput, build_model_input
+from txrec.catalog import ModelBatch, ModelInput, build_model_input, item_input
 from txrec.encoder import (
     Encoder,
     EncoderConfig,
-    attention_mask,
     build_window_index,
     params_fingerprint,
 )
@@ -62,7 +61,7 @@ def test_config_to_dict_round_trips():
 
 def test_attention_mask_hand_example():
     # length 5, window 1, aggregate at 0: row 3 sees {0, 2, 3, 4}
-    m = attention_mask(5, 1, (0,))
+    m = ref.allowed_pairs_ref(5, 1, (0,))
     npt.assert_array_equal(m[3], [True, False, True, True, True])
     npt.assert_array_equal(m[0], np.ones(5, dtype=bool))
     npt.assert_array_equal(m[:, 0], np.ones(5, dtype=bool))
@@ -71,7 +70,7 @@ def test_attention_mask_hand_example():
 
 def test_attention_mask_is_symmetric():
     for length, window, g in [(9, 2, (0,)), (13, 3, (0, 4)), (6, 1, ())]:
-        m = attention_mask(length, window, g)
+        m = ref.allowed_pairs_ref(length, window, g)
         npt.assert_array_equal(m, m.T)
         assert m.diagonal().all()
 
@@ -81,7 +80,7 @@ def test_attention_mask_is_symmetric():
 ])
 def test_window_index_covers_mask_exactly_once(length, window, global_idx):
     idx, valid = build_window_index(length, window, global_idx)
-    dense = attention_mask(length, window, global_idx)
+    dense = ref.allowed_pairs_ref(length, window, global_idx)
     is_global = np.zeros(length, dtype=bool)
     is_global[list(global_idx)] = True
     seen = np.zeros((length, length), dtype=int)
@@ -191,7 +190,7 @@ def test_sequence_and_item_repr_are_row_zero(tiny_corpus):
     enc = Encoder(_cfg(vocab.size), stream(8, "init"))
     x = _history(tiny_corpus)
     npt.assert_array_equal(enc.sequence_repr(x), enc.encode(x).data[0])
-    r = enc.item_repr("i2", catalog, vocab, limits)
+    r = enc.sequence_repr(item_input("i2", catalog, vocab, limits))
     assert r.shape == (enc.config.d,)
 
 

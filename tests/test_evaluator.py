@@ -10,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import reference as ref
-from txrec.catalog import InteractionSequence
+from txrec.catalog import InteractionSequence, item_input
 from txrec.encoder import Encoder, EncoderConfig
 from txrec.evaluator import (
     CSV_HEADER,
@@ -174,7 +174,7 @@ def test_evaluate_cases_aggregates_per_case_metrics(tiny_corpus):
     catalog, vocab, limits = tiny_corpus
     enc = _encoder_for(vocab)
     ids = catalog.ids
-    rows = np.stack([enc.item_repr(i, catalog, vocab, limits) for i in ids])
+    rows = np.stack([enc.sequence_repr(item_input(i, catalog, vocab, limits)) for i in ids])
     index = {iid: k for k, iid in enumerate(ids)}
     cases = [EvalCase("u1", ("i0", "i1"), "i2"), EvalCase("u2", ("i3",), "i7")]
     rep = evaluate_cases(enc, rows, index, cases, catalog, vocab, limits,
@@ -228,6 +228,6 @@ def test_metrics_are_perfect_when_target_is_nearest(tiny_corpus):
     ids = catalog.ids
     index = {iid: k for k, iid in enumerate(ids)}
     # plant the target's own representation as the history representation
-    rows = np.stack([enc.item_repr(i, catalog, vocab, limits) for i in ids])
+    rows = np.stack([enc.sequence_repr(item_input(i, catalog, vocab, limits)) for i in ids])
     h = rows[index["i5"]]
     assert rank_of_target(h, rows, index["i5"]) == 1

@@ -22,13 +22,11 @@ from txrec.objectives import (
     MLMHead,
     apply_masking_plan,
     cosine_scores,
-    cosine_sim,
     finetune_loss,
     iic_inbatch_loss,
     make_masking_plan,
     mlm_loss,
     pooled_mlm_loss,
-    predict_next,
     pretrain_loss,
 )
 from txrec.rng import stream
@@ -37,7 +35,12 @@ F64 = np.float64
 
 
 # ---------------------------------------------------------------------------
-# cosine and prediction
+# cosine
+
+
+def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two vectors through the package's scorer, on a one-row matrix."""
+    return float(cosine_scores(a, b[None, :])[0])
 
 
 def test_cosine_sim_hand_values():
@@ -69,14 +72,6 @@ def test_cosine_scores_matches_rowwise_cosine():
     got = cosine_scores(h, rows)
     expected = [ref.cosine_ref(h, r) for r in rows]
     npt.assert_allclose(got, expected, atol=1e-9)
-
-
-def test_predict_next_breaks_ties_low():
-    h = np.array([1.0, 0.0])
-    rows = np.array([[0.0, 1.0], [2.0, 0.0], [5.0, 0.0]])  # rows 1 and 2 tie at 1.0
-    assert predict_next(h, rows) == 1
-    with pytest.raises(ValueError):
-        predict_next(h, np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------

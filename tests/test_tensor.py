@@ -92,32 +92,6 @@ def test_matmul_nt_gradcheck():
 
 
 # ---------------------------------------------------------------------------
-# softmax
-
-
-def test_softmax_is_probability_vector():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(6, 9)) * 10
-    p = T.softmax_lastdim(T.Tensor(x, dtype=F64)).data
-    assert (p >= 0).all()
-    npt.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
-    shifted = T.softmax_lastdim(T.Tensor(x + 123.456, dtype=F64)).data
-    assert np.abs(p - shifted).max() < 1e-6
-
-
-def test_softmax_uniform_rows():
-    p = T.softmax_lastdim(T.Tensor(np.zeros((2, 5)), dtype=F64)).data
-    npt.assert_allclose(p, 0.2, rtol=1e-12)
-
-
-def test_softmax_gradcheck():
-    rng = np.random.default_rng(5)
-    x = _param("x", (4, 6), rng)
-    w = rng.normal(size=24)
-    fd_gradcheck(lambda: scalarize(T.softmax_lastdim(x), w), [x], rng)
-
-
-# ---------------------------------------------------------------------------
 # layer norm
 
 

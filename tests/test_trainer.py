@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from txrec.catalog import InteractionSequence
+from txrec.catalog import InteractionSequence, item_input
 from txrec.encoder import Encoder, EncoderConfig, params_fingerprint
 from txrec.evaluator import leave_one_out
 from txrec.objectives import LossConfig, MLMHead
@@ -100,7 +100,7 @@ def test_encode_all_items_matches_per_item_encoding(tiny_corpus):
     m = encode_all_items(enc, catalog, vocab, limits)
     assert m.ids == catalog.ids
     for i, iid in enumerate(m.ids):
-        npt.assert_array_equal(m.rows[i], enc.item_repr(iid, catalog, vocab, limits))
+        npt.assert_array_equal(m.rows[i], enc.sequence_repr(item_input(iid, catalog, vocab, limits)))
     assert m.fingerprint == params_fingerprint(enc.parameters())
 
 

@@ -52,7 +52,13 @@ class Item:
 
 
 class Catalog:
-    """Item store with stable ingestion order and id lookup."""
+    """Item store with stable ingestion order and id lookup.
+
+    Item sentences are memoized per (vocabulary, tokens_per_field), so an
+    item is tokenized once however often its catalog is encoded. Neither
+    catalogs nor vocabularies change after construction, so the memo
+    never goes stale.
+    """
 
     def __init__(self, items: Iterable[Item]):
         self._items: dict[str, Item] = {}
@@ -60,12 +66,21 @@ class Catalog:
             if it.item_id in self._items:
                 raise DataError(f"duplicate item id '{it.item_id}'")
             self._items[it.item_id] = it
+        self._sentences: dict[tuple[Vocabulary, int], dict[str, ItemSentence]] = {}
 
     def get(self, item_id: str) -> Item:
         try:
             return self._items[item_id]
         except KeyError:
             raise CatalogError(f"unknown item id '{item_id}'") from None
+
+    def sentence(self, item_id: str, vocab: Vocabulary, tokens_per_field: int) -> ItemSentence:
+        """`flatten_item` of the item, computed on first use and then remembered."""
+        memo = self._sentences.setdefault((vocab, tokens_per_field), {})
+        sent = memo.get(item_id)
+        if sent is None:
+            sent = memo[item_id] = flatten_item(self.get(item_id), vocab, tokens_per_field)
+        return sent
 
     @property
     def ids(self) -> list[str]:
@@ -250,7 +265,7 @@ def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabula
     types: list[int] = [TYPE_CLS]
     item_pos: list[int] = [0]
     for slot, iid in enumerate(reversed(kept), start=1):
-        sent = flatten_item(catalog.get(iid), vocab, limits.tokens_per_field)
+        sent = catalog.sentence(iid, vocab, limits.tokens_per_field)
         ids.extend(sent.token_ids)
         types.extend(sent.token_types)
         item_pos.extend([slot] * len(sent.token_ids))
@@ -338,6 +353,8 @@ def _read_lines(path: str | Path) -> list[str]:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return [ln for ln in text.splitlines() if ln.strip()]
 
 
@@ -346,6 +363,8 @@ def _parse_line(path: str | Path, lineno: int, line: str) -> dict:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+    except (ValueError, RecursionError) as e:  # an over-long integer, deep nesting
+        raise DataError(f"{path}:{lineno}: unreadable JSON ({e})") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}:{lineno}: expected a JSON object")
     return obj

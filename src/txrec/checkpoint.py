@@ -69,6 +69,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     json_len, = struct.unpack_from("<I", raw, off); off += 4
+    if off + json_len + 4 > len(raw) - 4:
+        raise CheckpointError(f"{path}: config blob of {json_len} bytes overruns the file")
     try:
         config = json.loads(raw[off : off + json_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

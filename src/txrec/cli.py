@@ -4,7 +4,8 @@ Subcommands cover the whole lifecycle: synthetic data, vocabulary building,
 pretraining, two-stage finetuning, evaluation, item encoding, and top-K
 recommendation. stdout carries machine-readable JSON only (evaluate and
 recommend); everything human-facing goes to stderr. Exit codes: 0 success,
-2 configuration problems, 3 data problems, 4 checkpoint problems.
+2 configuration problems, 3 data problems (a non-finite training loss
+among them), 4 checkpoint problems.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ _LOSS_KEYS = _schema(LossConfig)
 _LIMIT_KEYS = _schema(InputLimits)
 _CATALOG_KEYS = {"tokens_per_field": int, "min_count": int}
 _DATA_KEYS = ("items", "interactions", "valid_interactions")
+# the sections a model checkpoint stores, typed like the run config's
+_CKPT_SECTIONS = {"encoder": _schema(EncoderConfig), "limits": _LIMIT_KEYS, "loss": _LOSS_KEYS}
 
 
 def _typed(value, want, where: str, errors: list[str]):
@@ -192,6 +195,8 @@ def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
         "vocab_tokens": vocab.token_list(),
         "item_ids": matrix.ids if matrix is not None else None,
         "fingerprint": params_fingerprint(encoder.parameters()),
+        # the matrix may come from an earlier snapshot than the final encoder
+        "item_fingerprint": matrix.fingerprint if matrix is not None else None,
     }
     tensors = dict(encoder.state_dict())
     if head is not None:
@@ -205,13 +210,24 @@ def _load_model_ckpt(path: str):
     config, tensors = load_checkpoint(path)
     if config.get("kind") != "model":
         raise CheckpointError(f"{path} is not a model checkpoint (kind={config.get('kind')!r})")
+    errors = [f"missing '{name}'" for name in _CKPT_SECTIONS if name not in config]
+    typed = {name: _section(config, name, keys, errors) for name, keys in _CKPT_SECTIONS.items()}
+    if errors:
+        raise CheckpointError(f"{path}: malformed model config ({'; '.join(errors)})")
     try:
-        enc_cfg = EncoderConfig(**config["encoder"])
+        enc_cfg = EncoderConfig(**typed["encoder"])
         vocab = Vocabulary(config["vocab_tokens"])
-        limits = InputLimits(**config["limits"])
-        loss_cfg = LossConfig(**config["loss"])
-    except (KeyError, TypeError, ValueError) as e:
+        limits = InputLimits(**typed["limits"])
+        loss_cfg = LossConfig(**typed["loss"])
+    except (KeyError, TypeError, ValueError, DataError) as e:
         raise CheckpointError(f"{path}: malformed model config ({e})") from None
+    if vocab.size != enc_cfg.vocab_size:
+        raise CheckpointError(f"{path}: vocabulary of {vocab.size} ids but the encoder "
+                              f"has vocab_size={enc_cfg.vocab_size}")
+    if limits.max_tokens > enc_cfg.max_tokens or limits.max_items > enc_cfg.max_items:
+        raise CheckpointError(f"{path}: limits of {limits.max_tokens} tokens and "
+                              f"{limits.max_items} items exceed the encoder's "
+                              f"{enc_cfg.max_tokens} and {enc_cfg.max_items}")
     encoder = Encoder(enc_cfg, rng=stream(0, "init"))
     head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=stream(0, "init")) \
         if "mlm.w_h" in tensors else None
@@ -220,13 +236,16 @@ def _load_model_ckpt(path: str):
         if head is not None:
             head.load_state_dict(tensors)
     except (KeyError, ValueError) as e:
-        raise CheckpointError(f"{path}: {e}") from None
+        raise CheckpointError(f"{path}: {e.args[0]}") from None
     matrix = None
     if config.get("item_ids"):
         if "item_matrix" not in tensors:
             raise CheckpointError(f"{path}: item ids present but matrix tensor missing")
-        matrix = ItemFeatureMatrix(config["item_ids"], tensors["item_matrix"],
-                                   config.get("fingerprint", ""))
+        fingerprint = config.get("item_fingerprint", config.get("fingerprint", ""))
+        try:
+            matrix = ItemFeatureMatrix(config["item_ids"], tensors["item_matrix"], fingerprint)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
     return config, encoder, head, vocab, limits, loss_cfg, matrix
 
 
@@ -237,7 +256,7 @@ def _load_item_matrix(path: str) -> ItemFeatureMatrix:
     try:
         return ItemFeatureMatrix(config["item_ids"], tensors["rows"],
                                  config.get("fingerprint", ""))
-    except (KeyError, ValueError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
 
 

@@ -18,5 +18,9 @@ class CatalogError(DataError):
     """An item id was referenced that the catalog does not contain."""
 
 
+class NonFiniteLossError(DataError):
+    """Training met a NaN or infinite batch loss, before it reached the weights."""
+
+
 class CheckpointError(Exception):
     """Unreadable, corrupt, or incompatible checkpoint file."""

@@ -14,7 +14,6 @@ import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -335,12 +334,69 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 # nonlinearities and normalization
 
 
+# Float32 erf as z * P(z^2) / Q(z^2) on z clamped to [-4, 4], where erf
+# rounds to +-1 in single precision: the rational fit Eigen and XLA use.
+# Coefficients run from the highest power down.
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+# Elements per pass of the float32 kernel: its five scratch blocks stay in
+# cache across the ~25 in-place passes, and each numpy call is long enough
+# to amortize its fixed cost. On a 2-core Xeon (2 MiB L2 per core), blocks
+# of 16K-64K ran within 15% of each other on (550..2050, 256) activations,
+# and 32K was fastest.
+GELU_BLOCK = 32768
+_erf_exact = np.vectorize(math.erf, otypes=[np.float64])
+
+
+def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """x * Phi(x) for float32 x, evaluated block by block in place.
+
+    Returns Phi(x) too when `keep_cdf` is set, for the backward rule.
+    """
+    flat = np.ascontiguousarray(x).reshape(-1)
+    out = np.empty_like(flat)
+    cdf = np.empty_like(flat) if keep_cdf else None
+    z, z2, p, q, c = np.empty((5, min(GELU_BLOCK, flat.size)), dtype=np.float32)
+    for start in range(0, flat.size, GELU_BLOCK):
+        xb = flat[start : start + GELU_BLOCK]
+        n = xb.size
+        zb, z2b, pb, qb = z[:n], z2[:n], p[:n], q[:n]
+        np.multiply(xb, np.float32(1.0 / math.sqrt(2.0)), out=zb)
+        np.clip(zb, -4.0, 4.0, out=zb)
+        np.multiply(zb, zb, out=z2b)
+        for poly, acc in ((_ERF_P, pb), (_ERF_Q, qb)):
+            np.multiply(z2b, poly[0], out=acc)
+            acc += poly[1]
+            for coef in poly[2:]:
+                acc *= z2b
+                acc += coef
+        pb *= zb
+        pb /= qb                     # erf(x / sqrt 2)
+        cb = cdf[start : start + n] if keep_cdf else c[:n]
+        np.multiply(pb, 0.5, out=cb)
+        cb += 0.5
+        np.multiply(xb, cb, out=out[start : start + n])
+    return out.reshape(x.shape), None if cdf is None else cdf.reshape(x.shape)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: x * Phi(x). Backward is Phi(x) + x * phi(x)."""
+    """Exact-erf GELU: x * Phi(x). Backward is Phi(x) + x * phi(x).
+
+    Float32 runs the blocked rational-erf kernel (within 2e-6 of the exact
+    value); float64, the widened pathway of the gradient checks, calls
+    math.erf per element.
+    """
     xd = x.data
-    cdf = 0.5 * (1.0 + erf(xd / math.sqrt(2.0)))
-    out = Tensor((xd * cdf).astype(xd.dtype, copy=False))
     tape = _traced(x)
+    if xd.dtype == np.float32:
+        out_data, cdf = _gelu32(xd, keep_cdf=tape is not None)
+    else:
+        cdf = 0.5 * (1.0 + _erf_exact(xd / math.sqrt(2.0)))
+        out_data = xd * cdf
+    out = Tensor(out_data)
     if tape is not None:
         out.needs_grad = True
 

@@ -20,6 +20,7 @@ from . import tensor as T
 from .catalog import (Catalog, InputLimits, InteractionSequence, ModelBatch, Vocabulary,
                       build_model_input, item_input)
 from .encoder import Encoder, params_fingerprint
+from .errors import NonFiniteLossError
 from .evaluator import EvalCase, EvalSplit, evaluate_cases
 from .objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
                          iic_inbatch_loss, make_masking_plan, pooled_mlm_loss,
@@ -66,8 +67,8 @@ class ItemFeatureMatrix:
         self._index = {iid: i for i, iid in enumerate(self.ids)}
         if len(self._index) != len(self.ids):
             raise ValueError("item matrix ids are not unique")
-        if self.rows.shape[0] != len(self.ids):
-            raise ValueError(f"{len(self.ids)} ids but {self.rows.shape[0]} rows")
+        if self.rows.ndim != 2 or self.rows.shape[0] != len(self.ids):
+            raise ValueError(f"{len(self.ids)} ids but rows of shape {self.rows.shape}")
 
     def index_of(self, item_id: str) -> int:
         return self._index[item_id]
@@ -143,6 +144,12 @@ def _mean_loss(losses: list[T.Tensor]) -> T.Tensor:
     return T.scale(reduce(T.add, losses), 1.0 / len(losses))
 
 
+def _check_finite(loss: T.Tensor, where: str) -> None:
+    """Stop a run whose loss went NaN or infinite, before clipping and the step."""
+    if not np.isfinite(loss.data):
+        raise NonFiniteLossError(f"non-finite loss {float(loss.data)} at {where}")
+
+
 # ---------------------------------------------------------------------------
 # pretraining
 
@@ -190,6 +197,7 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
                 loss, parts = _pretrain_batch_loss(
                     [examples[i] for i in batch], catalog, vocab, encoder, head,
                     loss_cfg, limits, mask_rng, drop_rng, train=True)
+            _check_finite(loss, f"pretrain epoch {epoch} batch {n_batches + 1}")
             tape.backward(loss)
             clip_global_norm(params, train_cfg.grad_clip)
             adam.step()
@@ -311,8 +319,11 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
 
     def default_train(stage: int, epoch: int, enc: Encoder,
                       matrix: ItemFeatureMatrix) -> None:
-        _finetune_epoch(enc, matrix, examples, adam, train_cfg, loss_cfg,
-                        catalog, vocab, limits, data_rng, drop_rng)
+        try:
+            _finetune_epoch(enc, matrix, examples, adam, train_cfg, loss_cfg,
+                            catalog, vocab, limits, data_rng, drop_rng)
+        except NonFiniteLossError as e:
+            raise NonFiniteLossError(f"{e} of finetune stage {stage} epoch {epoch}") from None
 
     evaluate_fn = evaluate_fn or default_evaluate
     train_fn = train_fn or default_train
@@ -376,6 +387,7 @@ def _finetune_epoch(encoder: Encoder, matrix: ItemFeatureMatrix, examples,
                 losses.append(finetune_loss(T.take_row(h, 0), matrix.index_of(pos_id),
                                             matrix.rows, loss_cfg.temperature))
             loss = _mean_loss(losses)
+        _check_finite(loss, f"batch {n_batches + 1}")
         tape.backward(loss)
         clip_global_norm(params, train_cfg.grad_clip)
         adam.step()

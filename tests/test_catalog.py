@@ -28,6 +28,7 @@ from txrec.catalog import (
     write_interactions_jsonl,
     write_items_jsonl,
 )
+from txrec import catalog as catalog_mod
 from txrec.errors import CatalogError, DataError
 
 
@@ -220,6 +221,34 @@ def test_build_model_input_errors():
         build_model_input(["nope"], cat, vocab)
 
 
+def test_build_model_input_matches_flatten_per_vocab_and_field_cap(monkeypatch):
+    # one catalog read through two vocabularies and two field caps: each
+    # (vocab, cap) gets its own sentences, and each item is flattened once
+    items = [Item("p", (("Title", "red blue deep sea"), ("Brand", "acme corp"))),
+             Item("q", (("Title", "green grass"),)),
+             Item("r", (("Brand", "zenith deep blue"), ("Size", "xl")))]
+    cat = Catalog(items)
+    vocabs = [Vocabulary.build(items), Vocabulary.build(_color_items())]
+    calls = []
+    real_flatten = catalog_mod.flatten_item
+    monkeypatch.setattr(catalog_mod, "flatten_item",
+                        lambda item, vocab, cap: calls.append(item.item_id)
+                        or real_flatten(item, vocab, cap))
+    history = ["p", "q", "r", "p"]
+    for _ in range(2):
+        for vocab in vocabs:
+            for cap in (1, 3):
+                x = build_model_input(history, cat, vocab, InputLimits(tokens_per_field=cap))
+                ids, types = [CLS_ID], [TYPE_CLS]
+                for iid in reversed(history):
+                    sent = real_flatten(cat.get(iid), vocab, cap)
+                    ids += sent.token_ids
+                    types += sent.token_types
+                npt.assert_array_equal(x.token_ids, ids)
+                npt.assert_array_equal(x.token_types, types)
+    assert sorted(calls) == sorted(["p", "q", "r"] * 4)
+
+
 def test_item_input_is_single_item_history():
     cat, vocab = _setup()
     x = item_input("a", cat, vocab)
@@ -262,6 +291,9 @@ def test_jsonl_blank_lines_are_skipped(tmp_path):
     ('{"attributes": []}', "expected item_id"),
     ('{"item_id": 5, "attributes": []}', "bad item record"),
     ('{"item_id": "a", "attributes": [["k"]]}', "must be"),
+    pytest.param('{"item_id": "a", "attributes": [], "n": ' + "1" * 5000 + "}",
+                 "unreadable JSON", id="over-long-integer"),
+    pytest.param("[" * 100_000, "unreadable JSON", id="deep-nesting"),
 ])
 def test_items_jsonl_errors_carry_line_numbers(tmp_path, line, fragment):
     path = tmp_path / "items.jsonl"
@@ -282,6 +314,13 @@ def test_interactions_jsonl_errors(tmp_path, line, fragment):
     with pytest.raises(DataError, match=fragment) as exc:
         load_interactions_jsonl(path)
     assert ":1:" in str(exc.value)
+
+
+def test_jsonl_that_is_not_utf8_is_data_error(tmp_path):
+    path = tmp_path / "items.jsonl"
+    path.write_bytes(b'{"item_id": "a", "attributes": []}\n\x80\n')
+    with pytest.raises(DataError, match="not UTF-8 text"):
+        load_items_jsonl(path)
 
 
 def test_jsonl_missing_file_is_data_error(tmp_path):

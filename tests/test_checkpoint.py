@@ -159,3 +159,14 @@ def test_rejects_a_tensor_name_that_is_not_utf8(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="corrupt tensor directory"):
         load_checkpoint(path)
+
+
+def test_rejects_a_config_blob_that_overruns_the_file(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {}, {})
+    raw = bytearray(path.read_bytes())[:-4]
+    struct.pack_into("<I", raw, 8, 6)  # "{}" plus the tensor count, then re-sign
+    raw += struct.pack("<I", zlib.crc32(bytes(raw)) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="config blob of 6 bytes overruns the file"):
+        load_checkpoint(path)

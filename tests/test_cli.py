@@ -324,8 +324,39 @@ def test_checkpoint_missing_a_tensor_is_exit_4(workdir, tmp_path, capsys, name):
     save_checkpoint(crafted, config, tensors)
     capsys.readouterr()
     assert run("evaluate", "--ckpt", crafted, "--data", workdir["data"]) == 4
+    assert capsys.readouterr().err == f"checkpoint error: {crafted}: missing parameter '{name}'\n"
+
+
+def test_finetune_from_nan_weights_is_exit_3_and_writes_nothing(workdir, tmp_path, capsys):
+    config, tensors = load_checkpoint(workdir["pre"])
+    tensors["emb.token"][...] = np.nan
+    crafted = tmp_path / "nan.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    out = tmp_path / "fine.ckpt"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert run("finetune", "--config", workdir["config"], "--init", crafted,
+                   "--out", out) == 3
     err = capsys.readouterr().err
-    assert "checkpoint error" in err and f"missing parameter '{name}'" in err
+    assert "data error: non-finite loss nan at batch 1 of finetune stage 1 epoch 1\n" in err
+    assert not out.exists()
+
+
+def test_model_checkpoint_keeps_the_item_matrix_fingerprint(workdir, tmp_path):
+    from txrec.cli import _load_model_ckpt, _save_model_ckpt
+    from txrec.trainer import ItemFeatureMatrix
+    config, encoder, _, vocab, limits, loss_cfg, stored = _load_model_ckpt(str(workdir["fine"]))
+    matrix = ItemFeatureMatrix(stored.ids, stored.rows, "f" * 16)
+    path = tmp_path / "m.ckpt"
+    _save_model_ckpt(str(path), encoder, vocab, limits, loss_cfg, 0, matrix=matrix)
+    config, *_, loaded = _load_model_ckpt(str(path))
+    assert loaded.fingerprint == "f" * 16 != config["fingerprint"]
+    # a checkpoint written before the key existed falls back to the model's
+    del config["item_fingerprint"]
+    _, tensors = load_checkpoint(path)
+    save_checkpoint(path, config, tensors)
+    assert _load_model_ckpt(str(path))[-1].fingerprint == config["fingerprint"]
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +478,8 @@ def test_item_matrix_of_another_width_is_exit_4(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert run("recommend", "--ckpt", workdir["pre"], "--items", workdir["data"] / "items.jsonl",
                "--history", "d0_i000", "--item-matrix", wide) == 4
-    err = capsys.readouterr().err
-    assert "checkpoint error" in err and "width 16" in err and "d=8" in err
+    assert capsys.readouterr().err == (f"checkpoint error: {wide}: item rows have width 16 "
+                                       f"but the model has d=8\n")
 
 
 def _with_crc(body: bytes) -> bytes:
@@ -464,8 +495,8 @@ def test_checkpoint_whose_shape_overruns_its_payload_is_exit_4(workdir, tmp_path
     crafted.write_bytes(_with_crc(body))
     capsys.readouterr()
     assert run("evaluate", "--ckpt", crafted, "--data", workdir["data"]) == 4
-    err = capsys.readouterr().err
-    assert "checkpoint error" in err and "overruns the payload" in err
+    assert capsys.readouterr().err == (f"checkpoint error: {crafted}: tensor 't' of shape "
+                                       f"(1000, 1000) overruns the payload\n")
 
 
 def test_checkpoint_config_that_is_not_an_object_is_exit_4(workdir, tmp_path, capsys):
@@ -474,8 +505,47 @@ def test_checkpoint_config_that_is_not_an_object_is_exit_4(workdir, tmp_path, ca
     capsys.readouterr()
     assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
                "--history", "d0_i000") == 4
-    err = capsys.readouterr().err
-    assert "checkpoint error" in err and "not a JSON object" in err
+    assert capsys.readouterr().err == f"checkpoint error: {crafted}: config blob is not a JSON object\n"
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("item_ids", 1, "malformed item matrix ('int' object is not iterable)"),
+    ("item_ids", ["a", "a"], "malformed item matrix (item matrix ids are not unique)"),
+    ("item_ids", ["a"], "malformed item matrix (1 ids but rows of shape (12, 8))"),
+    ("vocab_tokens", ["x", "x"], "malformed model config (duplicate or reserved token "
+                                 "in vocabulary: 'x')"),
+    ("encoder", {"d": 8.0}, "malformed model config (encoder.d: expected int, got 8.0)"),
+    ("limits", {"tokens_per_field": 16.0},
+     "malformed model config (limits.tokens_per_field: expected int, got 16.0)"),
+    ("limits", {"max_tokens": 1024},
+     "limits of 1024 tokens and 6 items exceed the encoder's 96 and 6"),
+    ("vocab_tokens", ["x"], "vocabulary of 5 ids but the encoder has vocab_size={vocab_size}"),
+], ids=["ids-not-a-list", "ids-repeated", "ids-too-few", "vocab-repeated", "d-float",
+        "field-cap-float", "limits-too-long", "vocab-too-small"])
+def test_model_checkpoint_with_crafted_config_is_exit_4(workdir, tmp_path, capsys, key,
+                                                        value, message):
+    config, tensors = load_checkpoint(workdir["fine"])
+    config[key] = {**config[key], **value} if isinstance(value, dict) else value
+    crafted = tmp_path / "crafted.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    message = message.format(**config["encoder"])
+    assert capsys.readouterr().err == f"checkpoint error: {crafted}: {message}\n"
+
+
+def test_model_checkpoint_with_a_one_dimensional_item_matrix_is_exit_4(workdir, tmp_path,
+                                                                       capsys):
+    config, tensors = load_checkpoint(workdir["fine"])
+    tensors["item_matrix"] = tensors["item_matrix"][:, 0]
+    crafted = tmp_path / "flat.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    assert capsys.readouterr().err == (f"checkpoint error: {crafted}: malformed item matrix "
+                                       f"(12 ids but rows of shape (12,))\n")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -143,6 +147,49 @@ def test_gelu_gradcheck():
     x = _param("x", (5, 5), rng)
     w = rng.normal(size=25)
     fd_gradcheck(lambda: scalarize(T.gelu(x), w), [x], rng)
+
+
+def test_gelu_float32_kernel_matches_reference():
+    # dense grid over [-12, 12] plus the clamp points of erf(x / sqrt 2) at +-4
+    edge = 4.0 * math.sqrt(2.0)
+    x = np.concatenate([np.linspace(-12.0, 12.0, 240_001), [edge, -edge],
+                        np.nextafter(np.float32([edge, -edge]), 0.0)]).astype(np.float32)
+    out = T.gelu(T.Tensor(x)).data
+    assert out.dtype == np.float32
+    assert np.abs(out - ref.gelu_ref(x)).max() <= 2e-6
+
+
+def test_gelu_float32_is_elementwise_across_blocks():
+    # a tensor spanning several kernel blocks, and a ragged tail
+    rng = np.random.default_rng(4)
+    x = rng.normal(0.0, 3.0, size=(3, T.GELU_BLOCK + 17)).astype(np.float32)
+    whole = T.gelu(T.Tensor(x)).data
+    rows = np.stack([T.gelu(T.Tensor(r)).data for r in x])
+    npt.assert_array_equal(whole, rows)
+    npt.assert_array_equal(T.gelu(T.Tensor(x[:, ::2])).data, whole[:, ::2])
+
+
+def test_gelu_float32_gradient_matches_float64():
+    rng = np.random.default_rng(5)
+    x64 = rng.normal(0.0, 2.0, size=(7, 9))
+    g = rng.normal(size=(7, 9))
+    grads = {}
+    for dt in (np.float32, F64):
+        x = T.Parameter("x", x64, dtype=dt)
+        with T.GradTape() as tape:
+            loss = scalarize(T.gelu(x), g.astype(dt))
+        tape.backward(loss)
+        grads[dt] = x.grad
+    assert grads[np.float32].dtype == np.float32
+    npt.assert_allclose(grads[np.float32], grads[F64], atol=2e-6)
+
+
+def test_import_leaves_scipy_out():
+    code = "import sys, txrec; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    src = str(Path(T.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from txrec.catalog import InteractionSequence, item_input
 from txrec.encoder import Encoder, EncoderConfig, params_fingerprint
+from txrec.errors import NonFiniteLossError
 from txrec.evaluator import leave_one_out
 from txrec.objectives import LossConfig, MLMHead
 from txrec.rng import stream
@@ -191,6 +192,32 @@ def test_pretrain_rejects_unusable_data(tiny_corpus):
     with pytest.raises(ValueError, match="no usable"):
         pretrain([InteractionSequence("u", ("i0",))], catalog, vocab, enc, head,
                  TrainConfig(), LossConfig(), limits)
+
+
+def test_pretrain_stops_on_non_finite_loss(tiny_corpus):
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab)
+    head = MLMHead(8, vocab.size, stream(0, "init"))
+    enc.token_emb.data[...] = np.nan
+    before = save_state(head.parameters())
+    cfg = TrainConfig(n_epochs=2, pretrain_batch=8, lr=1e-3, seed=0)
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^non-finite loss nan at pretrain epoch 1 batch 1$"):
+        pretrain(_sequences(), catalog, vocab, enc, head, cfg, LossConfig(), limits)
+    for p in head.parameters():  # no step was taken with the bad loss
+        npt.assert_array_equal(p.data, before[p.name])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_finetune_stops_on_non_finite_loss(tiny_corpus):
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab)
+    enc.parameters()[-1].data[...] = np.inf
+    cfg = TrainConfig(n_epochs=2, finetune_batch=8, lr=1e-3, seed=0)
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^non-finite loss nan at batch 1 of finetune stage 1 epoch 1$"):
+        two_stage_finetune(leave_one_out(_sequences()), catalog, vocab, enc, cfg,
+                           LossConfig(), limits)
 
 
 # ---------------------------------------------------------------------------

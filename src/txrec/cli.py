@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (Catalog, InputLimits, Vocabulary, build_model_input,
+from .catalog import (Catalog, InputLimits, Item, Vocabulary, build_model_input,
                       load_interactions_jsonl, load_items_jsonl)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import Encoder, EncoderConfig, params_fingerprint
@@ -185,7 +185,8 @@ def load_run_config(path: str) -> RunConfig:
 def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
                      limits: InputLimits, loss_cfg: LossConfig, seed: int,
                      head: MLMHead | None = None,
-                     matrix: ItemFeatureMatrix | None = None) -> None:
+                     matrix: ItemFeatureMatrix | None = None,
+                     min_count: int | None = None) -> None:
     config = {
         "kind": "model",
         "encoder": encoder.config.to_dict(),
@@ -193,6 +194,8 @@ def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
         "loss": asdict(loss_cfg),
         "seed": seed,
         "vocab_tokens": vocab.token_list(),
+        # the catalog.min_count that built the vocabulary; None for a vocab file
+        "min_count": min_count,
         "item_ids": matrix.ids if matrix is not None else None,
         "fingerprint": params_fingerprint(encoder.parameters()),
         # the matrix may come from an earlier snapshot than the final encoder
@@ -212,6 +215,8 @@ def _load_model_ckpt(path: str):
         raise CheckpointError(f"{path} is not a model checkpoint (kind={config.get('kind')!r})")
     errors = [f"missing '{name}'" for name in _CKPT_SECTIONS if name not in config]
     typed = {name: _section(config, name, keys, errors) for name, keys in _CKPT_SECTIONS.items()}
+    if config.get("min_count") is not None:
+        _typed(config["min_count"], int, "min_count", errors)
     if errors:
         raise CheckpointError(f"{path}: malformed model config ({'; '.join(errors)})")
     try:
@@ -260,10 +265,15 @@ def _load_item_matrix(path: str) -> ItemFeatureMatrix:
         raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
 
 
+def _load_items(paths: list[str]) -> list[Item]:
+    items = [it for p in paths for it in load_items_jsonl(p)]
+    if not items:
+        raise DataError(f"{', '.join(paths)}: no items")
+    return items
+
+
 def _load_corpus(item_paths: list[str], interaction_paths: list[str]):
-    items = []
-    for p in item_paths:
-        items.extend(load_items_jsonl(p))
+    items = _load_items(item_paths) if item_paths else []
     seqs = []
     for p in interaction_paths:
         seqs.extend(load_interactions_jsonl(p))
@@ -304,12 +314,7 @@ def cmd_make_synthetic(args) -> int:
 def cmd_build_vocab(args) -> int:
     if args.min_count < 1:
         raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
-    items = []
-    for p in args.items:
-        items.extend(load_items_jsonl(p))
-    if not items:
-        raise DataError("no items to build a vocabulary from")
-    vocab = Vocabulary.build(items, min_count=args.min_count)
+    vocab = Vocabulary.build(_load_items(args.items), min_count=args.min_count)
     vocab.save(args.out)
     log.info("vocabulary of %d tokens (plus reserved) -> %s", len(vocab.token_list()), args.out)
     return 0
@@ -319,12 +324,18 @@ def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config)
     if not cfg.data_items or not cfg.data_interactions:
         raise ConfigError("pretrain needs data.items and data.interactions")
+    if cfg.vocab_path and "min_count" in cfg.catalog:
+        raise ConfigError(f"catalog.min_count={cfg.catalog['min_count']} has no effect with "
+                          f"the vocab file {cfg.vocab_path}; set one or the other")
     catalog, items, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
     valid_seqs = None
     if cfg.valid_interactions:
         _, _, valid_seqs = _load_corpus([], cfg.valid_interactions)
-    vocab = Vocabulary.load(cfg.vocab_path) if cfg.vocab_path else \
-        Vocabulary.build(items, min_count=cfg.catalog.get("min_count", 1))
+    if cfg.vocab_path:
+        min_count, vocab = None, Vocabulary.load(cfg.vocab_path)
+    else:
+        min_count = cfg.catalog.get("min_count", 1)
+        vocab = Vocabulary.build(items, min_count=min_count)
     enc_kwargs = dict(cfg.encoder)
     enc_kwargs["vocab_size"] = vocab.size
     try:
@@ -342,21 +353,26 @@ def cmd_pretrain(args) -> int:
                  log_fn=_epoch_logger(cfg.log_path))
     except ValueError as e:
         raise DataError(str(e)) from None
-    _save_model_ckpt(args.out, encoder, vocab, cfg.limits, cfg.loss, cfg.seed, head=head)
+    _save_model_ckpt(args.out, encoder, vocab, cfg.limits, cfg.loss, cfg.seed, head=head,
+                     min_count=min_count)
     log.info("saved %s", args.out)
     return 0
 
 
-def _check_against_checkpoint(cfg: RunConfig, path: str, enc_cfg: EncoderConfig,
-                              limits: InputLimits, vocab: Vocabulary) -> None:
+def _check_against_checkpoint(cfg: RunConfig, path: str, ckpt_config: dict,
+                              enc_cfg: EncoderConfig, limits: InputLimits,
+                              vocab: Vocabulary) -> None:
     """Finetuning keeps the checkpoint's encoder, limits and vocabulary.
 
     A config key that asks for a different one would be silently ignored,
-    so it is an error instead.
+    so it is an error instead. Checkpoints written before `min_count` was
+    recorded cannot be checked against it.
     """
     asked = {k: (v, getattr(enc_cfg, k)) for k, v in cfg.encoder.items()}
     if "tokens_per_field" in cfg.catalog:
         asked["tokens_per_field"] = (cfg.catalog["tokens_per_field"], limits.tokens_per_field)
+    if "min_count" in cfg.catalog and "min_count" in ckpt_config:
+        asked["min_count"] = (cfg.catalog["min_count"], ckpt_config["min_count"])
     for key, (want, have) in asked.items():
         if want != have:
             raise ConfigError(f"config asks for {key}={want} but checkpoint has {key}={have}")
@@ -371,8 +387,8 @@ def cmd_finetune(args) -> int:
     cfg = load_run_config(args.config)
     if not cfg.data_items or not cfg.data_interactions:
         raise ConfigError("finetune needs data.items and data.interactions")
-    _, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.init)
-    _check_against_checkpoint(cfg, args.init, encoder.config, limits, vocab)
+    ckpt_config, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.init)
+    _check_against_checkpoint(cfg, args.init, ckpt_config, encoder.config, limits, vocab)
     catalog, _, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
     split = leave_one_out(seqs)
     try:
@@ -382,7 +398,7 @@ def cmd_finetune(args) -> int:
     except ValueError as e:
         raise DataError(str(e)) from None
     _save_model_ckpt(args.out, encoder, vocab, limits, cfg.loss, cfg.seed,
-                     matrix=result.item_matrix)
+                     matrix=result.item_matrix, min_count=ckpt_config.get("min_count"))
     log.info("best validation ndcg@10 %.4f; saved %s", result.best_metric, args.out)
     return 0
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .catalog import Catalog, InputLimits, InteractionSequence, Vocabulary, build_model_input
 from .encoder import Encoder
+from .errors import CatalogError
 from .objectives import cosine_scores
 
 METRIC_KEYS = ("ndcg@10", "recall@10", "mrr")
@@ -143,9 +144,12 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
         raise ValueError("no evaluation cases")
     sums = {k: 0.0 for k in METRIC_KEYS}
     for case in cases:
+        target = item_index.get(case.target)
+        if target is None:
+            raise CatalogError(f"unknown item id '{case.target}'")
         x = build_model_input(case.context, catalog, vocab, limits)
         h = encoder.sequence_repr(x)
-        rank = rank_of_target(h, item_rows, item_index[case.target])
+        rank = rank_of_target(h, item_rows, target)
         sums["ndcg@10"] += ndcg_at_k(rank)
         sums["recall@10"] += recall_at_k(rank)
         sums["mrr"] += mrr(rank)

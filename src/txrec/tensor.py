@@ -1,8 +1,9 @@
 """Dense float tensors with taped reverse-mode differentiation.
 
 Every floating-point operation in the package goes through the ops in this
-module. Forwards are plain numpy; each op that participates in training
-records a closure with a hand-derived backward rule on the active GradTape.
+module. Forwards are plain numpy; every op builds its output through
+`_result`, which records the op's hand-derived backward rule on the active
+GradTape when one of its inputs needs a gradient.
 Default precision is float32; passing float64 arrays through the same ops
 gives the widened pathway used by gradient checks.
 """
@@ -126,13 +127,19 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _traced(*tensors: Tensor) -> "GradTape | None":
+def _result(data: np.ndarray, inputs: Iterable[Tensor],
+            bwd: Callable[[np.ndarray], None]) -> Tensor:
+    """The op's output. Under an active tape, when an input needs a gradient,
+    the output is marked as needing one too and `bwd` is recorded for it.
+
+    `bwd` receives d(loss)/d(output) and adds into its own inputs' grads.
+    """
+    out = Tensor(data)
     tape = active_tape()
-    if tape is None:
-        return None
-    if any(t.needs_grad for t in tensors):
-        return tape
-    return None
+    if tape is not None and any(t.needs_grad for t in inputs):
+        out.needs_grad = True
+        tape.record(out, bwd)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -150,77 +157,50 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data)
-    tape = _traced(a, b)
-    if tape is not None:
-        out.needs_grad = True
+    def bwd(g: np.ndarray) -> None:
+        if a.needs_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.needs_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
-        def bwd(g: np.ndarray) -> None:
-            if a.needs_grad:
-                _accum(a, _unbroadcast(g, a.data.shape))
-            if b.needs_grad:
-                _accum(b, _unbroadcast(g, b.data.shape))
-
-        tape.record(out, bwd)
-    return out
+    return _result(a.data + b.data, (a, b), bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    out = Tensor(x.data * c)
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
+    def bwd(g: np.ndarray) -> None:
+        _accum(x, g * c)
 
-        def bwd(g: np.ndarray) -> None:
-            _accum(x, g * c)
-
-        tape.record(out, bwd)
-    return out
+    return _result(x.data * c, (x,), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     old = x.data.shape
-    out = Tensor(x.data.reshape(shape))
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            _accum(x, g.reshape(old))
+    def bwd(g: np.ndarray) -> None:
+        _accum(x, g.reshape(old))
 
-        tape.record(out, bwd)
-    return out
+    return _result(x.data.reshape(shape), (x,), bwd)
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes))
     inv = tuple(np.argsort(axes))
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            _accum(x, np.transpose(g, inv))
+    def bwd(g: np.ndarray) -> None:
+        _accum(x, np.transpose(g, inv))
 
-        tape.record(out, bwd)
-    return out
+    return _result(np.transpose(x.data, axes), (x,), bwd)
 
 
 def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     """out[i] = x[ids[i]]; backward scatter-adds, so repeated ids accumulate."""
     ids = np.asarray(ids, dtype=np.int64)
-    out = Tensor(x.data[ids])
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, ids, g)
+    def bwd(g: np.ndarray) -> None:
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, ids, g)
 
-        tape.record(out, bwd)
-    return out
+    return _result(x.data[ids], (x,), bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -234,57 +214,41 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def take_row(x: Tensor, i: int) -> Tensor:
-    out = Tensor(x.data[i])
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
+    def bwd(g: np.ndarray) -> None:
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[i] += g
 
-        def bwd(g: np.ndarray) -> None:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[i] += g
-
-        tape.record(out, bwd)
-    return out
+    return _result(x.data[i], (x,), bwd)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     """Stack 1-d tensors into a matrix; backward hands row i of g to rows[i]."""
     if not rows:
         raise ValueError("stack_rows needs at least one row")
-    out = Tensor(np.stack([r.data for r in rows]))
-    tape = active_tape()
-    if tape is not None and any(r.needs_grad for r in rows):
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            for i, r in enumerate(rows):
-                if r.needs_grad:
-                    _accum(r, g[i])
+    def bwd(g: np.ndarray) -> None:
+        for i, r in enumerate(rows):
+            if r.needs_grad:
+                _accum(r, g[i])
 
-        tape.record(out, bwd)
-    return out
+    return _result(np.stack([r.data for r in rows]), rows, bwd)
 
 
 def concat_rows(blocks: Sequence[Tensor]) -> Tensor:
     """Concatenate 2-d tensors along axis 0; backward slices g back apart."""
     if not blocks:
         raise ValueError("concat_rows needs at least one block")
-    out = Tensor(np.concatenate([b.data for b in blocks], axis=0))
-    tape = active_tape()
-    if tape is not None and any(b.needs_grad for b in blocks):
-        out.needs_grad = True
-        sizes = [b.data.shape[0] for b in blocks]
 
-        def bwd(g: np.ndarray) -> None:
-            start = 0
-            for b, n in zip(blocks, sizes):
-                if b.needs_grad:
-                    _accum(b, g[start : start + n])
-                start += n
+    def bwd(g: np.ndarray) -> None:
+        start = 0
+        for b in blocks:
+            n = b.data.shape[0]
+            if b.needs_grad:
+                _accum(b, g[start : start + n])
+            start += n
 
-        tape.record(out, bwd)
-    return out
+    return _result(np.concatenate([b.data for b in blocks], axis=0), blocks, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -294,40 +258,30 @@ def concat_rows(blocks: Sequence[Tensor]) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-    tape = _traced(a, b)
-    if tape is not None:
-        out.needs_grad = True
-        ad, bd = a.data, b.data
+    ad, bd = a.data, b.data
 
-        def bwd(g: np.ndarray) -> None:
-            if a.needs_grad:
-                _accum(a, g @ bd.T)
-            if b.needs_grad:
-                _accum(b, ad.T @ g)
+    def bwd(g: np.ndarray) -> None:
+        if a.needs_grad:
+            _accum(a, g @ bd.T)
+        if b.needs_grad:
+            _accum(b, ad.T @ g)
 
-        tape.record(out, bwd)
-    return out
+    return _result(ad @ bd, (a, b), bwd)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     """a @ b.T, for scoring rows of `a` against rows of `b`."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
         raise ValueError(f"matmul_nt shape mismatch: {a.data.shape} @ {b.data.shape}.T")
-    out = Tensor(a.data @ b.data.T)
-    tape = _traced(a, b)
-    if tape is not None:
-        out.needs_grad = True
-        ad, bd = a.data, b.data
+    ad, bd = a.data, b.data
 
-        def bwd(g: np.ndarray) -> None:
-            if a.needs_grad:
-                _accum(a, g @ bd)
-            if b.needs_grad:
-                _accum(b, g.T @ ad)
+    def bwd(g: np.ndarray) -> None:
+        if a.needs_grad:
+            _accum(a, g @ bd)
+        if b.needs_grad:
+            _accum(b, g.T @ ad)
 
-        tape.record(out, bwd)
-    return out
+    return _result(ad @ bd.T, (a, b), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -390,22 +344,19 @@ def gelu(x: Tensor) -> Tensor:
     math.erf per element.
     """
     xd = x.data
-    tape = _traced(x)
     if xd.dtype == np.float32:
-        out_data, cdf = _gelu32(xd, keep_cdf=tape is not None)
+        # Phi(x) is kept for the backward rule when x needs a gradient:
+        # outside a tape only a Parameter does, so inference never keeps it.
+        out_data, cdf = _gelu32(xd, keep_cdf=x.needs_grad)
     else:
         cdf = 0.5 * (1.0 + _erf_exact(xd / math.sqrt(2.0)))
         out_data = xd * cdf
-    out = Tensor(out_data)
-    if tape is not None:
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
-            _accum(x, g * (cdf + xd * pdf))
+    def bwd(g: np.ndarray) -> None:
+        pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
+        _accum(x, g * (cdf + xd * pdf))
 
-        tape.record(out, bwd)
-    return out
+    return _result(out_data, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
@@ -421,30 +372,24 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
         out_data = y * gamma.data + (beta.data if beta is not None else 0.0)
     else:
         out_data = y
-    out = Tensor(out_data.astype(xd.dtype, copy=False))
-    watched = [t for t in (x, gamma, beta) if t is not None]
-    tape = _traced(*watched)
-    if tape is not None:
-        out.needs_grad = True
-        d = xd.shape[-1]
 
-        def bwd(g: np.ndarray) -> None:
-            if gamma is not None:
-                if gamma.needs_grad:
-                    _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
-                if beta is not None and beta.needs_grad:
-                    _accum(beta, _unbroadcast(g, beta.data.shape))
-                gy = g * gamma.data
-            else:
-                gy = g
-            if x.needs_grad:
-                # dx = inv * (gy - mean(gy) - y * mean(gy * y)) per row
-                gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                            - y * (gy * y).mean(axis=-1, keepdims=True))
-                _accum(x, gx)
+    def bwd(g: np.ndarray) -> None:
+        if gamma is not None:
+            if gamma.needs_grad:
+                _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
+            if beta is not None and beta.needs_grad:
+                _accum(beta, _unbroadcast(g, beta.data.shape))
+            gy = g * gamma.data
+        else:
+            gy = g
+        if x.needs_grad:
+            # dx = inv * (gy - mean(gy) - y * mean(gy * y)) per row
+            gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
+                        - y * (gy * y).mean(axis=-1, keepdims=True))
+            _accum(x, gx)
 
-        tape.record(out, bwd)
-    return out
+    return _result(out_data.astype(xd.dtype, copy=False),
+                   [t for t in (x, gamma, beta) if t is not None], bwd)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -453,17 +398,12 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
     n_eff = np.maximum(norms, eps)
     y = xd / n_eff
-    out = Tensor(y)
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            # d(x/||x||) applied to g: (g - y (y.g)) / ||x||
-            _accum(x, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff)
+    def bwd(g: np.ndarray) -> None:
+        # d(x/||x||) applied to g: (g - y (y.g)) / ||x||
+        _accum(x, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff)
 
-        tape.record(out, bwd)
-    return out
+    return _result(y, (x,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -473,16 +413,11 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     if rate == 0.0:
         return x
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    out = Tensor(x.data * keep)
-    tape = _traced(x)
-    if tape is not None:
-        out.needs_grad = True
 
-        def bwd(g: np.ndarray) -> None:
-            _accum(x, g * keep)
+    def bwd(g: np.ndarray) -> None:
+        _accum(x, g * keep)
 
-        tape.record(out, bwd)
-    return out
+    return _result(x.data * keep, (x,), bwd)
 
 
 def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
@@ -501,19 +436,13 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
     lse = m[:, 0] + np.log(z[:, 0])
     rows = np.arange(n)
     losses = lse - ld[rows, t]
-    out = Tensor(np.asarray(losses.mean(), dtype=ld.dtype))
-    tape = _traced(logits)
-    if tape is not None:
-        out.needs_grad = True
-        p = e / z
 
-        def bwd(g: np.ndarray) -> None:
-            dl = p.copy()
-            dl[rows, t] -= 1.0
-            _accum(logits, dl * (g / n))
+    def bwd(g: np.ndarray) -> None:
+        dl = e / z                   # softmax(logits)
+        dl[rows, t] -= 1.0
+        _accum(logits, dl * (g / n))
 
-        tape.record(out, bwd)
-    return out
+    return _result(np.asarray(losses.mean(), dtype=ld.dtype), (logits,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -663,59 +592,53 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     n_local = int(np.count_nonzero(mask & row_local))
     attention_pairs.add(n_heads * (n_local + n_glob * n_real))
 
-    out = Tensor(out_data[0] if single else out_data)
-    tape = _traced(q, k, v)
-    if tape is not None:
-        out.needs_grad = True
+    def bwd(g: np.ndarray) -> None:
+        g = g[None] if single else g
+        gc = _padded(g, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
+        dp = np.empty_like(p)
+        dp_rows = dp.transpose(1, 2, 3, 4, 0)
+        np.matmul(gc, vc, out=dp_rows[..., :win])
+        np.matmul(gc, vd[:, :, None, global_idx].swapaxes(-1, -2), out=dp_rows[..., win:])
+        ds = p * (dp - (p * dp).sum(axis=0))
+        ds_rows = ds.transpose(1, 2, 3, 4, 0)
+        dq = ds_rows[..., :win] @ kc.swapaxes(-1, -2)
+        # window slots j*w .. j*w + w - 1 of chunk i are padded key rows (i + j)*w ..
+        dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=qd.dtype)
+        dvp = np.zeros_like(dkp)
+        dk_win = ds_rows[..., :win].swapaxes(-1, -2) @ qc      # (B, H, C, 3w, dh)
+        dv_win = p_rows[..., :win].swapaxes(-1, -2) @ gc
+        for j in range(3):
+            dkp[:, :, j : j + n_chunks] += dk_win[:, :, :, j * w : (j + 1) * w]
+            dvp[:, :, j : j + n_chunks] += dv_win[:, :, :, j * w : (j + 1) * w]
+        dk = dkp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
+        dv = dvp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
+        flat = (n_seq, n_heads, 1, span)
+        q_flat = qc.reshape(n_seq, n_heads, span, d_head)
+        g_flat = gc.reshape(n_seq, n_heads, span, d_head)
+        for j, g_j in enumerate(global_idx):
+            dq += ds[win + j][..., None] * kd[:, :, None, None, g_j]
+            dk[:, :, g_j] += (ds[win + j].reshape(flat) @ q_flat)[:, :, 0]
+            dv[:, :, g_j] += (p[win + j].reshape(flat) @ g_flat)[:, :, 0]
+        dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
+        if n_glob:
+            g_gl = g[:, :, global_idx]
+            dp_gl = g_gl @ vd.swapaxes(-1, -2)
+            ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
+            dq[:, :, global_idx] += ds_gl @ kd
+            dk += ds_gl.swapaxes(-1, -2) @ q_gl
+            dv += p_gl.swapaxes(-1, -2) @ g_gl
+        dq *= alpha
+        dk *= alpha
+        if single:
+            dq, dk, dv = dq[0], dk[0], dv[0]
+        if q.needs_grad:
+            _accum(q, dq)
+        if k.needs_grad:
+            _accum(k, dk)
+        if v.needs_grad:
+            _accum(v, dv)
 
-        def bwd(g: np.ndarray) -> None:
-            g = g[None] if single else g
-            gc = _padded(g, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
-            dp = np.empty_like(p)
-            dp_rows = dp.transpose(1, 2, 3, 4, 0)
-            np.matmul(gc, vc, out=dp_rows[..., :win])
-            np.matmul(gc, vd[:, :, None, global_idx].swapaxes(-1, -2), out=dp_rows[..., win:])
-            ds = p * (dp - (p * dp).sum(axis=0))
-            ds_rows = ds.transpose(1, 2, 3, 4, 0)
-            dq = ds_rows[..., :win] @ kc.swapaxes(-1, -2)
-            # window slots j*w .. j*w + w - 1 of chunk i are padded key rows (i + j)*w ..
-            dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=qd.dtype)
-            dvp = np.zeros_like(dkp)
-            dk_win = ds_rows[..., :win].swapaxes(-1, -2) @ qc      # (B, H, C, 3w, dh)
-            dv_win = p_rows[..., :win].swapaxes(-1, -2) @ gc
-            for j in range(3):
-                dkp[:, :, j : j + n_chunks] += dk_win[:, :, :, j * w : (j + 1) * w]
-                dvp[:, :, j : j + n_chunks] += dv_win[:, :, :, j * w : (j + 1) * w]
-            dk = dkp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
-            dv = dvp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
-            flat = (n_seq, n_heads, 1, span)
-            q_flat = qc.reshape(n_seq, n_heads, span, d_head)
-            g_flat = gc.reshape(n_seq, n_heads, span, d_head)
-            for j, g_j in enumerate(global_idx):
-                dq += ds[win + j][..., None] * kd[:, :, None, None, g_j]
-                dk[:, :, g_j] += (ds[win + j].reshape(flat) @ q_flat)[:, :, 0]
-                dv[:, :, g_j] += (p[win + j].reshape(flat) @ g_flat)[:, :, 0]
-            dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
-            if n_glob:
-                g_gl = g[:, :, global_idx]
-                dp_gl = g_gl @ vd.swapaxes(-1, -2)
-                ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
-                dq[:, :, global_idx] += ds_gl @ kd
-                dk += ds_gl.swapaxes(-1, -2) @ q_gl
-                dv += p_gl.swapaxes(-1, -2) @ g_gl
-            dq *= alpha
-            dk *= alpha
-            if single:
-                dq, dk, dv = dq[0], dk[0], dv[0]
-            if q.needs_grad:
-                _accum(q, dq)
-            if k.needs_grad:
-                _accum(k, dk)
-            if v.needs_grad:
-                _accum(v, dv)
-
-        tape.record(out, bwd)
-    return out
+    return _result(out_data[0] if single else out_data, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

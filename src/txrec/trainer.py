@@ -20,7 +20,7 @@ from . import tensor as T
 from .catalog import (Catalog, InputLimits, InteractionSequence, ModelBatch, Vocabulary,
                       build_model_input, item_input)
 from .encoder import Encoder, params_fingerprint
-from .errors import NonFiniteLossError
+from .errors import CatalogError, NonFiniteLossError
 from .evaluator import EvalCase, EvalSplit, evaluate_cases
 from .objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
                          iic_inbatch_loss, make_masking_plan, pooled_mlm_loss,
@@ -71,7 +71,10 @@ class ItemFeatureMatrix:
             raise ValueError(f"{len(self.ids)} ids but rows of shape {self.rows.shape}")
 
     def index_of(self, item_id: str) -> int:
-        return self._index[item_id]
+        try:
+            return self._index[item_id]
+        except KeyError:
+            raise CatalogError(f"unknown item id '{item_id}'") from None
 
     @property
     def index(self) -> dict[str, int]:
@@ -131,8 +134,7 @@ def save_state(params: Sequence[T.Parameter]) -> dict[str, np.ndarray]:
 
 
 def load_state(params: Sequence[T.Parameter], state: dict[str, np.ndarray]) -> None:
-    for p in params:
-        p.data[...] = state[p.name]
+    T.load_params(params, state)
 
 
 def _batches(order: np.ndarray, size: int):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import warnings
 import zlib
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -157,6 +158,51 @@ def test_pretrain_config_errors_are_exit_2(tmp_path, capsys):
                "--out", tmp_path / "o") == 2
 
 
+def test_checkpoints_record_the_vocabulary_min_count(workdir):
+    assert load_checkpoint(workdir["pre"])[0]["min_count"] == 1
+    assert load_checkpoint(workdir["fine"])[0]["min_count"] == 1  # carried forward
+
+
+def test_pretrain_with_a_vocab_file_records_no_min_count(workdir, tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    assert run("build-vocab", "--items", workdir["data"] / "items.jsonl", "--out", vocab) == 0
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["vocab"] = str(vocab)
+    cfg["catalog"] = {"min_count": 1}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg_path, "--out", tmp_path / "o.ckpt") == 2
+    assert "catalog.min_count=1 has no effect with the vocab file" in capsys.readouterr().err
+    assert not (tmp_path / "o.ckpt").exists()
+
+    del cfg["catalog"]
+    cfg_path.write_text(json.dumps(cfg))
+    assert run("pretrain", "--config", cfg_path, "--out", tmp_path / "v.ckpt") == 0
+    assert load_checkpoint(tmp_path / "v.ckpt")[0]["min_count"] is None
+    # the vocabulary was not built with any min_count, so asking for one is an error
+    cfg["catalog"] = {"min_count": 1}
+    cfg["vocab"] = None
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("finetune", "--config", cfg_path, "--init", tmp_path / "v.ckpt",
+               "--out", tmp_path / "f.ckpt") == 2
+    assert "config asks for min_count=1 but checkpoint has min_count=None" \
+        in capsys.readouterr().err
+
+
+def test_pretrain_on_an_empty_items_file_is_exit_3(workdir, tmp_path, capsys):
+    items = tmp_path / "items.jsonl"
+    items.write_text("")
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["data"]["items"] = str(items)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg_path, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err.endswith(f"data error: {items}: no items\n")
+
+
 def test_pretrain_bad_data_is_exit_3(workdir, tmp_path, capsys):
     items = tmp_path / "items.jsonl"
     items.write_text('{"item_id": "a"}\n')
@@ -196,6 +242,7 @@ def test_finetune_d_mismatch_is_exit_2(workdir, tmp_path, capsys):
     ("encoder", "max_tokens", 48, "config asks for max_tokens=48 but checkpoint has max_tokens=96"),
     ("catalog", "tokens_per_field", 2,
      "config asks for tokens_per_field=2 but checkpoint has tokens_per_field=16"),
+    ("catalog", "min_count", 2, "config asks for min_count=2 but checkpoint has min_count=1"),
     ("data", "valid_items", "/nonexistent", "unknown config key 'data.valid_items'"),
 ])
 def test_finetune_rejects_keys_the_checkpoint_overrides(workdir, tmp_path, capsys,
@@ -238,6 +285,45 @@ def test_missing_vocab_file_is_exit_3(workdir, tmp_path, capsys, command):
     capsys.readouterr()
     assert run(command, "--config", cfg_path, *init, "--out", tmp_path / "o") == 3
     assert f"data error: cannot read {tmp_path / 'absent.txt'}" in capsys.readouterr().err
+
+
+def test_finetune_skips_the_min_count_check_for_older_checkpoints(workdir, tmp_path):
+    config, tensors = load_checkpoint(workdir["pre"])
+    del config["min_count"]
+    old = tmp_path / "old.ckpt"
+    save_checkpoint(old, config, tensors)
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["catalog"] = {"min_count": 2}
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run("finetune", "--config", cfg_path, "--init", old, "--out", tmp_path / "f") == 0
+    assert load_checkpoint(tmp_path / "f")[0]["min_count"] is None
+
+
+def _with_ghost_item(workdir, tmp_path, history) -> Path:
+    """A copy of the corpus plus one user whose history holds an id no item has."""
+    data = tmp_path / "ghost"
+    data.mkdir()
+    (data / "items.jsonl").write_bytes((workdir["data"] / "items.jsonl").read_bytes())
+    lines = (workdir["data"] / "interactions.jsonl").read_text().splitlines()
+    lines.append(json.dumps({"user_id": "ghost_user", "items": history}))
+    (data / "interactions.jsonl").write_text("\n".join(lines) + "\n")
+    return data
+
+
+def test_finetune_positive_missing_from_the_catalog_is_exit_3(workdir, tmp_path, capsys):
+    # the train split keeps d0_i000, d0_i001, ghost: ghost is a train positive
+    data = _with_ghost_item(workdir, tmp_path,
+                            ["d0_i000", "d0_i001", "ghost", "d0_i002", "d0_i003"])
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["data"]["interactions"] = str(data / "interactions.jsonl")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("finetune", "--config", cfg_path, "--init", workdir["pre"],
+               "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err.endswith("data error: unknown item id 'ghost'\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_finetune_garbage_init_is_exit_4(workdir, tmp_path, capsys):
@@ -308,6 +394,13 @@ def test_evaluate_cold_bucket_null_when_absent(workdir, capsys):
 
 def test_evaluate_missing_data_is_exit_3(workdir, tmp_path):
     assert run("evaluate", "--ckpt", workdir["fine"], "--data", tmp_path) == 3
+
+
+def test_evaluate_target_missing_from_the_catalog_is_exit_3(workdir, tmp_path, capsys):
+    data = _with_ghost_item(workdir, tmp_path, ["d0_i000", "d0_i001", "d0_i002", "ghost"])
+    capsys.readouterr()
+    assert run("evaluate", "--ckpt", workdir["fine"], "--data", data) == 3
+    assert capsys.readouterr().err.endswith("data error: unknown item id 'ghost'\n")
 
 
 def test_evaluate_bad_ckpt_is_exit_4(workdir, tmp_path):
@@ -396,6 +489,16 @@ def test_item_matrix_must_cover_catalog(workdir, tmp_path, capsys):
     assert run("evaluate", "--ckpt", workdir["pre"], "--data", workdir["data"],
                "--item-matrix", short) == 3
     assert "does not cover" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["recommend", "encode-items"])
+def test_empty_items_file_is_exit_3(workdir, tmp_path, capsys, command):
+    items = tmp_path / "items.jsonl"
+    items.write_text("\n")
+    extra = ("--history", "d0_i000") if command == "recommend" else ("--out", tmp_path / "m")
+    capsys.readouterr()
+    assert run(command, "--ckpt", workdir["fine"], "--items", items, *extra) == 3
+    assert capsys.readouterr().err.endswith(f"data error: {items}: no items\n")
 
 
 def test_model_ckpt_is_not_an_item_matrix(workdir):
@@ -520,8 +623,9 @@ def test_checkpoint_config_that_is_not_an_object_is_exit_4(workdir, tmp_path, ca
     ("limits", {"max_tokens": 1024},
      "limits of 1024 tokens and 6 items exceed the encoder's 96 and 6"),
     ("vocab_tokens", ["x"], "vocabulary of 5 ids but the encoder has vocab_size={vocab_size}"),
+    ("min_count", "1", "malformed model config (min_count: expected int, got '1')"),
 ], ids=["ids-not-a-list", "ids-repeated", "ids-too-few", "vocab-repeated", "d-float",
-        "field-cap-float", "limits-too-long", "vocab-too-small"])
+        "field-cap-float", "limits-too-long", "vocab-too-small", "min-count-string"])
 def test_model_checkpoint_with_crafted_config_is_exit_4(workdir, tmp_path, capsys, key,
                                                         value, message):
     config, tensors = load_checkpoint(workdir["fine"])

@@ -1,10 +1,11 @@
-"""Property fuzzing of the readers of untrusted files.
+"""Property fuzzing of the readers of untrusted files and of input assembly.
 
 A corrupt or crafted checkpoint may only raise CheckpointError (a
 `recommend` from it ends in 0 or exit 4), and a junk line in an items or
 interactions file may only raise DataError, so every bad input reaches the
-CLI's documented exit code instead of a traceback. Runs are derandomized
-with a fixed example budget, so the suite stays repeatable.
+CLI's documented exit code instead of a traceback. `build_model_input`
+keeps its layout invariants for any catalog, history and limits. Runs are
+derandomized with a fixed example budget, so the suite stays repeatable.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ import struct
 import zlib
 from pathlib import Path
 
+import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from txrec.catalog import load_interactions_jsonl, load_items_jsonl
+from txrec.catalog import (Catalog, InputLimits, Item, Vocabulary, build_model_input,
+                           flatten_item, load_interactions_jsonl, load_items_jsonl)
 from txrec.checkpoint import load_checkpoint, save_checkpoint
 from txrec.cli import main
 from txrec.errors import DataError
@@ -151,3 +155,37 @@ def test_crafted_model_config_raises_only_checkpoint_error(model_ckpt, tmp_path,
     path = tmp_path / "crafted.ckpt"
     save_checkpoint(path, config, tensors)
     assert _recommend(model_ckpt, path) in (0, 4)
+
+
+# a few words, punctuation-only tokens that tokenize to nothing, and mixed case
+_text = st.lists(st.sampled_from(["red", "Blue", "shoe", "tea", "big!", "...", "cup", "-"]),
+                 max_size=6).map(" ".join)
+
+
+@st.composite
+def _model_inputs(draw):
+    items = [Item(f"i{j}", tuple(draw(st.lists(st.tuples(_text, _text), max_size=4))))
+             for j in range(draw(st.integers(1, 6)))]
+    history = draw(st.lists(st.sampled_from([it.item_id for it in items]),
+                            min_size=1, max_size=12))
+    limits = InputLimits(max_tokens=draw(st.integers(1, 40)),
+                         max_items=draw(st.integers(1, 8)),
+                         tokens_per_field=draw(st.integers(1, 4)))
+    vocab = Vocabulary.build(items, min_count=draw(st.integers(1, 2)))
+    return Catalog(items), history, limits, vocab
+
+
+@FUZZ
+@given(case=_model_inputs())
+def test_build_model_input_keeps_its_layout(case):
+    catalog, history, limits, vocab = case
+    x = build_model_input(history, catalog, vocab, limits)
+    n = len(x)
+    assert n <= limits.max_tokens + 1
+    npt.assert_array_equal(x.token_positions, np.arange(n))
+    npt.assert_array_equal(np.flatnonzero(x.global_mask), [0])
+    slots = x.item_positions
+    assert slots[0] == 0 and (np.diff(slots) >= 0).all() and slots.max() <= limits.max_items
+    newest = flatten_item(catalog.get(history[-1]), vocab, limits.tokens_per_field)
+    npt.assert_array_equal(x.token_ids[slots == 1], newest.token_ids[: limits.max_tokens])
+    npt.assert_array_equal(x.token_types[slots == 1], newest.token_types[: limits.max_tokens])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 import os
 import subprocess
@@ -355,6 +357,79 @@ def test_no_tape_records_nothing():
     out = T.matmul(x, x)
     assert out.grad is None
     assert T.active_tape() is None
+
+
+_IDX, _VALID = build_window_index(5, 2, (0,))
+
+# every public op, called on inputs that `make(shape)` builds
+_OPS = {
+    "add": lambda make: T.add(make((3, 4)), make((3, 4))),
+    "scale": lambda make: T.scale(make((3, 4)), 0.5),
+    "reshape": lambda make: T.reshape(make((3, 4)), (4, 3)),
+    "transpose": lambda make: T.transpose(make((3, 4)), (1, 0)),
+    "gather_rows": lambda make: T.gather_rows(make((3, 4)), np.array([2, 0, 2])),
+    "embedding_lookup": lambda make: T.embedding_lookup(make((3, 4)), [1, 1]),
+    "take_row": lambda make: T.take_row(make((3, 4)), 1),
+    "stack_rows": lambda make: T.stack_rows([make((4,)), make((4,))]),
+    "concat_rows": lambda make: T.concat_rows([make((2, 4)), make((3, 4))]),
+    "matmul": lambda make: T.matmul(make((3, 4)), make((4, 2))),
+    "matmul_nt": lambda make: T.matmul_nt(make((3, 4)), make((2, 4))),
+    "gelu": lambda make: T.gelu(make((3, 4))),
+    "layer_norm": lambda make: T.layer_norm(make((3, 4)), make((4,)), make((4,))),
+    "l2_normalize_rows": lambda make: T.l2_normalize_rows(make((3, 4))),
+    "dropout": lambda make: T.dropout(make((3, 4)), 0.5, stream(0, "dropout")),
+    "cross_entropy_mean": lambda make: T.cross_entropy_mean(make((3, 4)), [0, 3, 1]),
+    "windowed_attention": lambda make: T.windowed_attention(
+        make((2, 5, 3)), make((2, 5, 3)), make((2, 5, 3)), _IDX, _VALID, np.array([0])),
+}
+
+
+def _maker(cls):
+    rng = np.random.default_rng(30)
+    if cls is T.Parameter:
+        return lambda shape: T.Parameter("p", rng.normal(size=shape))
+    return lambda shape: T.Tensor(rng.normal(size=shape))
+
+
+def test_op_table_covers_every_public_op():
+    functions = {name for name, value in vars(T).items()
+                 if inspect.isfunction(value) and value.__module__ == T.__name__
+                 and not name.startswith("_")}
+    non_ops = {"active_tape", "clip_global_norm", "load_params", "zero_grads",
+               "truncated_normal"}
+    assert functions - non_ops == set(_OPS)
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_op_without_a_tape_marks_nothing(name):
+    out = _OPS[name](_maker(T.Parameter))
+    assert not out.needs_grad and out.grad is None
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_op_records_once_and_marks_its_output_under_a_tape(name):
+    with T.GradTape() as tape:
+        out = _OPS[name](_maker(T.Parameter))
+    assert len(tape) == 1
+    assert tape._records[0][0] is out and out.needs_grad
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_op_on_inputs_without_gradient_records_nothing(name):
+    with T.GradTape() as tape:
+        out = _OPS[name](_maker(T.Tensor))
+    assert len(tape) == 0 and not out.needs_grad
+
+
+def test_only_the_result_helper_touches_the_tape():
+    path = Path(T.__file__)
+    source = path.read_text()
+    helper = next(node for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.FunctionDef) and node.name == "_result")
+    for needle in ("tape.record(", "needs_grad = True"):
+        lines = [i for i, line in enumerate(source.splitlines(), start=1) if needle in line]
+        assert len(lines) == 1 and helper.lineno <= lines[0] <= helper.end_lineno, \
+            f"{needle!r} at lines {lines} of {path.name}, outside _result"
 
 
 # ---------------------------------------------------------------------------

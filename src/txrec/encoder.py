@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, asdict
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,14 +167,14 @@ class Encoder:
         )
         return T.layer_norm(e, self.emb_ln_g, self.emb_ln_b)
 
-    def encode_batch(self, batch: ModelBatch, train: bool = False,
-                     dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Hidden states (B, len, d) of a padded batch; row 0 of each aggregates it.
+    def encode(self, x: ModelInput | ModelBatch, train: bool = False,
+               dropout_rng: np.random.Generator | None = None) -> Tensor:
+        """Hidden states, (len, d) for one input or (B, len, d) for a padded batch.
 
-        Padded keys are masked in attention, so each sequence's real rows
-        match its unpadded encoding up to float roundoff; padded rows hold
-        values nothing reads.
+        Row 0 of a sequence aggregates it. Padded keys are masked, so a
+        sequence's real rows match its unpadded encoding up to float roundoff.
         """
+        batch = x if isinstance(x, ModelBatch) else ModelBatch.pack([x])
         cfg = self.config
         n_seq, length = batch.token_ids.shape
         n_rows = n_seq * length
@@ -199,17 +199,45 @@ class Encoder:
             if rate > 0.0:
                 f = T.dropout(f, rate, dropout_rng)
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
-        return T.reshape(h, (n_seq, length, cfg.d))
-
-    def encode(self, x: ModelInput, train: bool = False,
-               dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Hidden states (len, d) after all layers; row 0 aggregates the input."""
-        h = self.encode_batch(ModelBatch.pack([x]), train, dropout_rng)
-        return T.reshape(h, (len(x), self.config.d))
+        return T.reshape(h, (n_seq, length, cfg.d) if x is batch else (length, cfg.d))
 
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
         """Inference-time representation of a history: the aggregate row."""
         return self.encode(x).data[0]
+
+
+# Padded tokens per encoder call in `encode_batches`: bounds one call's
+# activations while keeping each matmul wide enough to amortize per-op overhead.
+ENCODE_BATCH_TOKENS = 1024
+
+
+def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool = False,
+                   dropout_rng: np.random.Generator | None = None
+                   ) -> Iterator[tuple[np.ndarray, Tensor]]:
+    """Yield (members, hidden) per length-sorted sub-batch of at most
+    ENCODE_BATCH_TOKENS padded tokens (one input at least): the indices into
+    `inputs` in row order, and their (b, len, d) hidden states. Lazily, so
+    only one sub-batch's activations are alive outside a tape."""
+    order = np.argsort([len(x) for x in inputs], kind="stable")
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and (end + 1 - start) * len(inputs[order[end]]) <= ENCODE_BATCH_TOKENS:
+            end += 1
+        members = order[start:end]
+        yield members, encoder.encode(ModelBatch.pack([inputs[i] for i in members]),
+                                      train, dropout_rng)
+        start = end
+
+
+def aggregate_rows(batches: Iterable[tuple[np.ndarray, Tensor]]) -> Tensor:
+    """Row 0 of every sequence in `encode_batches`' output, (N, d) in input order."""
+    blocks, members = [], []
+    for idx, h in batches:
+        n_seq, length, d = h.data.shape
+        blocks.append(T.gather_rows(T.reshape(h, (n_seq * length, d)), np.arange(n_seq) * length))
+        members.append(idx)
+    return T.gather_rows(T.concat_rows(blocks), np.argsort(np.concatenate(members)))
 
 
 def params_fingerprint(params: Iterable[Parameter]) -> str:

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import Catalog, InputLimits, InteractionSequence, Vocabulary, build_model_input
-from .encoder import Encoder
+from .encoder import Encoder, aggregate_rows, encode_batches
 from .errors import CatalogError
 from .objectives import cosine_scores
 
@@ -142,14 +142,14 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
     """Rank each case's target against the full matrix; mean the metrics."""
     if not cases:
         raise ValueError("no evaluation cases")
+    unknown = next((c.target for c in cases if c.target not in item_index), None)
+    if unknown is not None:
+        raise CatalogError(f"unknown item id '{unknown}'")
+    inputs = [build_model_input(c.context, catalog, vocab, limits) for c in cases]
+    users = aggregate_rows(encode_batches(encoder, inputs)).data
     sums = {k: 0.0 for k in METRIC_KEYS}
-    for case in cases:
-        target = item_index.get(case.target)
-        if target is None:
-            raise CatalogError(f"unknown item id '{case.target}'")
-        x = build_model_input(case.context, catalog, vocab, limits)
-        h = encoder.sequence_repr(x)
-        rank = rank_of_target(h, item_rows, target)
+    for h, case in zip(users, cases):
+        rank = rank_of_target(h, item_rows, item_index[case.target])
         sums["ndcg@10"] += ndcg_at_k(rank)
         sums["recall@10"] += recall_at_k(rank)
         sums["mrr"] += mrr(rank)

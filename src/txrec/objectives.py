@@ -171,20 +171,18 @@ def pretrain_loss(iic: Tensor, mlm: Tensor | None, mlm_weight: float) -> Tensor:
     return T.add(iic, T.scale(mlm, mlm_weight))
 
 
-def finetune_loss(h_s: Tensor, pos_index: int, item_rows: np.ndarray,
+def finetune_loss(h_s: Tensor, pos_index, item_rows: np.ndarray,
                   temperature: float) -> Tensor:
-    """Full-catalog softmax over a frozen item matrix.
+    """Full-catalog softmax over a frozen item matrix, meaned over histories.
 
-    `item_rows` enters as a constant: gradient flows only through the history
-    representation, never into the matrix.
+    `h_s` is (B, d) history rows with an index array of B positives, or one
+    (d,) row with an int. `item_rows` enters as a constant: gradient flows
+    only through the history representations, never into the matrix.
     """
     if item_rows.ndim != 2 or item_rows.shape[0] == 0:
         raise ValueError(f"item matrix must be non-empty 2-d, got shape {item_rows.shape}")
-    n_items = item_rows.shape[0]
-    if not 0 <= pos_index < n_items:
-        raise IndexError(f"positive index {pos_index} out of range [0, {n_items})")
     norms = np.maximum(np.linalg.norm(item_rows, axis=1, keepdims=True), 1e-12)
     frozen = Tensor(item_rows / norms)
-    hs2 = T.l2_normalize_rows(T.reshape(h_s, (1, h_s.data.shape[0])))
+    hs2 = T.l2_normalize_rows(T.reshape(h_s, (-1, h_s.data.shape[-1])))
     logits = T.scale(T.matmul_nt(hs2, frozen), 1.0 / temperature)
-    return T.cross_entropy_mean(logits, np.asarray([pos_index]))
+    return T.cross_entropy_mean(logits, np.atleast_1d(pos_index))

@@ -123,8 +123,9 @@ class GradTape:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def _result(data: np.ndarray, inputs: Iterable[Tensor],

@@ -11,15 +11,14 @@ best-validation snapshot wins, never the last epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
-from .catalog import (Catalog, InputLimits, InteractionSequence, ModelBatch, Vocabulary,
+from .catalog import (Catalog, InputLimits, InteractionSequence, Vocabulary,
                       build_model_input, item_input)
-from .encoder import Encoder, params_fingerprint
+from .encoder import Encoder, aggregate_rows, encode_batches, params_fingerprint
 from .errors import CatalogError, NonFiniteLossError
 from .evaluator import EvalCase, EvalSplit, evaluate_cases
 from .objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
@@ -84,33 +83,15 @@ class ItemFeatureMatrix:
         return ItemFeatureMatrix(list(self.ids), self.rows.copy(), self.fingerprint)
 
 
-# Padded tokens per batched catalog encode: bounds the activations of one
-# batch while keeping each matmul wide enough to amortize per-call overhead.
-ENCODE_BATCH_TOKENS = 1024
-
-
 def encode_all_items(encoder: Encoder, catalog: Catalog, vocab: Vocabulary,
                      limits: InputLimits = InputLimits()) -> ItemFeatureMatrix:
-    """Encode every catalog item; rows land in catalog order.
-
-    Items are sorted by sentence length and encoded in padded batches of at
-    most ENCODE_BATCH_TOKENS tokens (one item at least), so padding stays
-    small.
-    """
+    """Encode every catalog item, in `encode_batches` sub-batches; rows land in
+    catalog order."""
     if len(catalog) == 0:
         raise ValueError("catalog is empty")
     ids = catalog.ids
     inputs = [item_input(iid, catalog, vocab, limits) for iid in ids]
-    order = np.argsort([len(x) for x in inputs], kind="stable")
-    rows = np.empty((len(ids), encoder.config.d), dtype=encoder.token_emb.data.dtype)
-    start = 0
-    while start < len(order):
-        end = start + 1
-        while end < len(order) and (end + 1 - start) * len(inputs[order[end]]) <= ENCODE_BATCH_TOKENS:
-            end += 1
-        batch = ModelBatch.pack([inputs[i] for i in order[start:end]])
-        rows[order[start:end]] = encoder.encode_batch(batch).data[:, 0]
-        start = end
+    rows = aggregate_rows(encode_batches(encoder, inputs)).data
     return ItemFeatureMatrix(ids, rows, params_fingerprint(encoder.parameters()))
 
 
@@ -142,10 +123,6 @@ def _batches(order: np.ndarray, size: int):
         yield order[start : start + size]
 
 
-def _mean_loss(losses: list[T.Tensor]) -> T.Tensor:
-    return T.scale(reduce(T.add, losses), 1.0 / len(losses))
-
-
 def _check_finite(loss: T.Tensor, where: str) -> None:
     """Stop a run whose loss went NaN or infinite, before clipping and the step."""
     if not np.isfinite(loss.data):
@@ -158,14 +135,15 @@ def _check_finite(loss: T.Tensor, where: str) -> None:
 
 def pretrain_examples(sequences: Sequence[InteractionSequence],
                       catalog: Catalog) -> list[tuple[tuple[str, ...], str]]:
-    """One (prefix, final item) pair per sequence; too-short or unknown skipped."""
+    """One (prefix, final item) pair per sequence; shorter than two items skipped.
+    An item id the catalog lacks, in any sequence, raises CatalogError."""
     examples = []
     for seq in sequences:
-        if len(seq.items) < 2:
-            continue
-        if any(iid not in catalog for iid in seq.items):
-            continue
-        examples.append((seq.items[:-1], seq.items[-1]))
+        unknown = next((iid for iid in seq.items if iid not in catalog), None)
+        if unknown is not None:
+            raise CatalogError(f"unknown item id '{unknown}'")
+        if len(seq.items) >= 2:
+            examples.append((seq.items[:-1], seq.items[-1]))
     return examples
 
 
@@ -182,7 +160,7 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
     """
     examples = pretrain_examples(sequences, catalog)
     if not examples:
-        raise ValueError("no usable pretraining sequences (need length >= 2, known items)")
+        raise ValueError("no usable pretraining sequences (need length >= 2)")
     params = encoder.parameters() + head.parameters()
     adam = Adam(params, lr=train_cfg.lr)
     data_rng = stream(train_cfg.seed, "data")
@@ -229,25 +207,18 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
 def _pretrain_batch_loss(batch, catalog, vocab, encoder, head, loss_cfg, limits,
                          mask_rng, drop_rng, train):
     """Loss for one batch of (prefix, positive) pairs, plus float components."""
-    seq_vecs = []
-    item_vecs = []
-    hiddens = []
-    plans = []
-    use_mlm = loss_cfg.mlm_weight > 0.0
-    for prefix, pos_id in batch:
-        x = build_model_input(prefix, catalog, vocab, limits)
-        plan = make_masking_plan(x, vocab.size, mask_rng)
-        h = encoder.encode(apply_masking_plan(x, plan), train=train, dropout_rng=drop_rng)
-        seq_vecs.append(T.take_row(h, 0))
-        if use_mlm:
-            hiddens.append(h)
-            plans.append(plan)
-        pos_h = encoder.encode(item_input(pos_id, catalog, vocab, limits),
-                               train=train, dropout_rng=drop_rng)
-        item_vecs.append(T.take_row(pos_h, 0))
-    iic = iic_inbatch_loss(T.stack_rows(seq_vecs), T.stack_rows(item_vecs),
+    xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in batch]
+    plans = [make_masking_plan(x, vocab.size, mask_rng) for x in xs]
+    masked = list(encode_batches(encoder, [apply_masking_plan(x, p) for x, p in zip(xs, plans)],
+                                 train, drop_rng))
+    positives = encode_batches(encoder, [item_input(pos_id, catalog, vocab, limits)
+                                         for _, pos_id in batch], train, drop_rng)
+    iic = iic_inbatch_loss(aggregate_rows(masked), aggregate_rows(positives),
                            loss_cfg.temperature)
-    mlm = pooled_mlm_loss(hiddens, plans, head) if use_mlm else None
+    mlm = None
+    if loss_cfg.mlm_weight > 0.0:
+        hidden = {i: T.take_row(h, row) for members, h in masked for row, i in enumerate(members)}
+        mlm = pooled_mlm_loss([hidden[i] for i in range(len(batch))], plans, head)
     loss = pretrain_loss(iic, mlm, loss_cfg.mlm_weight)
     parts = {
         "iic": float(iic.data),
@@ -377,18 +348,14 @@ def _finetune_epoch(encoder: Encoder, matrix: ItemFeatureMatrix, examples,
                     drop_rng: np.random.Generator) -> float:
     params = adam.params
     order = data_rng.permutation(len(examples))
+    positives = np.array([matrix.index_of(pos_id) for _, pos_id in examples], dtype=np.int64)
     total = 0.0
     n_batches = 0
     for batch in _batches(order, train_cfg.finetune_batch):
         with GradTape() as tape:
-            losses = []
-            for i in batch:
-                context, pos_id = examples[i]
-                x = build_model_input(context, catalog, vocab, limits)
-                h = encoder.encode(x, train=True, dropout_rng=drop_rng)
-                losses.append(finetune_loss(T.take_row(h, 0), matrix.index_of(pos_id),
-                                            matrix.rows, loss_cfg.temperature))
-            loss = _mean_loss(losses)
+            xs = [build_model_input(examples[i][0], catalog, vocab, limits) for i in batch]
+            rows = aggregate_rows(encode_batches(encoder, xs, True, drop_rng))
+            loss = finetune_loss(rows, positives[batch], matrix.rows, loss_cfg.temperature)
         _check_finite(loss, f"batch {n_batches + 1}")
         tape.backward(loss)
         clip_global_norm(params, train_cfg.grad_clip)

@@ -326,6 +326,27 @@ def test_finetune_positive_missing_from_the_catalog_is_exit_3(workdir, tmp_path,
     assert not (tmp_path / "o").exists()
 
 
+def test_pretrain_on_histories_with_unknown_ids_is_exit_3(workdir, tmp_path, capsys):
+    """Every second user holds an id no item has: pretraining stops at the
+    first one instead of training on the other half."""
+    data = tmp_path / "half"
+    data.mkdir()
+    lines = (workdir["data"] / "interactions.jsonl").read_text().splitlines()
+    for u in range(1, len(lines), 2):
+        rec = json.loads(lines[u])
+        rec["items"].insert(1, f"ghost{u}")
+        lines[u] = json.dumps(rec)
+    (data / "interactions.jsonl").write_text("\n".join(lines) + "\n")
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["data"]["interactions"] = str(data / "interactions.jsonl")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg_path, "--out", tmp_path / "o") == 3
+    assert capsys.readouterr().err.endswith("data error: unknown item id 'ghost1'\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_finetune_garbage_init_is_exit_4(workdir, tmp_path, capsys):
     junk = tmp_path / "junk.ckpt"
     junk.write_bytes(b"not a checkpoint at all")

@@ -13,7 +13,9 @@ from txrec.catalog import ModelBatch, ModelInput, build_model_input, item_input
 from txrec.encoder import (
     Encoder,
     EncoderConfig,
+    aggregate_rows,
     build_window_index,
+    encode_batches,
     params_fingerprint,
 )
 from txrec.errors import DataError
@@ -225,7 +227,7 @@ def test_encode_batch_matches_dense_reference_per_sequence(tiny_corpus):
     _, vocab, _ = tiny_corpus
     enc = Encoder(_cfg(vocab.size), stream(21, "init"), dtype=F64)
     xs = [_history(tiny_corpus, ids) for ids in (("i0",), ("i0", "i3", "i5"), ("i2", "i7"))]
-    out = enc.encode_batch(ModelBatch.pack(xs)).data
+    out = enc.encode(ModelBatch.pack(xs)).data
     for b, x in enumerate(xs):
         expected = ref.encode_ref(enc.state_dict(), enc.config, x, masked=True)
         npt.assert_allclose(out[b, : len(x)], expected, atol=1e-10)
@@ -240,8 +242,47 @@ def test_sequence_alone_and_next_to_a_longer_one_agree(tiny_corpus):
     long = _history(tiny_corpus, ids=("i0", "i3", "i5", "i1"))
     assert len(long) > len(short) + 2 * enc.config.window
     alone = enc.encode(short).data
-    padded = enc.encode_batch(ModelBatch.pack([long, short])).data[1, : len(short)]
+    padded = enc.encode(ModelBatch.pack([long, short])).data[1, : len(short)]
     npt.assert_allclose(padded, alone, rtol=0.0, atol=1e-6)
+
+
+def _mixed_lengths(tiny_corpus):
+    """Histories of 1-4 items (10-37 tokens), one length twice, out of order."""
+    ids = (("i0", "i3", "i5"), ("i6",), ("i0", "i3", "i5", "i1"), ("i2", "i7"), ("i4",))
+    return [_history(tiny_corpus, h) for h in ids]
+
+
+def test_encode_batches_keeps_to_the_token_budget(tiny_corpus, monkeypatch):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(23, "init"))
+    xs = _mixed_lengths(tiny_corpus)
+    lengths = [len(x) for x in xs]
+    for budget, n_calls in ((1, 5), (60, 3), (1024, 1)):
+        monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", budget)
+        batches = list(encode_batches(enc, xs))
+        assert len(batches) == n_calls
+        members = np.concatenate([m for m, _ in batches])
+        assert sorted(members.tolist()) == list(range(len(xs)))  # each input once
+        assert [lengths[i] for i in members] == sorted(lengths)  # stable, shortest first
+        for m, h in batches:
+            assert h.data.shape == (len(m), max(lengths[i] for i in m), enc.config.d)
+            assert len(m) == 1 or h.data.shape[0] * h.data.shape[1] <= budget
+
+
+def test_aggregate_rows_do_not_depend_on_batch_mates_or_budget(tiny_corpus, monkeypatch):
+    """Float32, dropout 0: each input's row is row 0 of its own single encode,
+    whether it shares one call with every other input (the default budget)
+    or sits alone (a budget of one token)."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(24, "init"))
+    xs = _mixed_lengths(tiny_corpus)
+    alone = np.stack([enc.encode(x).data[0] for x in xs])
+    together = aggregate_rows(encode_batches(enc, xs)).data
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 1)
+    one_per_call = aggregate_rows(encode_batches(enc, xs)).data
+    assert together.dtype == np.float32
+    npt.assert_allclose(together, alone, rtol=0.0, atol=1e-6)
+    npt.assert_allclose(one_per_call, alone, rtol=0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

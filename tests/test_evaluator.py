@@ -12,6 +12,7 @@ import pytest
 import reference as ref
 from txrec.catalog import InteractionSequence, item_input
 from txrec.encoder import Encoder, EncoderConfig
+from txrec.errors import CatalogError
 from txrec.evaluator import (
     CSV_HEADER,
     EvalCase,
@@ -198,6 +199,20 @@ def test_evaluate_cases_requires_cases(tiny_corpus):
     enc = _encoder_for(vocab)
     with pytest.raises(ValueError):
         evaluate_cases(enc, np.ones((2, 8)), {}, [], catalog, vocab, limits)
+
+
+def test_evaluate_cases_checks_every_target_before_encoding(tiny_corpus, monkeypatch):
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder_for(vocab)
+    index = {iid: k for k, iid in enumerate(catalog.ids)}
+    cases = [EvalCase("u1", ("i0", "i1"), "i2"), EvalCase("u2", ("i3",), "ghost")]
+
+    def no_encode(*args, **kwargs):
+        raise AssertionError("a history was encoded before every target was checked")
+
+    monkeypatch.setattr(Encoder, "encode", no_encode)
+    with pytest.raises(CatalogError, match="^unknown item id 'ghost'$"):
+        evaluate_cases(enc, np.ones((len(index), 8)), index, cases, catalog, vocab, limits)
 
 
 def test_zero_shot_evaluate_runs_untrained(tiny_corpus):

@@ -319,6 +319,26 @@ def test_finetune_loss_gradcheck():
     fd_gradcheck(lambda: finetune_loss(h, 5, rows, 0.1), [h], rng)
 
 
+def test_batched_finetune_loss_is_the_mean_of_its_rows():
+    rng = np.random.default_rng(18)
+    rows = rng.normal(size=(9, 6))
+    hs = rng.normal(size=(4, 6))
+    pos = np.array([5, 0, 5, 8])
+    batched = float(finetune_loss(T.Tensor(hs, dtype=F64), pos, rows, 0.1).data)
+    singles = [float(finetune_loss(T.Tensor(h, dtype=F64), int(p), rows, 0.1).data)
+               for h, p in zip(hs, pos)]
+    assert abs(batched - np.mean(singles)) < 1e-12
+    with pytest.raises(IndexError, match="9"):
+        finetune_loss(T.Tensor(hs, dtype=F64), np.array([0, 9, 1, 2]), rows, 0.1)
+
+
+def test_batched_finetune_loss_gradcheck():
+    rng = np.random.default_rng(19)
+    rows = rng.normal(size=(9, 6))
+    hs = T.Parameter("hs", rng.normal(size=(4, 6)), dtype=F64)
+    fd_gradcheck(lambda: finetune_loss(hs, np.array([5, 0, 5, 8]), rows, 0.1), [hs], rng)
+
+
 def test_finetune_loss_errors():
     h = T.Tensor(np.ones(4))
     with pytest.raises(IndexError, match="3"):

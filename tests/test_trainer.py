@@ -6,16 +6,22 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from txrec.catalog import InteractionSequence, item_input
-from txrec.encoder import Encoder, EncoderConfig, params_fingerprint
-from txrec.errors import NonFiniteLossError
+from conftest import fd_gradcheck
+from txrec import tensor as T
+from txrec.catalog import InteractionSequence, build_model_input, item_input
+from txrec.encoder import (Encoder, EncoderConfig, aggregate_rows, encode_batches,
+                           params_fingerprint)
+from txrec.errors import CatalogError, NonFiniteLossError
 from txrec.evaluator import leave_one_out
-from txrec.objectives import LossConfig, MLMHead
+from txrec.objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
+                              iic_inbatch_loss, make_masking_plan, pooled_mlm_loss,
+                              pretrain_loss)
 from txrec.rng import stream
 from txrec.trainer import (
     FinetuneResult,
     ItemFeatureMatrix,
     TrainConfig,
+    _pretrain_batch_loss,
     early_stop,
     encode_all_items,
     finetune_examples,
@@ -121,10 +127,12 @@ def test_pretrain_examples_skip_rules(tiny_corpus):
     seqs = [
         InteractionSequence("u1", ("i0", "i1", "i2")),
         InteractionSequence("u2", ("i3",)),            # too short
-        InteractionSequence("u3", ("i0", "missing")),  # unknown item
     ]
     ex = pretrain_examples(seqs, catalog)
     assert ex == [(("i0", "i1"), "i2")]
+    for unknown in (("i0", "missing", "gone"), ("missing",)):  # long or short
+        with pytest.raises(CatalogError, match="^unknown item id 'missing'$"):
+            pretrain_examples(seqs + [InteractionSequence("u3", unknown)], catalog)
 
 
 def test_pretrain_loss_decreases(tiny_corpus):
@@ -218,6 +226,110 @@ def test_finetune_stops_on_non_finite_loss(tiny_corpus):
                        match=r"^non-finite loss nan at batch 1 of finetune stage 1 epoch 1$"):
         two_stage_finetune(leave_one_out(_sequences()), catalog, vocab, enc, cfg,
                            LossConfig(), limits)
+
+
+# ---------------------------------------------------------------------------
+# batched losses: one encode path, whatever the token budget
+
+
+def _mixed_examples():
+    """(prefix, positive) pairs whose prefixes hold 1-4 items (10-37 tokens)."""
+    return [(("i0",), "i4"), (("i1", "i5", "i1"), "i5"), (("i2", "i6"), "i2"),
+            (("i3", "i7", "i3", "i7"), "i3"), (("i4",), "i0")]
+
+
+def _batch_loss(objective, tiny_corpus, enc, head):
+    """A builder of the pretrain or finetune loss of one batch, and its parameters."""
+    catalog, vocab, limits = tiny_corpus
+    examples = _mixed_examples()
+    if objective == "pretrain":
+        loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
+        return (lambda: _pretrain_batch_loss(examples, catalog, vocab, enc, head, loss_cfg,
+                                             limits, stream(4, "mask"), None, train=True)[0],
+                enc.parameters() + head.parameters())
+    xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
+    pos = np.array([catalog.ids.index(p) for _, p in examples])
+    rows = np.random.default_rng(5).normal(size=(len(catalog), enc.config.d)).astype(
+        enc.token_emb.data.dtype)
+    return (lambda: finetune_loss(aggregate_rows(encode_batches(enc, xs, train=True)),
+                                  pos, rows, 0.1),
+            enc.parameters())
+
+
+def _loss_and_grads(build, params):
+    for p in params:
+        p.grad = None
+    with T.GradTape() as tape:
+        loss = build()
+    tape.backward(loss)
+    return float(loss.data), [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("objective", ["pretrain", "finetune"])
+def test_batch_loss_gradients_do_not_depend_on_the_token_budget(tiny_corpus, monkeypatch,
+                                                                 objective):
+    """Float32, dropout 0: a budget of one token encodes every sequence alone,
+    the default budget encodes the batch in one call. Loss and gradients agree
+    to 1e-6, relative to each tensor's largest gradient (some reach ~40,
+    where one float32 step is ~4e-6)."""
+    _, vocab, _ = tiny_corpus
+    enc = _encoder(vocab, seed=12)
+    head = MLMHead(8, vocab.size, stream(12, "init"))
+    build, params = _batch_loss(objective, tiny_corpus, enc, head)
+    loss, grads = _loss_and_grads(build, params)
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 1)
+    loss_alone, grads_alone = _loss_and_grads(build, params)
+    assert abs(loss_alone - loss) <= 1e-6
+    for p, g, g_alone in zip(params, grads, grads_alone):
+        assert g.dtype == np.float32
+        npt.assert_allclose(g_alone, g, rtol=0.0, atol=1e-6 * max(np.abs(g).max(), 1.0),
+                            err_msg=p.name)
+
+
+def test_pretrain_batch_loss_gradcheck(tiny_corpus, monkeypatch):
+    """Float64 over three sub-batches: the gathers that put aggregate rows and
+    hidden states back in input order carry the right gradient."""
+    _, vocab, _ = tiny_corpus
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 60)
+    cfg = EncoderConfig(d=4, n_layers=1, n_heads=1, window=2, ffn_dim=8,
+                        vocab_size=vocab.size, max_tokens=64, max_items=6, dropout=0.0)
+    rng = stream(13, "init")
+    enc = Encoder(cfg, rng, dtype=np.float64)
+    head = MLMHead(4, vocab.size, rng, dtype=np.float64)
+    build, params = _batch_loss("pretrain", tiny_corpus, enc, head)
+    fd_gradcheck(build, params, np.random.default_rng(14), coords_per_tensor=4)
+
+
+@pytest.mark.parametrize("objective", ["pretrain", "finetune"])
+def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, objective):
+    """Float64 over three sub-batches: the batched loss equals the loss built
+    from one `encode` call per sequence, so every row and every hidden state
+    lands with its own example."""
+    catalog, vocab, limits = tiny_corpus
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 60)
+    cfg = EncoderConfig(d=8, n_layers=1, n_heads=2, window=2, ffn_dim=16,
+                        vocab_size=vocab.size, max_tokens=64, max_items=6, dropout=0.0)
+    rng = stream(15, "init")
+    enc = Encoder(cfg, rng, dtype=np.float64)
+    head = MLMHead(8, vocab.size, rng, dtype=np.float64)
+    build, _ = _batch_loss(objective, tiny_corpus, enc, head)
+    examples = _mixed_examples()
+    xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
+    if objective == "pretrain":
+        mask_rng = stream(4, "mask")
+        plans = [make_masking_plan(x, vocab.size, mask_rng) for x in xs]
+        hiddens = [enc.encode(apply_masking_plan(x, plan)) for x, plan in zip(xs, plans)]
+        seqs = T.stack_rows([T.take_row(h, 0) for h in hiddens])
+        items = T.stack_rows([T.take_row(enc.encode(item_input(pos, catalog, vocab, limits)), 0)
+                              for _, pos in examples])
+        want = float(pretrain_loss(iic_inbatch_loss(seqs, items, 0.1),
+                                   pooled_mlm_loss(hiddens, plans, head), 0.5).data)
+    else:
+        rows = np.random.default_rng(5).normal(size=(len(catalog), cfg.d))
+        want = np.mean([float(finetune_loss(T.take_row(enc.encode(x), 0),
+                                            catalog.ids.index(pos), rows, 0.1).data)
+                        for x, (_, pos) in zip(xs, examples)])
+    assert abs(float(build().data) - want) < 1e-10
 
 
 # ---------------------------------------------------------------------------

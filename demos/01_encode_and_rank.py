@@ -43,8 +43,8 @@ print(f"catalog: {len(catalog)} items, vocabulary: {vocab.size} ids "
 # What one item looks like after flattening: key/value tokens, typed.
 sent = flatten_item(items[0], vocab, limits.tokens_per_field)
 print("item sentence for sku-001:")
-print("  token ids  ", list(sent.token_ids))
-print("  token types", list(sent.token_types), "(1 = key, 2 = value)\n")
+print("  token ids  ", sent.token_ids.tolist())
+print("  token types", sent.token_types.tolist(), "(1 = key, 2 = value)\n")
 
 # ---------------------------------------------------------------------------
 # A history becomes one sequence: aggregate slot first, newest item first.

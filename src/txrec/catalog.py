@@ -161,12 +161,12 @@ class Vocabulary:
         return cls(lines[NUM_RESERVED:])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItemSentence:
     """Flattened token view of one item: ids plus key/value type markers."""
 
-    token_ids: tuple[int, ...]
-    token_types: tuple[int, ...]
+    token_ids: np.ndarray    # int64 (len,), read-only
+    token_types: np.ndarray  # int64 (len,), read-only
 
 
 @dataclass(frozen=True)
@@ -187,15 +187,13 @@ def flatten_item(item: Item, vocab: Vocabulary, tokens_per_field: int = 16) -> I
     ids: list[int] = []
     types: list[int] = []
     for key, value in item.attributes:
-        for tok in tokenize(key)[:tokens_per_field]:
-            ids.append(vocab.id(tok))
-            types.append(TYPE_KEY)
-        for tok in tokenize(value)[:tokens_per_field]:
-            ids.append(vocab.id(tok))
-            types.append(TYPE_VALUE)
+        keys, values = tokenize(key)[:tokens_per_field], tokenize(value)[:tokens_per_field]
+        ids += vocab.ids(keys + values)
+        types += [TYPE_KEY] * len(keys) + [TYPE_VALUE] * len(values)
     if not ids:
         log.warning("item '%s' flattens to an empty sentence", item.item_id)
-    return ItemSentence(tuple(ids), tuple(types))
+    return ItemSentence(_freeze(np.array(ids, dtype=np.int64)),
+                        _freeze(np.array(types, dtype=np.int64)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,24 +229,29 @@ class ModelBatch:
     def pack(cls, inputs: Sequence[ModelInput]) -> "ModelBatch":
         if not inputs:
             raise ValueError("a batch needs at least one input")
-        global_idx = tuple(int(i) for i in np.flatnonzero(inputs[0].global_mask))
         lengths = np.array([len(x) for x in inputs], dtype=np.int64)
-        fields = ("token_ids", "token_positions", "token_types", "item_positions")
-        arrays = {f: np.zeros((len(inputs), lengths.max()), dtype=np.int64) for f in fields}
-        for b, x in enumerate(inputs):
-            n = lengths[b]
-            if any(len(getattr(x, f)) != n for f in fields) or len(x.global_mask) != n:
+        filled = np.arange(lengths.max()) < lengths[:, None]  # row-major, like a concatenation
+        arrays = {}
+        for f in ("token_ids", "token_positions", "token_types", "item_positions", "global_mask"):
+            parts = [getattr(x, f) for x in inputs]
+            if any(len(p) != n for p, n in zip(parts, lengths)):
                 raise ValueError("model input arrays disagree on length")
-            if tuple(np.flatnonzero(x.global_mask)) != global_idx:
-                raise ValueError("inputs of one batch must share their global positions")
-            for f in fields:
-                arrays[f][b, :n] = getattr(x, f)
+            arrays[f] = np.zeros(filled.shape, dtype=bool if f == "global_mask" else np.int64)
+            arrays[f][filled] = np.concatenate(parts)
+        gmask = arrays.pop("global_mask")
+        if (gmask != gmask[0]).any():
+            raise ValueError("inputs of one batch must share their global positions")
+        global_idx = tuple(np.flatnonzero(gmask[0]).tolist())
         return cls(lengths=lengths, global_idx=global_idx, **arrays)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+# the aggregate slot, as the one-token sentence at item slot 0 of every model input
+_AGGREGATE = ItemSentence(_freeze(np.array([CLS_ID])), _freeze(np.array([TYPE_CLS])))
 
 
 def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabulary,
@@ -260,26 +263,22 @@ def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabula
     """
     if not item_ids:
         raise ValueError("history must contain at least one item")
-    kept = list(item_ids)[-limits.max_items:]
-    ids: list[int] = [CLS_ID]
-    types: list[int] = [TYPE_CLS]
-    item_pos: list[int] = [0]
-    for slot, iid in enumerate(reversed(kept), start=1):
-        sent = catalog.sentence(iid, vocab, limits.tokens_per_field)
-        ids.extend(sent.token_ids)
-        types.extend(sent.token_types)
-        item_pos.extend([slot] * len(sent.token_ids))
+    newest_first = reversed(list(item_ids)[-limits.max_items:])
+    sents = [_AGGREGATE] + [catalog.sentence(iid, vocab, limits.tokens_per_field)
+                            for iid in newest_first]
+    ids = np.concatenate([s.token_ids for s in sents])
+    types = np.concatenate([s.token_types for s in sents])
+    slots = np.repeat(np.arange(len(sents)), [len(s.token_ids) for s in sents])
     cap = limits.max_tokens + 1  # plus the aggregate slot
-    ids, types, item_pos = ids[:cap], types[:cap], item_pos[:cap]
-    length = len(ids)
-    gmask = np.zeros(length, dtype=bool)
-    gmask[0] = True
+    if len(ids) > cap:  # cut only then: each view is one more array object per input
+        ids, types, slots = ids[:cap], types[:cap], slots[:cap]
+    positions = np.arange(len(ids), dtype=np.int64)
     return ModelInput(
-        token_ids=_freeze(np.asarray(ids, dtype=np.int64)),
-        token_positions=_freeze(np.arange(length, dtype=np.int64)),
-        token_types=_freeze(np.asarray(types, dtype=np.int64)),
-        item_positions=_freeze(np.asarray(item_pos, dtype=np.int64)),
-        global_mask=_freeze(gmask),
+        token_ids=_freeze(ids),
+        token_positions=_freeze(positions),
+        token_types=_freeze(types),
+        item_positions=_freeze(slots),
+        global_mask=_freeze(positions == 0),
     )
 
 

@@ -51,8 +51,13 @@ def save_checkpoint(path: str | Path, config: dict, tensors: dict[str, np.ndarra
     Path(path).write_bytes(bytes(out))
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint, verifying magic, version, structure, and CRC."""
+def load_checkpoint(path: str | Path, check_finite: bool = True
+                    ) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a checkpoint, verifying magic, version, structure, and CRC.
+
+    With `check_finite`, a tensor holding NaN or infinity is rejected too:
+    it would only ever produce NaN scores, which rank nothing.
+    """
     try:
         raw = Path(path).read_bytes()
     except OSError as e:
@@ -101,4 +106,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
         raise CheckpointError(f"{path}: truncated or corrupt tensor directory") from None
     if off != len(raw) - 4:
         raise CheckpointError(f"{path}: trailing bytes after tensor directory")
+    if check_finite:
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: tensor '{name}' holds NaN or infinite values")
     return config, tensors

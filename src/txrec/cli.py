@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields
@@ -209,8 +210,8 @@ def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
     save_checkpoint(path, config, tensors)
 
 
-def _load_model_ckpt(path: str):
-    config, tensors = load_checkpoint(path)
+def _load_model_ckpt(path: str, check_finite: bool = True):
+    config, tensors = load_checkpoint(path, check_finite)
     if config.get("kind") != "model":
         raise CheckpointError(f"{path} is not a model checkpoint (kind={config.get('kind')!r})")
     errors = [f"missing '{name}'" for name in _CKPT_SECTIONS if name not in config]
@@ -280,6 +281,23 @@ def _load_corpus(item_paths: list[str], interaction_paths: list[str]):
     return Catalog(items), items, seqs
 
 
+def _check_outputs(*paths: str | None) -> None:
+    """Fail before any work on an output path that could not be written later.
+
+    Nothing is created or truncated, so a run that fails leaves no file.
+    """
+    for path in paths:
+        if path is None:
+            continue
+        p = Path(path)
+        if p.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not p.parent.is_dir():
+            raise ConfigError(f"cannot write {path}: no directory {p.parent}")
+        if not os.access(p if p.exists() else p.parent, os.W_OK):
+            raise ConfigError(f"cannot write {path}: permission denied")
+
+
 def _epoch_logger(log_path: str | None):
     def write(record: dict) -> None:
         line = json.dumps(record)
@@ -314,6 +332,7 @@ def cmd_make_synthetic(args) -> int:
 def cmd_build_vocab(args) -> int:
     if args.min_count < 1:
         raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
+    _check_outputs(args.out)
     vocab = Vocabulary.build(_load_items(args.items), min_count=args.min_count)
     vocab.save(args.out)
     log.info("vocabulary of %d tokens (plus reserved) -> %s", len(vocab.token_list()), args.out)
@@ -324,6 +343,7 @@ def cmd_pretrain(args) -> int:
     cfg = load_run_config(args.config)
     if not cfg.data_items or not cfg.data_interactions:
         raise ConfigError("pretrain needs data.items and data.interactions")
+    _check_outputs(args.out, cfg.log_path)
     if cfg.vocab_path and "min_count" in cfg.catalog:
         raise ConfigError(f"catalog.min_count={cfg.catalog['min_count']} has no effect with "
                           f"the vocab file {cfg.vocab_path}; set one or the other")
@@ -387,7 +407,10 @@ def cmd_finetune(args) -> int:
     cfg = load_run_config(args.config)
     if not cfg.data_items or not cfg.data_interactions:
         raise ConfigError("finetune needs data.items and data.interactions")
-    ckpt_config, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.init)
+    _check_outputs(args.out, cfg.log_path)
+    # non-finite weights are left to the loss guard, which names the batch (exit 3)
+    ckpt_config, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.init,
+                                                                    check_finite=False)
     _check_against_checkpoint(cfg, args.init, ckpt_config, encoder.config, limits, vocab)
     catalog, _, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
     split = leave_one_out(seqs)
@@ -405,20 +428,23 @@ def cmd_finetune(args) -> int:
 
 def _pick_matrix(args, encoder, catalog, vocab, limits,
                  stored: ItemFeatureMatrix | None) -> ItemFeatureMatrix:
+    source = args.ckpt
     if getattr(args, "item_matrix", None):
-        matrix = _load_item_matrix(args.item_matrix)
+        source, matrix = args.item_matrix, _load_item_matrix(args.item_matrix)
         if set(matrix.ids) != set(catalog.ids):
             raise DataError("item-matrix file does not cover the evaluation catalog")
-        if matrix.rows.ndim != 2 or matrix.rows.shape[1] != encoder.config.d:
-            raise CheckpointError(f"{args.item_matrix}: item rows have width "
-                                  f"{matrix.rows.shape[-1]} but the model has d={encoder.config.d}")
-        return matrix
-    if stored is not None and set(stored.ids) == set(catalog.ids):
-        return stored
-    return encode_all_items(encoder, catalog, vocab, limits)
+    elif stored is not None and set(stored.ids) == set(catalog.ids):
+        matrix = stored
+    else:
+        matrix = encode_all_items(encoder, catalog, vocab, limits)
+    if matrix.rows.shape[1] != encoder.config.d:
+        raise CheckpointError(f"{source}: item rows have width {matrix.rows.shape[1]} "
+                              f"but the model has d={encoder.config.d}")
+    return matrix
 
 
 def cmd_evaluate(args) -> int:
+    _check_outputs(args.csv)
     _, encoder, _, vocab, limits, _, stored = _load_model_ckpt(args.ckpt)
     data = Path(args.data)
     catalog, _, seqs = _load_corpus([str(data / "items.jsonl")],
@@ -461,6 +487,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_encode_items(args) -> int:
+    _check_outputs(args.out)
     _, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.ckpt)
     catalog, _, _ = _load_corpus([args.items], [])
     matrix = encode_all_items(encoder, catalog, vocab, limits)

@@ -104,6 +104,18 @@ def encode_ref(state: dict[str, np.ndarray], cfg, x, masked: bool = True) -> np.
     return h
 
 
+def pack_ref(inputs) -> dict[str, np.ndarray]:
+    """Right-padded (B, len) arrays of model inputs, copied one row and one field at a time."""
+    width = max(len(x.token_ids) for x in inputs)
+    out = {}
+    for f in ("token_ids", "token_positions", "token_types", "item_positions"):
+        rows = np.zeros((len(inputs), width), dtype=np.int64)
+        for b, x in enumerate(inputs):
+            rows[b, : len(x.token_ids)] = getattr(x, f)
+        out[f] = rows
+    return out
+
+
 def mlm_logits_ref(state: dict[str, np.ndarray], rows: np.ndarray) -> np.ndarray:
     m = layer_norm_ref(gelu_ref(rows @ state["mlm.w_h"] + state["mlm.b_h"]))
     return m @ state["mlm.w_out"] + state["mlm.b_out"]

@@ -140,8 +140,8 @@ def test_vocabulary_load_rejects_bad_header(tmp_path):
 def test_flatten_interleaves_keys_and_values():
     vocab = Vocabulary.build(_color_items())
     sent = flatten_item(Item("b", (("Color", "blue deep"),)), vocab)
-    assert sent.token_ids == (vocab.id("color"), vocab.id("blue"), vocab.id("deep"))
-    assert sent.token_types == (TYPE_KEY, TYPE_VALUE, TYPE_VALUE)
+    assert sent.token_ids.tolist() == [vocab.id("color"), vocab.id("blue"), vocab.id("deep")]
+    assert sent.token_types.tolist() == [TYPE_KEY, TYPE_VALUE, TYPE_VALUE]
 
 
 def test_flatten_respects_per_field_cap():
@@ -150,21 +150,21 @@ def test_flatten_respects_per_field_cap():
     sent = flatten_item(item, vocab, tokens_per_field=2)
     # two key tokens, two value tokens, then the second pair
     assert len(sent.token_ids) == 2 + 2 + 1 + 1
-    assert sent.token_types == (TYPE_KEY, TYPE_KEY, TYPE_VALUE, TYPE_VALUE,
-                                TYPE_KEY, TYPE_VALUE)
+    assert sent.token_types.tolist() == [TYPE_KEY, TYPE_KEY, TYPE_VALUE, TYPE_VALUE,
+                                         TYPE_KEY, TYPE_VALUE]
 
 
 def test_flatten_unknown_tokens_map_to_unk():
     vocab = Vocabulary.build(_color_items())
     sent = flatten_item(Item("z", (("Color", "chartreuse"),)), vocab)
-    assert sent.token_ids == (vocab.id("color"), UNK_ID)
+    assert sent.token_ids.tolist() == [vocab.id("color"), UNK_ID]
 
 
 def test_flatten_empty_item_warns(caplog):
     vocab = Vocabulary.build(_color_items())
     with caplog.at_level("WARNING"):
         sent = flatten_item(Item("e", ()), vocab)
-    assert sent.token_ids == ()
+    assert sent.token_ids.tolist() == []
     assert any("empty" in r.message for r in caplog.records)
 
 
@@ -242,11 +242,23 @@ def test_build_model_input_matches_flatten_per_vocab_and_field_cap(monkeypatch):
                 ids, types = [CLS_ID], [TYPE_CLS]
                 for iid in reversed(history):
                     sent = real_flatten(cat.get(iid), vocab, cap)
-                    ids += sent.token_ids
-                    types += sent.token_types
+                    ids += sent.token_ids.tolist()
+                    types += sent.token_types.tolist()
                 npt.assert_array_equal(x.token_ids, ids)
                 npt.assert_array_equal(x.token_types, types)
     assert sorted(calls) == sorted(["p", "q", "r"] * 4)
+
+
+def test_memoized_sentences_are_read_only():
+    cat, vocab = _setup()
+    sent = cat.sentence("b", vocab, 16)
+    assert cat.sentence("b", vocab, 16) is sent
+    assert sent.token_ids.dtype == np.int64 and sent.token_types.dtype == np.int64
+    for arr in (sent.token_ids, sent.token_types):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = UNK_ID
+    npt.assert_array_equal(build_model_input(["b"], cat, vocab).token_ids,
+                           [CLS_ID, vocab.id("color"), vocab.id("blue"), vocab.id("deep")])
 
 
 def test_item_input_is_single_item_history():

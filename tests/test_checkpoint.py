@@ -68,6 +68,19 @@ def test_float64_input_is_stored_as_float32(tmp_path):
     npt.assert_array_equal(tensors["w"], [1.0, 2.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_a_non_finite_tensor_by_name(tmp_path, bad):
+    config, tensors = _payload()
+    tensors["layer0.ffn.w1"][3, 5] = bad
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, config, tensors)
+    with pytest.raises(CheckpointError,
+                       match=r"tensor 'layer0\.ffn\.w1' holds NaN or infinite values"):
+        load_checkpoint(path)
+    _, loaded = load_checkpoint(path, check_finite=False)
+    npt.assert_array_equal(loaded["layer0.ffn.w1"], tensors["layer0.ffn.w1"])
+
+
 def test_magic_and_layout(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, {"k": 1}, {})

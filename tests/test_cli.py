@@ -606,6 +606,83 @@ def test_item_matrix_of_another_width_is_exit_4(workdir, tmp_path, capsys):
                                        f"but the model has d=8\n")
 
 
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_stored_item_matrix_of_another_width_is_exit_4(workdir, tmp_path, capsys, command):
+    config, tensors = load_checkpoint(workdir["fine"])
+    rows = tensors["item_matrix"]
+    tensors["item_matrix"] = np.hstack([rows, np.ones((len(rows), 1), dtype=np.float32)])
+    crafted = tmp_path / "wide.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    argv = {"recommend": ["--items", workdir["data"] / "items.jsonl", "--history", "d0_i000"],
+            "evaluate": ["--data", workdir["data"]]}[command]
+    capsys.readouterr()
+    assert run(command, "--ckpt", crafted, *argv) == 4
+    assert capsys.readouterr().err == (f"checkpoint error: {crafted}: item rows have width 9 "
+                                       f"but the model has d=8\n")
+
+
+@pytest.mark.parametrize("source", ["model checkpoint", "item-matrix file"])
+def test_non_finite_item_matrix_is_exit_4(workdir, tmp_path, capsys, source):
+    config, tensors = load_checkpoint(workdir["fine"])
+    if source == "model checkpoint":
+        tensors["item_matrix"][...] = np.nan
+        crafted, name = tmp_path / "nan.ckpt", "item_matrix"
+        save_checkpoint(crafted, config, tensors)
+        argv = ["--ckpt", crafted]
+    else:
+        tensors["item_matrix"][0, 0] = np.inf
+        crafted, name = tmp_path / "inf.mat", "rows"
+        save_checkpoint(crafted, {"kind": "item_matrix", "item_ids": config["item_ids"],
+                                  "fingerprint": ""}, {"rows": tensors["item_matrix"]})
+        argv = ["--ckpt", workdir["fine"], "--item-matrix", crafted]
+    capsys.readouterr()
+    assert run("recommend", *argv, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"checkpoint error: {crafted}: tensor '{name}' holds NaN or "
+                            f"infinite values\n")
+
+
+@pytest.mark.parametrize("command,target", [
+    ("build-vocab", "--out"), ("pretrain", "--out"), ("pretrain", "log"),
+    ("finetune", "--out"), ("finetune", "log"), ("encode-items", "--out"),
+    ("evaluate", "--csv")])
+def test_output_in_a_missing_directory_is_exit_2_before_any_work(workdir, tmp_path, capsys,
+                                                                 command, target):
+    bad = tmp_path / "missing" / "output"
+    out = bad if target == "--out" else tmp_path / "out"
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["log"] = str(bad if target == "log" else tmp_path / "train.log")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    items = workdir["data"] / "items.jsonl"
+    argv = {"build-vocab": ["--items", items, "--out", out],
+            "pretrain": ["--config", cfg_path, "--out", out],
+            "finetune": ["--config", cfg_path, "--init", workdir["pre"], "--out", out],
+            "encode-items": ["--ckpt", workdir["pre"], "--items", items, "--out", out],
+            "evaluate": ["--ckpt", workdir["fine"], "--data", workdir["data"], "--csv", bad]}
+    capsys.readouterr()
+    assert run(command, *argv[command]) == 2
+    captured = capsys.readouterr()  # no epoch record and no report: nothing ran
+    assert captured.err == f"config error: cannot write {bad}: no directory {bad.parent}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_output_that_is_a_directory_or_not_writable_is_exit_2(workdir, tmp_path, capsys,
+                                                              monkeypatch):
+    items = workdir["data"] / "items.jsonl"
+    capsys.readouterr()
+    assert run("build-vocab", "--items", items, "--out", tmp_path) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {tmp_path}: it is a directory\n"
+    monkeypatch.setattr("txrec.cli.os.access", lambda path, mode: False)
+    out = tmp_path / "vocab.txt"
+    assert run("build-vocab", "--items", items, "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out}: permission denied\n"
+    assert not out.exists()
+
+
 def _with_crc(body: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 

@@ -223,6 +223,23 @@ def test_model_batch_rejects_mixed_global_positions(tiny_corpus):
         ModelBatch.pack([])
 
 
+@pytest.mark.parametrize("field", ["token_ids", "token_positions", "token_types",
+                                   "item_positions", "global_mask"])
+def test_model_batch_rejects_arrays_that_disagree_on_length(tiny_corpus, field):
+    x, y = _history(tiny_corpus), _history(tiny_corpus, ids=("i1",))
+
+    def with_field(m, arr):
+        return ModelInput(**{**{f: getattr(m, f) for f in ModelInput.__dataclass_fields__},
+                             field: arr})
+
+    longer = with_field(x, np.append(getattr(x, field), getattr(x, field)[-1]))
+    shorter = with_field(y, getattr(y, field)[:-1])
+    # in the last pair one slot too many and one too few cancel out in total
+    for inputs in ([longer], [x, shorter], [longer, shorter]):
+        with pytest.raises(ValueError, match="model input arrays disagree on length"):
+            ModelBatch.pack(inputs)
+
+
 def test_encode_batch_matches_dense_reference_per_sequence(tiny_corpus):
     _, vocab, _ = tiny_corpus
     enc = Encoder(_cfg(vocab.size), stream(21, "init"), dtype=F64)

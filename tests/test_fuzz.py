@@ -4,7 +4,8 @@ A corrupt or crafted checkpoint may only raise CheckpointError (a
 `recommend` from it ends in 0 or exit 4), and a junk line in an items or
 interactions file may only raise DataError, so every bad input reaches the
 CLI's documented exit code instead of a traceback. `build_model_input`
-keeps its layout invariants for any catalog, history and limits. Runs are
+keeps its layout invariants for any catalog, history and limits, and
+`ModelBatch.pack` of its outputs equals a per-row copy. Runs are
 derandomized with a fixed example budget, so the suite stays repeatable.
 """
 
@@ -21,8 +22,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from txrec.catalog import (Catalog, InputLimits, Item, Vocabulary, build_model_input,
-                           flatten_item, load_interactions_jsonl, load_items_jsonl)
+import reference as ref
+from txrec.catalog import (Catalog, InputLimits, Item, ModelBatch, Vocabulary,
+                           build_model_input, flatten_item, load_interactions_jsonl,
+                           load_items_jsonl)
 from txrec.checkpoint import load_checkpoint, save_checkpoint
 from txrec.cli import main
 from txrec.errors import DataError
@@ -189,3 +192,20 @@ def test_build_model_input_keeps_its_layout(case):
     newest = flatten_item(catalog.get(history[-1]), vocab, limits.tokens_per_field)
     npt.assert_array_equal(x.token_ids[slots == 1], newest.token_ids[: limits.max_tokens])
     npt.assert_array_equal(x.token_types[slots == 1], newest.token_types[: limits.max_tokens])
+
+
+@FUZZ
+@given(case=_model_inputs(), data=st.data())
+def test_pack_matches_a_per_row_copy(case, data):
+    catalog, history, limits, vocab = case
+    more = data.draw(st.lists(st.lists(st.sampled_from(catalog.ids), min_size=1, max_size=12),
+                              max_size=5))
+    inputs = [build_model_input(h, catalog, vocab, limits) for h in [history, *more]]
+    batch, want = ModelBatch.pack(inputs), ref.pack_ref(inputs)
+    npt.assert_array_equal(batch.lengths, [len(x) for x in inputs])
+    assert batch.global_idx == (0,)
+    past_end = np.arange(batch.token_ids.shape[1]) >= batch.lengths[:, None]
+    for f in ("token_ids", "token_positions", "token_types", "item_positions"):
+        got = getattr(batch, f)
+        assert got.dtype == np.int64 and not got[past_end].any()
+        npt.assert_array_equal(got, want[f])

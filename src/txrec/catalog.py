@@ -8,17 +8,19 @@ aggregate slot, newest item first.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CatalogError, DataError
+from .errors import CatalogError, CheckpointError, DataError
 
 log = logging.getLogger(__name__)
 
@@ -55,9 +57,9 @@ class Catalog:
     """Item store with stable ingestion order and id lookup.
 
     Item sentences are memoized per (vocabulary, tokens_per_field), so an
-    item is tokenized once however often its catalog is encoded. Neither
-    catalogs nor vocabularies change after construction, so the memo
-    never goes stale.
+    item is tokenized once however often its catalog is encoded, and so is
+    the `digest`. Neither catalogs nor vocabularies change after
+    construction, so the memos never go stale.
     """
 
     def __init__(self, items: Iterable[Item]):
@@ -85,6 +87,15 @@ class Catalog:
     @property
     def ids(self) -> list[str]:
         return list(self._items)
+
+    @cached_property
+    def digest(self) -> str | None:
+        """sha256 of the file `write_items_jsonl` writes for this catalog; None
+        when an item holds text UTF-8 cannot encode (a lone surrogate)."""
+        try:
+            return hashlib.sha256(_items_jsonl_bytes(self)).hexdigest()
+        except UnicodeEncodeError:
+            return None
 
     def __len__(self) -> int:
         return len(self._items)
@@ -290,34 +301,93 @@ def item_input(item_id: str, catalog: Catalog, vocab: Vocabulary,
 
 # ---------------------------------------------------------------------------
 # JSONL files
+#
+# One record per line, and only "\n" ends a line: json.dumps leaves U+2028 and
+# U+0085 unescaped, and str.splitlines() would split a record on them.
+
+_ENCODER = json.JSONEncoder(ensure_ascii=False)  # what json.dumps(ensure_ascii=False) uses
 
 
-def load_items_jsonl(path: str | Path) -> list[Item]:
-    """Each line: {"item_id": str, "attributes": [[key, value], ...]}."""
-    items: list[Item] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        obj = _parse_line(path, lineno, line)
-        try:
-            iid = obj["item_id"]
-            attrs = obj["attributes"]
-        except (KeyError, TypeError):
-            raise DataError(f"{path}:{lineno}: expected item_id and attributes") from None
-        if not isinstance(iid, str) or not isinstance(attrs, list):
-            raise DataError(f"{path}:{lineno}: bad item record types")
-        pairs = []
-        for pair in attrs:
-            if not (isinstance(pair, list) and len(pair) == 2
-                    and all(isinstance(x, str) for x in pair)):
-                raise DataError(f"{path}:{lineno}: attribute pairs must be [str, str]")
-            pairs.append((pair[0], pair[1]))
-        items.append(Item(iid, tuple(pairs)))
+def _item_line(item: Item) -> str:
+    return _ENCODER.encode({"item_id": item.item_id,
+                            "attributes": [list(p) for p in item.attributes]}) + "\n"
+
+
+def _items_jsonl_bytes(items: Iterable[Item]) -> bytes:
+    """The file `write_items_jsonl` writes, and `Catalog.digest` hashes."""
+    return "".join([_item_line(it) for it in items]).encode("utf-8")
+
+
+def load_items_jsonl(path: str | Path, digest: str | None = None,
+                     line_of: Mapping[str, int] | None = None,
+                     wanted: Iterable[str] | None = None
+                     ) -> list[Item] | tuple[list[Item], bool]:
+    """Each line: {"item_id": str, "attributes": [[key, value], ...]}.
+
+    Returns the items. With `wanted`, returns (items, matched) instead. A
+    file whose sha256 is `digest` is the catalog that `line_of` maps, id to
+    0-based line, as `Catalog.digest` promises: only the lines of the wanted
+    ids are parsed, and matched is True. Any other file is parsed whole.
+    """
+    raw, text = _read(path)
+    if wanted is not None and digest is not None and hashlib.sha256(raw).hexdigest() == digest:
+        return _known_lines(path, text, line_of, wanted), True
+    items = [_parse_item(path, n, line) for n, line in enumerate(_lines(text), start=1)]
+    return items if wanted is None else (items, False)
+
+
+def _known_lines(path: str | Path, text: str, line_of: Mapping[str, int],
+                 wanted: Iterable[str]) -> list[Item]:
+    """The items of the wanted ids, each read from its line in `line_of`.
+
+    The digest vouches for the bytes, not for `line_of`: a line that holds
+    another item, a line count other than len(line_of), or a wanted id the
+    file holds but `line_of` lacks is a CheckpointError. A wanted id in
+    neither is left out.
+    """
+    lines = text.split("\n")
+    if lines.pop() or len(lines) != len(line_of):
+        raise CheckpointError(f"{path} has the digest its item matrix records, but "
+                              f"{len(lines)} lines for {len(line_of)} items")
+    items = []
+    for iid in dict.fromkeys(wanted):
+        j = line_of.get(iid)
+        if j is None:
+            head = '{"item_id": ' + _ENCODER.encode(iid) + ", "
+            if text.startswith(head) or "\n" + head in text:
+                raise CheckpointError(f"{path} has the digest its item matrix records, "
+                                      f"but holds item '{iid}', which the matrix lacks")
+            continue
+        item = _parse_item(path, j + 1, lines[j])
+        if item.item_id != iid:
+            raise CheckpointError(f"{path}:{j + 1}: holds item '{item.item_id}' where the "
+                                  f"item matrix of the same digest has '{iid}'")
+        items.append(item)
     return items
+
+
+def _parse_item(path: str | Path, lineno: int, line: str) -> Item:
+    obj = _parse_line(path, lineno, line)
+    try:
+        iid = obj["item_id"]
+        attrs = obj["attributes"]
+    except (KeyError, TypeError):
+        raise DataError(f"{path}:{lineno}: expected item_id and attributes") from None
+    if not isinstance(iid, str) or not isinstance(attrs, list):
+        raise DataError(f"{path}:{lineno}: bad item record types")
+    pairs = []
+    for pair in attrs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, str) for x in pair)):
+            raise DataError(f"{path}:{lineno}: attribute pairs must be [str, str]")
+        pairs.append((pair[0], pair[1]))
+    return Item(iid, tuple(pairs))
 
 
 def load_interactions_jsonl(path: str | Path) -> list[InteractionSequence]:
     """Each line: {"user_id": str, "items": [item_id, ...]} in time order."""
     seqs: list[InteractionSequence] = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(_lines(_read(path)[1]), start=1):
         obj = _parse_line(path, lineno, line)
         try:
             uid = obj["user_id"]
@@ -334,10 +404,12 @@ def load_interactions_jsonl(path: str | Path) -> list[InteractionSequence]:
 
 
 def write_items_jsonl(path: str | Path, items: Iterable[Item]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for it in items:
-            rec = {"item_id": it.item_id, "attributes": [list(p) for p in it.attributes]}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    try:
+        raw = _items_jsonl_bytes(items)
+    except UnicodeEncodeError as e:
+        raise DataError(f"cannot write {path}: an item holds text UTF-8 cannot encode "
+                        f"({e.reason})") from None
+    Path(path).write_bytes(raw)
 
 
 def write_interactions_jsonl(path: str | Path, seqs: Iterable[InteractionSequence]) -> None:
@@ -347,14 +419,22 @@ def write_interactions_jsonl(path: str | Path, seqs: Iterable[InteractionSequenc
             fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
-def _read_lines(path: str | Path) -> list[str]:
+def _read(path: str | Path) -> tuple[bytes, str]:
+    """The file's bytes and their UTF-8 text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_bytes()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    try:
+        return raw, raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return [ln for ln in text.splitlines() if ln.strip()]
+
+
+def _lines(text: str) -> list[str]:
+    """Non-blank lines; "\\r\\n" and a lone "\\r" end a line too, as in text mode."""
+    return [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+            if ln.strip()]
 
 
 def _parse_line(path: str | Path, lineno: int, line: str) -> dict:

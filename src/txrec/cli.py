@@ -201,6 +201,8 @@ def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
         "fingerprint": params_fingerprint(encoder.parameters()),
         # the matrix may come from an earlier snapshot than the final encoder
         "item_fingerprint": matrix.fingerprint if matrix is not None else None,
+        # the items file the matrix was encoded from, for `recommend`'s partial parse
+        "item_digest": matrix.digest if matrix is not None else None,
     }
     tensors = dict(encoder.state_dict())
     if head is not None:
@@ -218,6 +220,7 @@ def _load_model_ckpt(path: str, check_finite: bool = True):
     typed = {name: _section(config, name, keys, errors) for name, keys in _CKPT_SECTIONS.items()}
     if config.get("min_count") is not None:
         _typed(config["min_count"], int, "min_count", errors)
+    digest = _item_digest(path, config)
     if errors:
         raise CheckpointError(f"{path}: malformed model config ({'; '.join(errors)})")
     try:
@@ -234,9 +237,9 @@ def _load_model_ckpt(path: str, check_finite: bool = True):
         raise CheckpointError(f"{path}: limits of {limits.max_tokens} tokens and "
                               f"{limits.max_items} items exceed the encoder's "
                               f"{enc_cfg.max_tokens} and {enc_cfg.max_items}")
-    encoder = Encoder(enc_cfg, rng=stream(0, "init"))
-    head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=stream(0, "init")) \
-        if "mlm.w_h" in tensors else None
+    # no rng: zeros for load_state_dict to fill, not a random draw it would overwrite
+    encoder = Encoder(enc_cfg, rng=None)
+    head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=None) if "mlm.w_h" in tensors else None
     try:
         encoder.load_state_dict(tensors)
         if head is not None:
@@ -249,7 +252,8 @@ def _load_model_ckpt(path: str, check_finite: bool = True):
             raise CheckpointError(f"{path}: item ids present but matrix tensor missing")
         fingerprint = config.get("item_fingerprint", config.get("fingerprint", ""))
         try:
-            matrix = ItemFeatureMatrix(config["item_ids"], tensors["item_matrix"], fingerprint)
+            matrix = ItemFeatureMatrix(config["item_ids"], tensors["item_matrix"], fingerprint,
+                                       digest)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
     return config, encoder, head, vocab, limits, loss_cfg, matrix
@@ -261,9 +265,16 @@ def _load_item_matrix(path: str) -> ItemFeatureMatrix:
         raise CheckpointError(f"{path} is not an item-matrix file (kind={config.get('kind')!r})")
     try:
         return ItemFeatureMatrix(config["item_ids"], tensors["rows"],
-                                 config.get("fingerprint", ""))
+                                 config.get("fingerprint", ""), _item_digest(path, config))
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
+
+
+def _item_digest(path: str, config: dict) -> str | None:
+    digest = config.get("item_digest")
+    if digest is not None and not isinstance(digest, str):
+        raise CheckpointError(f"{path}: item_digest must be a string, got {digest!r}")
+    return digest
 
 
 def _load_items(paths: list[str]) -> list[Item]:
@@ -323,7 +334,10 @@ def cmd_make_synthetic(args) -> int:
                              cold_fraction=args.cold_fraction)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    dirs = write_corpus(args.out, spec)
+    try:
+        dirs = write_corpus(args.out, spec)
+    except OSError as e:  # --out is a file, or lies under one
+        raise ConfigError(f"cannot write {args.out}: {e.strerror or e}") from None
     for d in dirs:
         log.info("wrote %s", d)
     return 0
@@ -426,17 +440,23 @@ def cmd_finetune(args) -> int:
     return 0
 
 
-def _pick_matrix(args, encoder, catalog, vocab, limits,
-                 stored: ItemFeatureMatrix | None) -> ItemFeatureMatrix:
+def _pick_matrix(args, encoder, catalog, vocab, limits, stored: ItemFeatureMatrix | None,
+                 given: ItemFeatureMatrix | None = None) -> ItemFeatureMatrix:
+    """The --item-matrix file (`given`, if already loaded), else the stored matrix if
+    it covers the catalog, else a fresh encode."""
     source = args.ckpt
     if getattr(args, "item_matrix", None):
-        source, matrix = args.item_matrix, _load_item_matrix(args.item_matrix)
+        source, matrix = args.item_matrix, given or _load_item_matrix(args.item_matrix)
         if set(matrix.ids) != set(catalog.ids):
             raise DataError("item-matrix file does not cover the evaluation catalog")
     elif stored is not None and set(stored.ids) == set(catalog.ids):
         matrix = stored
     else:
         matrix = encode_all_items(encoder, catalog, vocab, limits)
+    return _check_width(source, matrix, encoder)
+
+
+def _check_width(source: str, matrix: ItemFeatureMatrix, encoder: Encoder) -> ItemFeatureMatrix:
     if matrix.rows.shape[1] != encoder.config.d:
         raise CheckpointError(f"{source}: item rows have width {matrix.rows.shape[1]} "
                               f"but the model has d={encoder.config.d}")
@@ -444,6 +464,9 @@ def _pick_matrix(args, encoder, catalog, vocab, limits,
 
 
 def cmd_evaluate(args) -> int:
+    if args.zero_shot and args.item_matrix:
+        raise ConfigError("--zero-shot encodes the catalog fresh and takes no --item-matrix; "
+                          "pass one or the other")
     _check_outputs(args.csv)
     _, encoder, _, vocab, limits, _, stored = _load_model_ckpt(args.ckpt)
     data = Path(args.data)
@@ -495,6 +518,7 @@ def cmd_encode_items(args) -> int:
         "kind": "item_matrix",
         "item_ids": matrix.ids,
         "fingerprint": matrix.fingerprint,
+        "item_digest": matrix.digest,
         "d": encoder.config.d,
     }, {"rows": matrix.rows})
     log.info("encoded %d items -> %s", len(matrix.ids), args.out)
@@ -514,14 +538,30 @@ def top_k(scores: np.ndarray, ids: list[str], k: int) -> list[int]:
 
 
 def cmd_recommend(args) -> int:
+    """Serve one history. When the items file is byte for byte the catalog that the
+    item matrix in use was encoded from, only the history's lines are parsed; any
+    other file is parsed whole, and the matrix is picked as `evaluate` picks it."""
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
     _, encoder, _, vocab, limits, _, stored = _load_model_ckpt(args.ckpt)
-    catalog, _, _ = _load_corpus([args.items], [])
     history = [s.strip() for s in args.history.split(",") if s.strip()]
+    known, given = stored, None
+    if args.item_matrix:
+        try:
+            known = given = _load_item_matrix(args.item_matrix)
+        except CheckpointError:  # _pick_matrix reports it, after any items-file error
+            known = None
+    digest, line_of = (known.digest, known.index) if known is not None else (None, None)
+    items, matched = load_items_jsonl(args.items, digest, line_of, wanted=history)
+    if not items and not matched:
+        raise DataError(f"{args.items}: no items")
+    catalog = Catalog(items)
     if not history:
         raise ConfigError("--history must name at least one item id")
-    matrix = _pick_matrix(args, encoder, catalog, vocab, limits, stored)
+    if matched:
+        matrix = _check_width(args.item_matrix or args.ckpt, known, encoder)
+    else:
+        matrix = _pick_matrix(args, encoder, catalog, vocab, limits, stored, given)
     x = build_model_input(history, catalog, vocab, limits)
     scores = cosine_scores(encoder.sequence_repr(x), matrix.rows)
     top = top_k(scores, matrix.ids, args.topk)

@@ -95,17 +95,17 @@ def build_window_index(length: int, window: int,
 class _Layer:
     """Parameters of one transformer layer; projections carry no biases."""
 
-    def __init__(self, prefix: str, cfg: EncoderConfig, rng: np.random.Generator, dtype):
+    def __init__(self, prefix: str, cfg: EncoderConfig, rng: np.random.Generator | None, dtype):
         d, f = cfg.d, cfg.ffn_dim
-        tn = T.truncated_normal
-        self.wq = Parameter(f"{prefix}.attn.wq", tn(rng, (d, d), dtype=dtype))
-        self.wk = Parameter(f"{prefix}.attn.wk", tn(rng, (d, d), dtype=dtype))
-        self.wv = Parameter(f"{prefix}.attn.wv", tn(rng, (d, d), dtype=dtype))
-        self.wo = Parameter(f"{prefix}.attn.wo", tn(rng, (d, d), dtype=dtype))
+        init = T.init_weight
+        self.wq = Parameter(f"{prefix}.attn.wq", init(rng, (d, d), dtype=dtype))
+        self.wk = Parameter(f"{prefix}.attn.wk", init(rng, (d, d), dtype=dtype))
+        self.wv = Parameter(f"{prefix}.attn.wv", init(rng, (d, d), dtype=dtype))
+        self.wo = Parameter(f"{prefix}.attn.wo", init(rng, (d, d), dtype=dtype))
         self.ln1_g = Parameter(f"{prefix}.attn.ln.gamma", np.ones(d, dtype=dtype))
         self.ln1_b = Parameter(f"{prefix}.attn.ln.beta", np.zeros(d, dtype=dtype))
-        self.w1 = Parameter(f"{prefix}.ffn.w1", tn(rng, (d, f), dtype=dtype))
-        self.w2 = Parameter(f"{prefix}.ffn.w2", tn(rng, (f, d), dtype=dtype))
+        self.w1 = Parameter(f"{prefix}.ffn.w1", init(rng, (d, f), dtype=dtype))
+        self.w2 = Parameter(f"{prefix}.ffn.w2", init(rng, (f, d), dtype=dtype))
         self.ln2_g = Parameter(f"{prefix}.ffn.ln.gamma", np.ones(d, dtype=dtype))
         self.ln2_b = Parameter(f"{prefix}.ffn.ln.beta", np.zeros(d, dtype=dtype))
 
@@ -115,17 +115,20 @@ class _Layer:
 
 
 class Encoder:
-    """History encoder: summed embeddings, then windowed-attention layers."""
+    """History encoder: summed embeddings, then windowed-attention layers.
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator,
+    Without an `rng`, matrices start as zeros, for `load_state_dict` to fill.
+    """
+
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator | None,
                  dtype=T.DEFAULT_DTYPE):
         self.config = config
         d = config.d
-        tn = T.truncated_normal
-        self.token_emb = Parameter("emb.token", tn(rng, (config.vocab_size, d), dtype=dtype))
-        self.pos_emb = Parameter("emb.pos", tn(rng, (config.max_tokens + 1, d), dtype=dtype))
-        self.type_emb = Parameter("emb.type", tn(rng, (3, d), dtype=dtype))
-        self.item_emb = Parameter("emb.item", tn(rng, (config.max_items + 1, d), dtype=dtype))
+        init = T.init_weight
+        self.token_emb = Parameter("emb.token", init(rng, (config.vocab_size, d), dtype=dtype))
+        self.pos_emb = Parameter("emb.pos", init(rng, (config.max_tokens + 1, d), dtype=dtype))
+        self.type_emb = Parameter("emb.type", init(rng, (3, d), dtype=dtype))
+        self.item_emb = Parameter("emb.item", init(rng, (config.max_items + 1, d), dtype=dtype))
         self.emb_ln_g = Parameter("emb.ln.gamma", np.ones(d, dtype=dtype))
         self.emb_ln_b = Parameter("emb.ln.beta", np.zeros(d, dtype=dtype))
         self.layers = [_Layer(f"layer{i}", config, rng, dtype) for i in range(config.n_layers)]

@@ -104,14 +104,17 @@ def apply_masking_plan(x: ModelInput, plan: MaskingPlan) -> ModelInput:
 
 
 class MLMHead:
-    """Projects hidden states to vocabulary logits for masked-token recovery."""
+    """Projects hidden states to vocabulary logits for masked-token recovery.
 
-    def __init__(self, d: int, vocab_size: int, rng: np.random.Generator,
+    Without an `rng`, matrices start as zeros, for `load_state_dict` to fill.
+    """
+
+    def __init__(self, d: int, vocab_size: int, rng: np.random.Generator | None,
                  dtype=T.DEFAULT_DTYPE):
-        tn = T.truncated_normal
-        self.w_h = Parameter("mlm.w_h", tn(rng, (d, d), dtype=dtype))
+        init = T.init_weight
+        self.w_h = Parameter("mlm.w_h", init(rng, (d, d), dtype=dtype))
         self.b_h = Parameter("mlm.b_h", np.zeros(d, dtype=dtype))
-        self.w_out = Parameter("mlm.w_out", tn(rng, (d, vocab_size), dtype=dtype))
+        self.w_out = Parameter("mlm.w_out", init(rng, (d, vocab_size), dtype=dtype))
         self.b_out = Parameter("mlm.b_out", np.zeros(vocab_size, dtype=dtype))
 
     def parameters(self) -> list[Parameter]:

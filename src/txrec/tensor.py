@@ -716,3 +716,11 @@ def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...],
         x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(x) > 2.0 * std
     return x.astype(dtype)
+
+
+def init_weight(rng: np.random.Generator | None, shape: tuple[int, ...],
+                dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """`truncated_normal` draw; without an rng, zeros for a state dict to fill."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
+    return truncated_normal(rng, shape, dtype=dtype)

@@ -56,11 +56,15 @@ class TrainConfig:
 
 @dataclass
 class ItemFeatureMatrix:
-    """Catalog representations, one row per item, in catalog order."""
+    """Catalog representations, one row per item, in catalog order.
+
+    `digest` is the encoded catalog's `Catalog.digest`, when known.
+    """
 
     ids: list[str]
     rows: np.ndarray
     fingerprint: str
+    digest: str | None = None
 
     def __post_init__(self):
         self._index = {iid: i for i, iid in enumerate(self.ids)}
@@ -80,7 +84,7 @@ class ItemFeatureMatrix:
         return self._index
 
     def copy(self) -> "ItemFeatureMatrix":
-        return ItemFeatureMatrix(list(self.ids), self.rows.copy(), self.fingerprint)
+        return ItemFeatureMatrix(list(self.ids), self.rows.copy(), self.fingerprint, self.digest)
 
 
 def encode_all_items(encoder: Encoder, catalog: Catalog, vocab: Vocabulary,
@@ -92,7 +96,7 @@ def encode_all_items(encoder: Encoder, catalog: Catalog, vocab: Vocabulary,
     ids = catalog.ids
     inputs = [item_input(iid, catalog, vocab, limits) for iid in ids]
     rows = aggregate_rows(encode_batches(encoder, inputs)).data
-    return ItemFeatureMatrix(ids, rows, params_fingerprint(encoder.parameters()))
+    return ItemFeatureMatrix(ids, rows, params_fingerprint(encoder.parameters()), catalog.digest)
 
 
 def early_stop(history: Sequence[float], patience: int) -> bool:

@@ -338,3 +338,87 @@ def test_jsonl_that_is_not_utf8_is_data_error(tmp_path):
 def test_jsonl_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read"):
         load_items_jsonl(tmp_path / "absent.jsonl")
+
+
+def test_line_separators_inside_values_round_trip(tmp_path):
+    """json.dumps leaves U+2028, U+2029 and U+0085 unescaped; only "\\n" ends a line."""
+    odd = "a\u2028b\u2029c\x85d"
+    items = [Item(odd, ((odd, odd),)), Item("b", (("Title", "x\u2028"),))]
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(path, items)
+    assert load_items_jsonl(path) == items
+    seqs = [InteractionSequence(odd, (odd, "b"))]
+    write_interactions_jsonl(tmp_path / "inter.jsonl", seqs)
+    assert load_interactions_jsonl(tmp_path / "inter.jsonl") == seqs
+
+
+def test_jsonl_with_crlf_or_cr_line_ends_still_loads(tmp_path):
+    path = tmp_path / "items.jsonl"
+    path.write_bytes(b'{"item_id": "a", "attributes": []}\r\n{"item_id": "b", "attributes": []}'
+                     b'\r{"item_id": "c", "attributes": []}\r\n')
+    assert [it.item_id for it in load_items_jsonl(path)] == ["a", "b", "c"]
+
+
+def test_catalog_digest_is_the_written_file_hash_and_computed_once(tmp_path, monkeypatch):
+    import hashlib
+
+    items = [Item("a", (("Title", "Ünïcode thing"),)), Item("b", ())]
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(path, items)
+    calls = []
+    real = catalog_mod._items_jsonl_bytes
+    monkeypatch.setattr(catalog_mod, "_items_jsonl_bytes", lambda its: calls.append(1) or real(its))
+    catalog = Catalog(items)
+    assert catalog.digest == catalog.digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert len(calls) == 1
+    assert Catalog(items[::-1]).digest != catalog.digest
+
+
+def test_items_text_utf8_cannot_encode_has_no_digest_and_is_not_written(tmp_path):
+    items = [Item("a", (("Title", "half \ud800 pair"),))]
+    assert Catalog(items).digest is None
+    path = tmp_path / "items.jsonl"
+    with pytest.raises(DataError, match="cannot write .*UTF-8"):
+        write_items_jsonl(path, items)
+    assert not path.exists()
+
+
+def _known_file(tmp_path, n=5):
+    items = [Item(f"i{j}", (("Title", f"thing {j}"),)) for j in range(n)]
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(path, items)
+    catalog = Catalog(items)
+    return path, items, catalog.digest, {iid: j for j, iid in enumerate(catalog.ids)}
+
+
+def test_a_matching_items_file_parses_only_the_wanted_lines(tmp_path, monkeypatch):
+    path, items, digest, line_of = _known_file(tmp_path)
+    parsed = []
+    real = catalog_mod._parse_line
+    monkeypatch.setattr(catalog_mod, "_parse_line",
+                        lambda p, n, line: parsed.append(n) or real(p, n, line))
+    got, matched = load_items_jsonl(path, digest, line_of, wanted=["i3", "i1", "i3", "absent"])
+    assert matched and got == [items[3], items[1]] and sorted(parsed) == [2, 4]
+    parsed.clear()
+    got, matched = load_items_jsonl(path, "0" * 64, line_of, wanted=["i3"])
+    assert not matched and got == items and len(parsed) == len(items)
+
+
+@pytest.mark.parametrize("change,message", [
+    ("swap", ":2: holds item 'i1' where the item matrix of the same digest has 'i0'"),
+    ("rename", "holds item 'i0', which the matrix lacks"),
+    ("drop", "6 lines for 5 items"),
+])
+def test_a_digest_that_does_not_describe_the_ids_is_checkpoint_error(tmp_path, change,
+                                                                     message):
+    from txrec.errors import CheckpointError
+
+    path, items, digest, line_of = _known_file(tmp_path, n=6)
+    if change == "swap":
+        line_of = {**line_of, "i0": 1, "i1": 0}
+    elif change == "rename":
+        line_of = {("x" if iid == "i0" else iid): j for iid, j in line_of.items()}
+    else:
+        line_of = {iid: j for iid, j in line_of.items() if iid != "i5"}
+    with pytest.raises(CheckpointError, match=message):
+        load_items_jsonl(path, digest, line_of, wanted=["i0"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 import subprocess
@@ -14,6 +15,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from txrec import catalog as catalog_mod
 from txrec.catalog import RESERVED_TOKENS, load_items_jsonl
 from txrec.checkpoint import load_checkpoint, save_checkpoint
 from txrec.cli import main, top_k, validate_run_config
@@ -748,6 +750,151 @@ def test_model_checkpoint_with_a_one_dimensional_item_matrix_is_exit_4(workdir, 
                "--history", "d0_i000") == 4
     assert capsys.readouterr().err == (f"checkpoint error: {crafted}: malformed item matrix "
                                        f"(12 ids but rows of shape (12,))\n")
+
+
+# ---------------------------------------------------------------------------
+# recommend from the catalog its item matrix was encoded from
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def parsed_lines(monkeypatch) -> list[int]:
+    """Line numbers of every JSONL line parsed while the test runs."""
+    parsed = []
+    real = catalog_mod._parse_line
+    monkeypatch.setattr(catalog_mod, "_parse_line",
+                        lambda path, n, line: parsed.append(n) or real(path, n, line))
+    return parsed
+
+
+def test_checkpoints_and_item_matrix_files_record_the_items_digest(workdir, tmp_path):
+    items = workdir["data"] / "items.jsonl"
+    assert load_checkpoint(workdir["pre"])[0]["item_digest"] is None
+    assert load_checkpoint(workdir["fine"])[0]["item_digest"] == _sha256(items)
+    out = tmp_path / "m.mat"
+    assert run("encode-items", "--ckpt", workdir["pre"], "--items", items, "--out", out) == 0
+    assert load_checkpoint(out)[0]["item_digest"] == _sha256(items)
+
+
+@pytest.mark.parametrize("source", ["model checkpoint", "item-matrix file"])
+def test_recommend_parses_only_the_history_lines_of_a_matching_file(workdir, tmp_path, capsys,
+                                                                    parsed_lines, source):
+    items = workdir["data"] / "items.jsonl"
+    argv = ["--ckpt", workdir["fine"]]
+    if source == "item-matrix file":
+        mat = tmp_path / "m.mat"
+        assert run("encode-items", "--ckpt", workdir["pre"], "--items", items, "--out", mat) == 0
+        argv = ["--ckpt", workdir["pre"], "--item-matrix", mat]
+    same_items = tmp_path / "items.jsonl"
+    same_items.write_bytes(items.read_bytes() + b"\n")  # another digest: parsed whole
+    outs = []
+    for path in (items, same_items):
+        parsed_lines.clear()
+        capsys.readouterr()
+        assert run("recommend", *argv, "--items", path,
+                   "--history", "d0_i004,d0_i001,d0_i004") == 0
+        outs.append((capsys.readouterr().out, sorted(parsed_lines)))
+    ids = [it.item_id for it in load_items_jsonl(items)]
+    assert outs[0][1] == sorted([ids.index("d0_i004") + 1, ids.index("d0_i001") + 1])
+    assert outs[1][1] == list(range(1, len(ids) + 1))
+    assert outs[0][0] == outs[1][0] and len(json.loads(outs[0][0])) == 10
+
+
+def test_recommend_on_a_matching_file_keeps_the_unknown_id_error(workdir, capsys,
+                                                                 parsed_lines):
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", workdir["fine"], "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000,no_such_item") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: unknown item id 'no_such_item'\n"
+    assert parsed_lines == [1]
+
+
+@pytest.mark.parametrize("change", ["ids-reordered", "id-renamed", "extra-line"])
+def test_a_checkpoint_that_disagrees_with_its_items_digest_is_exit_4(workdir, tmp_path,
+                                                                    capsys, change):
+    config, tensors = load_checkpoint(workdir["fine"])
+    items = workdir["data"] / "items.jsonl"
+    if change == "ids-reordered":  # a consistent matrix, but not in the file's order
+        config["item_ids"] = config["item_ids"][::-1]
+        tensors["item_matrix"] = tensors["item_matrix"][::-1]
+        message = "{items}:12: holds item 'd0_i011' where the item matrix of the same " \
+                  "digest has 'd0_i000'"
+    elif change == "id-renamed":
+        config["item_ids"] = ["ghost", *config["item_ids"][1:]]
+        message = "{items} has the digest its item matrix records, but holds item " \
+                  "'d0_i000', which the matrix lacks"
+    else:
+        longer = tmp_path / "items.jsonl"
+        longer.write_bytes(items.read_bytes() + b'{"item_id": "x", "attributes": []}\n')
+        items, config["item_digest"] = longer, _sha256(longer)
+        message = "{items} has the digest its item matrix records, but 13 lines for 12 items"
+    crafted = tmp_path / "crafted.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", items, "--history", "d0_i000") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "checkpoint error: " + message.format(items=items) + "\n"
+
+
+@pytest.mark.parametrize("source", ["model checkpoint", "item-matrix file"])
+@pytest.mark.parametrize("value", [5, ["x"], {"sha256": "x"}, True])
+def test_an_item_digest_that_is_not_a_string_is_exit_4(workdir, tmp_path, capsys, source,
+                                                       value):
+    config, tensors = load_checkpoint(workdir["fine"])
+    if source == "model checkpoint":
+        crafted = tmp_path / "crafted.ckpt"
+        save_checkpoint(crafted, {**config, "item_digest": value}, tensors)
+        argv = ["--ckpt", crafted]
+    else:
+        crafted = tmp_path / "crafted.mat"
+        save_checkpoint(crafted, {"kind": "item_matrix", "item_ids": config["item_ids"],
+                                  "fingerprint": "", "item_digest": value},
+                        {"rows": tensors["item_matrix"]})
+        argv = ["--ckpt", workdir["pre"], "--item-matrix", crafted]
+    capsys.readouterr()
+    assert run("recommend", *argv, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    assert capsys.readouterr().err == (f"checkpoint error: {crafted}: item_digest must be a "
+                                       f"string, got {value!r}\n")
+
+
+def test_loading_a_model_draws_no_random_weights(workdir, tmp_path, capsys, monkeypatch):
+    from txrec import tensor
+
+    monkeypatch.setattr(tensor, "truncated_normal", lambda *a, **k: pytest.fail("random draw"))
+    items = workdir["data"] / "items.jsonl"
+    assert run("recommend", "--ckpt", workdir["fine"], "--items", items,
+               "--history", "d0_i000") == 0
+    assert run("encode-items", "--ckpt", workdir["pre"], "--items", items,
+               "--out", tmp_path / "m.mat") == 0
+    assert run("evaluate", "--ckpt", workdir["fine"], "--data", workdir["data"]) == 0
+
+
+def test_evaluate_zero_shot_with_an_item_matrix_is_exit_2(workdir, tmp_path, capsys):
+    capsys.readouterr()
+    assert run("evaluate", "--ckpt", workdir["pre"], "--data", workdir["data"], "--zero-shot",
+               "--item-matrix", tmp_path / "absent.mat") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("config error: --zero-shot encodes the catalog fresh and takes no "
+                            "--item-matrix; pass one or the other\n")
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_make_synthetic_into_a_file_is_exit_2(tmp_path, capsys, under):
+    existing = tmp_path / "corpus"
+    existing.write_text("keep")
+    out = existing / "sub" if under else existing
+    capsys.readouterr()
+    assert run("make-synthetic", "--out", out, "--items-per-domain", 12, "--users", 4) == 2
+    assert capsys.readouterr().err == f"config error: cannot write {out}: Not a directory\n"
+    assert existing.read_text() == "keep"
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from txrec.encoder import (
     params_fingerprint,
 )
 from txrec.errors import DataError
+from txrec.objectives import MLMHead
 from txrec.rng import stream
 
 F64 = np.float64
@@ -394,6 +395,23 @@ def test_load_state_dict_errors(tiny_corpus):
     bad["emb.type"] = np.zeros((5, 5), dtype=np.float32)
     with pytest.raises(ValueError, match="emb.type"):
         enc.load_state_dict(bad)
+
+
+def test_encoder_and_head_without_an_rng_draw_nothing_and_load_a_state(tiny_corpus,
+                                                                       monkeypatch):
+    _, vocab, _ = tiny_corpus
+    seeded = Encoder(_cfg(vocab.size), stream(20, "init"))
+    seeded_head = MLMHead(8, vocab.size, rng=stream(20, "init"))
+    monkeypatch.setattr(T, "truncated_normal", lambda *a, **k: pytest.fail("random draw"))
+    blank, head = Encoder(_cfg(vocab.size), rng=None), MLMHead(8, vocab.size, rng=None)
+    for mine, theirs in ((blank, seeded), (head, seeded_head)):
+        assert [(p.name, p.data.shape, p.data.dtype) for p in mine.parameters()] == \
+               [(p.name, p.data.shape, p.data.dtype) for p in theirs.parameters()]
+        assert not any(p.data.any() for p in mine.parameters() if "gamma" not in p.name)
+        mine.load_state_dict(theirs.state_dict())
+    x = _history(tiny_corpus)
+    npt.assert_array_equal(blank.encode(x).data, seeded.encode(x).data)
+    npt.assert_array_equal(head.w_out.data, seeded_head.w_out.data)
 
 
 def test_params_fingerprint_tracks_content(tiny_corpus):

@@ -3,14 +3,20 @@
 A corrupt or crafted checkpoint may only raise CheckpointError (a
 `recommend` from it ends in 0 or exit 4), and a junk line in an items or
 interactions file may only raise DataError, so every bad input reaches the
-CLI's documented exit code instead of a traceback. `build_model_input`
-keeps its layout invariants for any catalog, history and limits, and
-`ModelBatch.pack` of its outputs equals a per-row copy. Runs are
-derandomized with a fixed example budget, so the suite stays repeatable.
+CLI's documented exit code instead of a traceback. Any catalog's items file
+loads back as the same items and hashes to `Catalog.digest`, and a damaged
+items file is served as if the checkpoint recorded no digest.
+`build_model_input` keeps its layout invariants for any catalog, history
+and limits, and `ModelBatch.pack` of its outputs equals a per-row copy.
+Runs are derandomized with a fixed example budget, so the suite stays
+repeatable.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import struct
 import zlib
@@ -25,7 +31,7 @@ from hypothesis import strategies as st
 import reference as ref
 from txrec.catalog import (Catalog, InputLimits, Item, ModelBatch, Vocabulary,
                            build_model_input, flatten_item, load_interactions_jsonl,
-                           load_items_jsonl)
+                           load_items_jsonl, write_items_jsonl)
 from txrec.checkpoint import load_checkpoint, save_checkpoint
 from txrec.cli import main
 from txrec.errors import DataError
@@ -136,6 +142,63 @@ def test_junk_lines_raise_only_data_error(tmp_path, lines):
             loader(path)
         except DataError:
             pass
+
+
+# any code point; more often a lone surrogate, or one that ends a line for str.splitlines()
+_any_char = st.one_of(st.sampled_from("\n\r\x0b\x1c\x85\u2028\u2029\"\\\udc80"),
+                      st.characters(exclude_categories=()))
+_any_items = st.lists(
+    st.tuples(st.text(_any_char, min_size=1, max_size=6),
+              st.lists(st.tuples(st.text(_any_char, max_size=8), st.text(_any_char, max_size=8)),
+                       max_size=3)),
+    max_size=5, unique_by=lambda row: row[0],
+).map(lambda rows: [Item(iid, tuple(pairs)) for iid, pairs in rows])
+
+
+@FUZZ
+@given(items=_any_items)
+def test_items_file_loads_back_and_hashes_to_the_catalog_digest(tmp_path, items):
+    catalog = Catalog(items)
+    path = tmp_path / "items.jsonl"
+    path.unlink(missing_ok=True)
+    if catalog.digest is None:  # text UTF-8 cannot encode: no digest, and no file
+        with pytest.raises(DataError, match="cannot write"):
+            write_items_jsonl(path, catalog)
+        assert not path.exists()
+        return
+    write_items_jsonl(path, catalog)
+    assert load_items_jsonl(path) == items
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == catalog.digest
+
+
+@pytest.fixture(scope="module")
+def undigested_ckpt(model_ckpt) -> Path:
+    """`model_ckpt` without its item_digest, as checkpoints were before it existed."""
+    config, tensors = load_checkpoint(model_ckpt)
+    assert config.pop("item_digest")
+    path = model_ckpt.parent / "undigested.ckpt"
+    save_checkpoint(path, config, tensors)
+    return path
+
+
+def _served(ckpt: Path, items: Path, history: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["recommend", "--ckpt", str(ckpt), "--items", str(items),
+                   "--history", ",".join(history)])
+    return rc, out.getvalue()
+
+
+@FUZZ
+@given(edits=st.just([]) | _edits, cut=st.none() | st.floats(0.0, 1.0),
+       history=st.lists(st.sampled_from(["d0_i000", "d0_i005", "d0_i011", "ghost"]),
+                        min_size=1, max_size=4))
+def test_mutated_items_file_serves_as_without_the_digest(model_ckpt, undigested_ckpt,
+                                                         tmp_path, edits, cut, history):
+    items = model_ckpt.parent / "corpus" / "domain_00" / "items.jsonl"
+    path = tmp_path / "items.jsonl"
+    path.write_bytes(_apply(items.read_bytes(), edits, cut))
+    assert _served(model_ckpt, path, history) == _served(undigested_ckpt, path, history)
 
 
 _config_values = st.one_of(_json_values, st.lists(st.text(max_size=3), max_size=6),

@@ -332,7 +332,7 @@ def load_items_jsonl(path: str | Path, digest: str | None = None,
     raw, text = _read(path)
     if wanted is not None and digest is not None and hashlib.sha256(raw).hexdigest() == digest:
         return _known_lines(path, text, line_of, wanted), True
-    items = [_parse_item(path, n, line) for n, line in enumerate(_lines(text), start=1)]
+    items = [_parse_item(path, n, line) for n, line in _lines(text)]
     return items if wanted is None else (items, False)
 
 
@@ -387,7 +387,7 @@ def _parse_item(path: str | Path, lineno: int, line: str) -> Item:
 def load_interactions_jsonl(path: str | Path) -> list[InteractionSequence]:
     """Each line: {"user_id": str, "items": [item_id, ...]} in time order."""
     seqs: list[InteractionSequence] = []
-    for lineno, line in enumerate(_lines(_read(path)[1]), start=1):
+    for lineno, line in _lines(_read(path)[1]):
         obj = _parse_line(path, lineno, line)
         try:
             uid = obj["user_id"]
@@ -431,10 +431,11 @@ def _read(path: str | Path) -> tuple[bytes, str]:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
-def _lines(text: str) -> list[str]:
-    """Non-blank lines; "\\r\\n" and a lone "\\r" end a line too, as in text mode."""
-    return [ln for ln in text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-            if ln.strip()]
+def _lines(text: str) -> list[tuple[int, str]]:
+    """The non-blank lines, each with its 1-based number in the file, blank
+    lines counted; "\\r\\n" and a lone "\\r" end a line too, as in text mode."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [(n, ln) for n, ln in enumerate(lines, start=1) if ln.strip()]
 
 
 def _parse_line(path: str | Path, lineno: int, line: str) -> dict:

@@ -11,6 +11,7 @@ among them), 4 checkpoint problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -573,7 +574,10 @@ def cmd_recommend(args) -> int:
 # wiring
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each `parse_args`
+    call fills a fresh namespace."""
     parser = argparse.ArgumentParser(prog="txrec",
                                      description="Text-only sequential recommender.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -171,29 +171,44 @@ class Encoder:
         return T.layer_norm(e, self.emb_ln_g, self.emb_ln_b)
 
     def encode(self, x: ModelInput | ModelBatch, train: bool = False,
-               dropout_rng: np.random.Generator | None = None) -> Tensor:
+               dropout_rng: np.random.Generator | None = None, aggregate: bool = False) -> Tensor:
         """Hidden states, (len, d) for one input or (B, len, d) for a padded batch.
 
         Row 0 of a sequence aggregates it. Padded keys are masked, so a
         sequence's real rows match its unpadded encoding up to float roundoff.
+
+        With `aggregate`, only row 0 is returned, (d,) or (B, d): the last
+        layer then projects queries and runs its output projection, norms and
+        FFN at that row alone, which attends every real key (`global_attention`).
+        Dropout draws follow the shapes computed, so training keeps the full
+        last layer and with it its random streams.
         """
         batch = x if isinstance(x, ModelBatch) else ModelBatch.pack([x])
         cfg = self.config
         n_seq, length = batch.token_ids.shape
-        n_rows = n_seq * length
-        h = T.reshape(self.embed(batch), (n_rows, cfg.d))
+        if aggregate and 0 not in batch.global_idx:
+            raise ValueError(f"the aggregate row must be global, but the global rows "
+                             f"are {list(batch.global_idx)}")
+        h = T.reshape(self.embed(batch), (n_seq * length, cfg.d))
         idx, valid = build_window_index(length, cfg.window, batch.global_idx)
         g_arr = np.asarray(batch.global_idx, dtype=np.int64)
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and dropout_rng is None:
             raise ValueError("training with dropout needs a dropout rng")
-        heads = (n_seq, length, cfg.n_heads, cfg.d // cfg.n_heads)
-        for layer in self.layers:
-            q = T.transpose(T.reshape(T.matmul(h, layer.wq), heads), (0, 2, 1, 3))
+        heads = (n_seq, -1, cfg.n_heads, cfg.d // cfg.n_heads)
+        first_rows = np.arange(n_seq) * length
+        for i, layer in enumerate(self.layers):
+            last = aggregate and i == len(self.layers) - 1
+            rows = T.gather_rows(h, first_rows) if last else h
+            q = T.transpose(T.reshape(T.matmul(rows, layer.wq), heads), (0, 2, 1, 3))
             k = T.transpose(T.reshape(T.matmul(h, layer.wk), heads), (0, 2, 1, 3))
             v = T.transpose(T.reshape(T.matmul(h, layer.wv), heads), (0, 2, 1, 3))
-            ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, batch.lengths)
-            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n_rows, cfg.d))
+            if last:
+                ctx = T.global_attention(q, k, v, batch.lengths)
+            else:
+                ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, batch.lengths)
+            h = rows
+            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), h.shape)
             a = T.matmul(ctx, layer.wo)
             if rate > 0.0:
                 a = T.dropout(a, rate, dropout_rng)
@@ -202,11 +217,15 @@ class Encoder:
             if rate > 0.0:
                 f = T.dropout(f, rate, dropout_rng)
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
+        if aggregate:
+            if not self.layers:
+                h = T.gather_rows(h, first_rows)
+            return h if x is batch else T.reshape(h, (cfg.d,))
         return T.reshape(h, (n_seq, length, cfg.d) if x is batch else (length, cfg.d))
 
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
         """Inference-time representation of a history: the aggregate row."""
-        return self.encode(x).data[0]
+        return self.encode(x, aggregate=True).data
 
 
 # Padded tokens per encoder call in `encode_batches`: bounds one call's
@@ -215,12 +234,13 @@ ENCODE_BATCH_TOKENS = 1024
 
 
 def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool = False,
-                   dropout_rng: np.random.Generator | None = None
+                   dropout_rng: np.random.Generator | None = None, aggregate: bool = False
                    ) -> Iterator[tuple[np.ndarray, Tensor]]:
     """Yield (members, hidden) per length-sorted sub-batch of at most
     ENCODE_BATCH_TOKENS padded tokens (one input at least): the indices into
-    `inputs` in row order, and their (b, len, d) hidden states. Lazily, so
-    only one sub-batch's activations are alive outside a tape."""
+    `inputs` in row order, and their (b, len, d) hidden states, or (b, d)
+    aggregate rows with `aggregate`. Lazily, so only one sub-batch's
+    activations are alive outside a tape."""
     order = np.argsort([len(x) for x in inputs], kind="stable")
     start = 0
     while start < len(order):
@@ -229,16 +249,19 @@ def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool =
             end += 1
         members = order[start:end]
         yield members, encoder.encode(ModelBatch.pack([inputs[i] for i in members]),
-                                      train, dropout_rng)
+                                      train, dropout_rng, aggregate)
         start = end
 
 
 def aggregate_rows(batches: Iterable[tuple[np.ndarray, Tensor]]) -> Tensor:
-    """Row 0 of every sequence in `encode_batches`' output, (N, d) in input order."""
+    """Row 0 of every sequence in `encode_batches`' output, (N, d) in input order.
+    Blocks may be (b, len, d) hidden states or (b, d) aggregate rows."""
     blocks, members = [], []
     for idx, h in batches:
-        n_seq, length, d = h.data.shape
-        blocks.append(T.gather_rows(T.reshape(h, (n_seq * length, d)), np.arange(n_seq) * length))
+        if h.data.ndim == 3:
+            n_seq, length, d = h.data.shape
+            h = T.gather_rows(T.reshape(h, (n_seq * length, d)), np.arange(n_seq) * length)
+        blocks.append(h)
         members.append(idx)
     return T.gather_rows(T.concat_rows(blocks), np.argsort(np.concatenate(members)))
 

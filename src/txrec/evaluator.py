@@ -146,7 +146,7 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
     if unknown is not None:
         raise CatalogError(f"unknown item id '{unknown}'")
     inputs = [build_model_input(c.context, catalog, vocab, limits) for c in cases]
-    users = aggregate_rows(encode_batches(encoder, inputs)).data
+    users = aggregate_rows(encode_batches(encoder, inputs, aggregate=True)).data
     sums = {k: 0.0 for k in METRIC_KEYS}
     for h, case in zip(users, cases):
         rank = rank_of_target(h, item_rows, item_index[case.target])

@@ -496,6 +496,65 @@ def _chunk_view(x: np.ndarray, w: int) -> np.ndarray:
     return np.ndarray((b, h, n // w - 2, d, 3 * w), x.dtype, x, 0, (s0, s1, w * s2, s3, s2))
 
 
+def _real_lengths(lengths, n_seq: int, length: int) -> np.ndarray:
+    return np.full(n_seq, length) if lengths is None else np.asarray(lengths, dtype=np.int64)
+
+
+def _dense_rows(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, lengths: np.ndarray,
+                alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Query rows qd (B, H, G, dh) attending every real key of kd, vd (B, H, L, dh).
+
+    Returns the output and the weights p (B, H, G, L); keys at or past a
+    sequence's length get weight 0. Counts the G pairs of each real key.
+    """
+    keys = (np.arange(kd.shape[2]) < lengths[:, None])[:, None, None]
+    p = _softmax_masked((qd @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
+    attention_pairs.add(qd.shape[1] * qd.shape[2] * int(lengths.sum()))
+    return p @ vd, p
+
+
+def _dense_rows_grad(g: np.ndarray, p: np.ndarray, qd: np.ndarray, kd: np.ndarray,
+                     vd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dq, dk, dv) of `_dense_rows` for output gradient g; dq and dk still
+    lack the factor alpha."""
+    dp = g @ vd.swapaxes(-1, -2)
+    ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+    return ds @ kd, ds.swapaxes(-1, -2) @ qd, p.swapaxes(-1, -2) @ g
+
+
+def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+    """A few query rows attending every real key: the global rows of
+    `windowed_attention`, alone.
+
+    q is (batch, heads, G, d_head); k and v are (batch, heads, len, d_head).
+    `lengths` (batch,) gives each sequence's real length in a right-padded
+    batch and defaults to the full length; keys past it are masked. Returns
+    (batch, heads, G, d_head). An encoder that needs only its aggregate row
+    runs its last layer through this with G = 1.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 4 or kd.shape != vd.shape or kd.ndim != 4 \
+            or qd.shape[:2] != kd.shape[:2] or qd.shape[3] != kd.shape[3]:
+        raise ValueError(f"global attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    n_seq, _, length, d_head = kd.shape
+    lengths = _real_lengths(lengths, n_seq, length)
+    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
+    alpha = 1.0 / math.sqrt(d_head)
+    out_data, p = _dense_rows(qd, kd, vd, lengths, alpha)
+
+    def bwd(g: np.ndarray) -> None:
+        dq, dk, dv = _dense_rows_grad(g, p, qd, kd, vd)
+        if q.needs_grad:
+            _accum(q, dq * alpha)
+        if k.needs_grad:
+            _accum(k, dk * alpha)
+        if v.needs_grad:
+            _accum(v, dv)
+
+    return _result(out_data, (q, k, v), bwd)
+
+
 def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray,
                        neighbor_valid: np.ndarray, global_idx: np.ndarray,
                        lengths: np.ndarray | None = None) -> Tensor:
@@ -544,12 +603,11 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     win = 3 * w
     alpha = 1.0 / math.sqrt(d_head)
 
-    lengths = np.full(n_seq, length) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    lengths = _real_lengths(lengths, n_seq, length)
     if lengths.shape != (n_seq,) or lengths.max() > length \
             or lengths.min() <= global_idx.max(initial=0):
         raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
                          f"{n_seq} x {length} with global rows {global_idx.tolist()}")
-    n_real = int(lengths.sum())
 
     # Scores and weights live slot-first, (S, B, H, C, w), so the softmax
     # reduces over a leading axis; matmuls read and write them through
@@ -586,12 +644,9 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     q_gl = None
     if n_glob:
         q_gl = qd[:, :, global_idx]                          # (B, H, G, dh)
-        keys = key_real[:, None, None, w : w + length]
-        p_gl = _softmax_masked((q_gl @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
-        out_data[:, :, global_idx] = p_gl @ vd
+        out_data[:, :, global_idx], p_gl = _dense_rows(q_gl, kd, vd, lengths, alpha)
 
-    n_local = int(np.count_nonzero(mask & row_local))
-    attention_pairs.add(n_heads * (n_local + n_glob * n_real))
+    attention_pairs.add(n_heads * int(np.count_nonzero(mask & row_local)))
 
     def bwd(g: np.ndarray) -> None:
         g = g[None] if single else g
@@ -622,12 +677,10 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
             dv[:, :, g_j] += (p[win + j].reshape(flat) @ g_flat)[:, :, 0]
         dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
         if n_glob:
-            g_gl = g[:, :, global_idx]
-            dp_gl = g_gl @ vd.swapaxes(-1, -2)
-            ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
-            dq[:, :, global_idx] += ds_gl @ kd
-            dk += ds_gl.swapaxes(-1, -2) @ q_gl
-            dv += p_gl.swapaxes(-1, -2) @ g_gl
+            dq_gl, dk_gl, dv_gl = _dense_rows_grad(g[:, :, global_idx], p_gl, q_gl, kd, vd)
+            dq[:, :, global_idx] += dq_gl
+            dk += dk_gl
+            dv += dv_gl
         dq *= alpha
         dk *= alpha
         if single:

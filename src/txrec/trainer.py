@@ -95,7 +95,7 @@ def encode_all_items(encoder: Encoder, catalog: Catalog, vocab: Vocabulary,
         raise ValueError("catalog is empty")
     ids = catalog.ids
     inputs = [item_input(iid, catalog, vocab, limits) for iid in ids]
-    rows = aggregate_rows(encode_batches(encoder, inputs)).data
+    rows = aggregate_rows(encode_batches(encoder, inputs, aggregate=True)).data
     return ItemFeatureMatrix(ids, rows, params_fingerprint(encoder.parameters()), catalog.digest)
 
 

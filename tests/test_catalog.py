@@ -328,6 +328,39 @@ def test_interactions_jsonl_errors(tmp_path, line, fragment):
     assert ":1:" in str(exc.value)
 
 
+_GOOD_ITEM = '{"item_id": "ok", "attributes": []}'
+_GOOD_USER = '{"user_id": "u", "items": ["ok"]}'
+
+
+@pytest.mark.parametrize("load,good,wrong", [
+    (load_items_jsonl, _GOOD_ITEM, '{"attributes": []}'),
+    (load_interactions_jsonl, _GOOD_USER, '{"user_id": "u"}'),
+], ids=["items", "interactions"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_jsonl_errors_name_the_physical_line(tmp_path, load, good, wrong, newline):
+    """Blank lines are counted: the bad record is on line 4 in every file."""
+    path = tmp_path / "blank.jsonl"
+    for bad, fragment in (("{bad", "invalid JSON"), (wrong, "expected")):
+        path.write_bytes(newline.join([good, "", "  ", bad, good, ""]).encode())
+        with pytest.raises(DataError, match=fragment) as exc:
+            load(path)
+        assert f"{path}:4:" in str(exc.value)
+    path.write_bytes(newline.join([good, "", good, "", ""]).encode())
+    assert len(load(path)) == 2
+
+
+@pytest.mark.parametrize("load,good", [(load_items_jsonl, _GOOD_ITEM),
+                                       (load_interactions_jsonl, _GOOD_USER)],
+                         ids=["items", "interactions"])
+def test_jsonl_line_numbers_in_mixed_line_endings(tmp_path, load, good):
+    """"\\r\\n" ends one line, a lone "\\r" or "\\n" one each."""
+    path = tmp_path / "mixed.jsonl"
+    path.write_bytes((good + "\r\n\r\n\r" + good + "\n\n{bad\r\n").encode())
+    with pytest.raises(DataError, match="invalid JSON") as exc:
+        load(path)
+    assert f"{path}:6:" in str(exc.value)
+
+
 def test_jsonl_that_is_not_utf8_is_data_error(tmp_path):
     path = tmp_path / "items.jsonl"
     path.write_bytes(b'{"item_id": "a", "attributes": []}\n\x80\n')

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import struct
@@ -562,6 +563,41 @@ def test_recommend_argument_validation(workdir, tmp_path, capsys):
                "--history", "no_such_item") == 3
     err = capsys.readouterr().err
     assert "topk" in err and "history" in err and "unknown item" in err
+
+
+def test_main_builds_its_parser_once_and_leaks_no_value_between_calls(workdir, tmp_path,
+                                                                    capsys, monkeypatch):
+    from txrec.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    seen = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(self, *args, **kwargs):
+        seen.append(real(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    items = workdir["data"] / "items.jsonl"
+    mat = tmp_path / "m.mat"
+    assert run("encode-items", "--ckpt", workdir["fine"], "--items", items, "--out", mat) == 0
+    assert run("recommend", "--ckpt", workdir["fine"], "--items", items,
+               "--history", "d0_i000", "--topk", 3, "--item-matrix", mat) == 0
+    assert run("build-vocab", "--items", items, "--items", items, "--out", tmp_path / "v1") == 0
+    assert run("evaluate", "--ckpt", workdir["fine"], "--data", workdir["data"],
+               "--zero-shot") == 0
+    assert run("build-vocab", "--items", items, "--out", tmp_path / "v2") == 0
+    assert run("recommend", "--ckpt", workdir["fine"], "--items", items,
+               "--history", "d0_i001") == 0
+    assert run("evaluate", "--ckpt", workdir["fine"], "--data", workdir["data"]) == 0
+    outs = capsys.readouterr().out.splitlines()
+    assert [len(json.loads(line)) for line in (outs[0], outs[2])] == [3, 10]
+    assert [a.command for a in seen] == ["encode-items", "recommend", "build-vocab", "evaluate",
+                                         "build-vocab", "recommend", "evaluate"]
+    assert seen[1].item_matrix == str(mat) and seen[1].topk == 3
+    assert seen[5].item_matrix is None and seen[5].topk == 10
+    assert len(seen[2].items) == 2 and len(seen[4].items) == 1
+    assert seen[3].zero_shot and not seen[6].zero_shot
+    assert not hasattr(seen[5], "zero_shot") and not hasattr(seen[6], "history")
 
 
 def test_top_k_settles_ties_at_the_cut_like_a_stable_sort():

@@ -304,6 +304,71 @@ def test_aggregate_rows_do_not_depend_on_batch_mates_or_budget(tiny_corpus, monk
 
 
 # ---------------------------------------------------------------------------
+# the aggregate-only last layer
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_aggregate_encode_is_row_zero_of_the_full_encode(tiny_corpus, n_layers, dtype, atol):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers), stream(25, "init"), dtype=dtype)
+    xs = _mixed_lengths(tiny_corpus) + [_raw_input([1])]  # one input of length 1
+    for x in xs:
+        got = enc.encode(x, aggregate=True).data
+        assert got.shape == (enc.config.d,) and got.dtype == dtype
+        npt.assert_allclose(got, enc.encode(x).data[0], rtol=0.0, atol=atol)
+    batch = ModelBatch.pack(xs)
+    got = enc.encode(batch, aggregate=True).data
+    assert got.shape == (len(xs), enc.config.d)
+    npt.assert_allclose(got, enc.encode(batch).data[:, 0], rtol=0.0, atol=atol)
+
+
+def test_aggregate_row_does_not_depend_on_batch_mates_or_budget(tiny_corpus, monkeypatch):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(26, "init"))
+    xs = _mixed_lengths(tiny_corpus)
+    alone = np.stack([enc.encode(x, aggregate=True).data for x in xs])
+    for budget in (1024, 60, 1):
+        monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", budget)
+        batches = list(encode_batches(enc, xs, aggregate=True))
+        assert all(h.data.shape == (len(m), enc.config.d) for m, h in batches)
+        npt.assert_allclose(aggregate_rows(batches).data, alone, rtol=0.0, atol=1e-6)
+
+
+def test_aggregate_encode_needs_a_global_first_row(tiny_corpus):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(27, "init"))
+    x = _raw_input([1, 4, 4, 4])
+    for mask in ([False, True, False, False], [False] * 4):
+        moved = ModelInput(x.token_ids, x.token_positions, x.token_types, x.item_positions,
+                           np.array(mask))
+        enc.encode(moved)  # the full encode takes any global rows
+        with pytest.raises(ValueError, match="aggregate row must be global"):
+            enc.encode(moved, aggregate=True)
+
+
+def test_aggregate_encode_is_differentiable(tiny_corpus):
+    _, vocab, _ = tiny_corpus
+    cfg = _cfg(vocab.size, d=4, n_layers=2, n_heads=2, window=1, ffn_dim=8)
+    enc = Encoder(cfg, stream(28, "init"), dtype=F64)
+    batch = ModelBatch.pack([_history(tiny_corpus, ids=("i2",)),
+                             _history(tiny_corpus, ids=("i0", "i3"))])
+    rng = np.random.default_rng(29)
+    w = rng.normal(size=2 * cfg.d)
+    fd_gradcheck(lambda: scalarize(enc.encode(batch, aggregate=True), w), enc.parameters(),
+                 rng, coords_per_tensor=4)
+
+
+def test_aggregate_encode_scores_fewer_pairs(tiny_corpus):
+    """The last layer scores one query row per head instead of the band."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=1), stream(30, "init"))
+    x = _history(tiny_corpus)
+    enc.encode(x, aggregate=True)
+    assert T.attention_pairs.pairs == enc.config.n_heads * len(x)
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 

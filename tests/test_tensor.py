@@ -381,6 +381,8 @@ _OPS = {
     "cross_entropy_mean": lambda make: T.cross_entropy_mean(make((3, 4)), [0, 3, 1]),
     "windowed_attention": lambda make: T.windowed_attention(
         make((2, 5, 3)), make((2, 5, 3)), make((2, 5, 3)), _IDX, _VALID, np.array([0])),
+    "global_attention": lambda make: T.global_attention(
+        make((2, 2, 1, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([5, 3])),
 }
 
 
@@ -537,6 +539,93 @@ def test_padded_batch_rejects_lengths_that_do_not_fit():
     for bad in ([8, 5], [9, 8], [8]):
         with pytest.raises(ValueError, match="lengths"):
             T.windowed_attention(q, k, v, idx, valid, g, np.asarray(bad))
+
+
+# ---------------------------------------------------------------------------
+# global attention
+
+
+def test_global_attention_matches_dense_rows_per_sequence():
+    rng = np.random.default_rng(45)
+    lengths = [9, 4, 1, 9]
+    q = _param("q", (4, 2, 2, 3), rng)
+    k, v = (_param(name, (4, 2, 9, 3), rng) for name in "kv")
+    out = T.global_attention(q, k, v, np.asarray(lengths)).data
+    assert out.shape == (4, 2, 2, 3)
+    for b, n in enumerate(lengths):
+        expected = ref.dense_attention_ref(q.data[b], k.data[b, :, :n], v.data[b, :, :n], None)
+        npt.assert_allclose(out[b], expected, atol=1e-12)
+    assert T.attention_pairs.pairs == 2 * 2 * sum(lengths)
+    full = T.global_attention(q, k, v).data  # no lengths: every key is real
+    npt.assert_allclose(full[0], out[0], atol=1e-12)
+
+
+def test_global_attention_gradcheck_with_padding():
+    rng = np.random.default_rng(46)
+    q = _param("q", (3, 2, 1, 3), rng)
+    k, v = (_param(name, (3, 2, 7, 3), rng) for name in "kv")
+    lens = np.array([7, 3, 5])
+    w = rng.normal(size=q.data.size)
+    fd_gradcheck(lambda: scalarize(T.global_attention(q, k, v, lens), w),
+                 [q, k, v], rng, coords_per_tensor=30)
+    for p in (q, k, v):
+        T.zero_grads([p])
+    with T.GradTape() as tape:
+        loss = scalarize(T.global_attention(q, k, v, lens), w)
+    tape.backward(loss)
+    for p in (k, v):  # nothing flows into the padded keys
+        assert not p.grad[1, :, 3:].any() and not p.grad[2, :, 5:].any()
+
+
+def test_global_attention_rejects_bad_shapes_and_lengths():
+    rng = np.random.default_rng(47)
+    q = _param("q", (2, 1, 1, 3), rng)
+    k, v = (_param(name, (2, 1, 4, 3), rng) for name in "kv")
+    for bad in ([4, 5], [0, 4], [4]):
+        with pytest.raises(ValueError, match="lengths"):
+            T.global_attention(q, k, v, np.asarray(bad))
+    with pytest.raises(ValueError, match="shapes"):
+        T.global_attention(_param("q3", (1, 1, 3), rng), k, v)
+    with pytest.raises(ValueError, match="shapes"):
+        T.global_attention(q, k, _param("v2", (2, 1, 5, 3), rng))
+
+
+def _global_rows_at_parent(qd, kd, vd, global_idx, lengths, g):
+    """The global rows of `windowed_attention` and their gradients, spelled
+    out as the kernel computed them before `global_attention` shared them."""
+    alpha = 1.0 / math.sqrt(qd.shape[-1])
+    keys = (np.arange(kd.shape[2]) < lengths[:, None])[:, None, None]
+    q_gl = qd[:, :, global_idx]
+    p_gl = T._softmax_masked((q_gl @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
+    g_gl = g[:, :, global_idx]
+    dp_gl = g_gl @ vd.swapaxes(-1, -2)
+    ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
+    return p_gl @ vd, ds_gl @ kd, ds_gl.swapaxes(-1, -2) @ q_gl, p_gl.swapaxes(-1, -2) @ g_gl
+
+
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_windowed_attention_global_rows_are_unchanged_bit_for_bit(dtype):
+    """Forward global rows equal the formula bit for bit; so do the gradients
+    of a loss that reads only the global rows, whose other terms are zero."""
+    rng = np.random.default_rng(48)
+    lengths = np.array([13, 6, 9])
+    global_idx = np.array([0, 5])
+    shape = (3, 2, 13, 4)
+    q, k, v = (T.Parameter(name, rng.normal(size=shape), dtype=dtype) for name in "qkv")
+    idx, valid = build_window_index(13, 3, (0, 5))
+    g = np.zeros(shape, dtype=dtype)
+    g[:, :, global_idx] = rng.normal(size=(3, 2, 2, 4))
+    out_ref, dq_gl, dk_ref, dv_ref = _global_rows_at_parent(q.data, k.data, v.data,
+                                                            global_idx, lengths, g)
+    with T.GradTape() as tape:
+        out = T.windowed_attention(q, k, v, idx, valid, global_idx, lengths)
+        loss = scalarize(out, g.reshape(-1))
+    tape.backward(loss)
+    alpha = dtype(1.0 / math.sqrt(4))
+    assert out.data[:, :, global_idx].tobytes() == out_ref.tobytes()
+    assert q.grad[:, :, global_idx].tobytes() == (dq_gl * alpha).tobytes()
+    assert k.grad.tobytes() == (dk_ref * alpha).tobytes()
+    assert v.grad.tobytes() == dv_ref.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,11 @@ def load_checkpoint(path: str | Path, check_finite: bool = True
                     ) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a checkpoint, verifying magic, version, structure, and CRC.
 
-    With `check_finite`, a tensor holding NaN or infinity is rejected too:
-    it would only ever produce NaN scores, which rank nothing.
+    Tensors are read-only float32 views of the file's bytes, not copies:
+    `load_state_dict` copies them into parameters, and a caller that edits
+    one copies it first. With `check_finite`, a tensor holding NaN or
+    infinity is rejected too: it would only ever produce NaN scores, which
+    rank nothing.
     """
     try:
         raw = Path(path).read_bytes()
@@ -100,7 +103,7 @@ def load_checkpoint(path: str | Path, check_finite: bool = True
                 raise CheckpointError(f"{path}: tensor '{name}' of shape {tuple(shape)} "
                                       f"overruns the payload")
             arr = np.frombuffer(raw, dtype=dt, count=n_bytes // dt.itemsize, offset=off)
-            tensors[name] = arr.reshape(shape).astype(np.float32)
+            tensors[name] = arr.reshape(shape)
             off += n_bytes
     except (struct.error, UnicodeDecodeError):
         raise CheckpointError(f"{path}: truncated or corrupt tensor directory") from None

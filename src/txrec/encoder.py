@@ -180,8 +180,9 @@ class Encoder:
         With `aggregate`, only row 0 is returned, (d,) or (B, d): the last
         layer then projects queries and runs its output projection, norms and
         FFN at that row alone, which attends every real key (`global_attention`).
-        Dropout draws follow the shapes computed, so training keeps the full
-        last layer and with it its random streams.
+        Its dropouts still draw masks for all B·len rows and keep row 0's, so
+        with `train` the random stream and each aggregate row's mask are those
+        of the full encode.
         """
         batch = x if isinstance(x, ModelBatch) else ModelBatch.pack([x])
         cfg = self.config
@@ -210,12 +211,13 @@ class Encoder:
             h = rows
             ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), h.shape)
             a = T.matmul(ctx, layer.wo)
+            drop_rows = (n_seq * length, first_rows) if last else None
             if rate > 0.0:
-                a = T.dropout(a, rate, dropout_rng)
+                a = T.dropout(a, rate, dropout_rng, drop_rows)
             h = T.layer_norm(T.add(h, a), layer.ln1_g, layer.ln1_b)
             f = T.matmul(T.gelu(T.matmul(h, layer.w1)), layer.w2)
             if rate > 0.0:
-                f = T.dropout(f, rate, dropout_rng)
+                f = T.dropout(f, rate, dropout_rng, drop_rows)
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
         if aggregate:
             if not self.layers:

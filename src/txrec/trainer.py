@@ -159,8 +159,9 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
              log_fn: Callable[[dict], None] | None = None) -> list[dict]:
     """Contrastive + masked-token pretraining over raw histories.
 
-    Returns the per-epoch history of logged records. Identical seeds and data
-    give identical curves: every random choice comes from named streams.
+    Returns the per-epoch history of logged records: mean losses, the largest
+    pre-clip gradient norm and the number of clipped batches. Identical seeds
+    and data give identical curves: every random choice comes from named streams.
     """
     examples = pretrain_examples(sequences, catalog)
     if not examples:
@@ -174,8 +175,8 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
     history: list[dict] = []
     for epoch in range(1, train_cfg.n_epochs + 1):
         order = data_rng.permutation(len(examples))
-        iic_sum = mlm_sum = loss_sum = 0.0
-        n_batches = 0
+        iic_sum = mlm_sum = loss_sum = grad_norm = 0.0
+        n_batches = clipped = 0
         for batch in _batches(order, train_cfg.pretrain_batch):
             with GradTape() as tape:
                 loss, parts = _pretrain_batch_loss(
@@ -183,8 +184,10 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
                     loss_cfg, limits, mask_rng, drop_rng, train=True)
             _check_finite(loss, f"pretrain epoch {epoch} batch {n_batches + 1}")
             tape.backward(loss)
-            clip_global_norm(params, train_cfg.grad_clip)
+            norm = clip_global_norm(params, train_cfg.grad_clip)
             adam.step()
+            grad_norm = max(grad_norm, norm)
+            clipped += int(norm > train_cfg.grad_clip)
             iic_sum += parts["iic"]
             mlm_sum += parts["mlm"]
             loss_sum += parts["loss"]
@@ -195,6 +198,8 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
             "loss": loss_sum / n_batches,
             "iic": iic_sum / n_batches,
             "mlm": mlm_sum / n_batches,
+            "grad_norm": grad_norm,
+            "clipped": clipped,
             "valid_metric": None,
             "snapshot_taken": False,
         }
@@ -267,17 +272,21 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
                        encoder: Encoder, train_cfg: TrainConfig, loss_cfg: LossConfig,
                        limits: InputLimits = InputLimits(),
                        evaluate_fn: Callable[[int, int, Encoder, ItemFeatureMatrix], float] | None = None,
-                       train_fn: Callable[[int, int, Encoder, ItemFeatureMatrix], None] | None = None,
+                       train_fn: Callable[[int, int, Encoder, ItemFeatureMatrix], dict | None] | None = None,
                        log_fn: Callable[[dict], None] | None = None) -> FinetuneResult:
     """Alternating then frozen-matrix finetuning, keeping the best snapshot.
 
     Stage one: each epoch re-encodes the catalog with the current encoder,
     trains one epoch against that matrix, and scores validation; the matrix
-    paired with a new best score is kept as the frozen candidate. Stage two
-    rewinds the encoder to the best snapshot and trains against the frozen
-    matrix only. Validation never improving past the incoming best means the
-    stage contributes no new snapshot. Either stage stops early once
-    `patience` epochs pass without a new best.
+    paired with a new best score is kept as the frozen candidate. The first
+    epoch uses the catalog encoded for the incoming snapshot, since no weight
+    has changed since. Stage two rewinds the encoder to the best snapshot and
+    trains against the frozen matrix only. Validation never improving past the
+    incoming best means the stage contributes no new snapshot. Either stage
+    stops early once `patience` epochs pass without a new best.
+
+    Each epoch's record carries `train_fn`'s `train_loss`, `grad_norm` and
+    `clipped`, None where it returns no such key.
     """
     examples = finetune_examples(split)
     if not examples:
@@ -295,10 +304,10 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
         return report.metrics["ndcg@10"]
 
     def default_train(stage: int, epoch: int, enc: Encoder,
-                      matrix: ItemFeatureMatrix) -> None:
+                      matrix: ItemFeatureMatrix) -> dict:
         try:
-            _finetune_epoch(enc, matrix, examples, adam, train_cfg, loss_cfg,
-                            catalog, vocab, limits, data_rng, drop_rng)
+            return _finetune_epoch(enc, matrix, examples, adam, train_cfg, loss_cfg,
+                                   catalog, vocab, limits, data_rng, drop_rng)
         except NonFiniteLossError as e:
             raise NonFiniteLossError(f"{e} of finetune stage {stage} epoch {epoch}") from None
 
@@ -315,8 +324,8 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
         nonlocal best_metric, best_state, best_matrix
         scores = [best_metric]
         for epoch in range(1, train_cfg.n_epochs + 1):
-            matrix = matrix_for_epoch()
-            train_fn(stage, epoch, encoder, matrix)
+            matrix = matrix_for_epoch(epoch)
+            stats = train_fn(stage, epoch, encoder, matrix) or {}
             metric = evaluate_fn(stage, epoch, encoder, matrix)
             took = metric > best_metric
             if took:
@@ -325,6 +334,7 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
                 if stage == 1:
                     best_matrix = matrix.copy()
             record = {"stage": stage, "epoch": epoch,
+                      **{key: stats.get(key) for key in ("train_loss", "grad_norm", "clipped")},
                       "valid_metric": metric, "snapshot_taken": took}
             history.append(record)
             if log_fn:
@@ -334,12 +344,13 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
                 break
 
     adam = Adam(params, lr=train_cfg.lr)
-    run_stage(1, lambda: encode_all_items(encoder, catalog, vocab, limits))
+    run_stage(1, lambda epoch: best_matrix if epoch == 1
+              else encode_all_items(encoder, catalog, vocab, limits))
 
     load_state(params, best_state)
     adam = Adam(params, lr=train_cfg.lr)  # fresh moments for the frozen stage
     frozen = best_matrix
-    run_stage(2, lambda: frozen)
+    run_stage(2, lambda epoch: frozen)
 
     load_state(params, best_state)
     return FinetuneResult(best_state, frozen, best_metric, history)
@@ -349,21 +360,25 @@ def _finetune_epoch(encoder: Encoder, matrix: ItemFeatureMatrix, examples,
                     adam: Adam, train_cfg: TrainConfig, loss_cfg: LossConfig,
                     catalog: Catalog, vocab: Vocabulary, limits: InputLimits,
                     data_rng: np.random.Generator,
-                    drop_rng: np.random.Generator) -> float:
+                    drop_rng: np.random.Generator) -> dict:
+    """One pass over `examples` against `matrix`: the mean loss, the largest
+    pre-clip gradient norm and the number of clipped batches."""
     params = adam.params
     order = data_rng.permutation(len(examples))
     positives = np.array([matrix.index_of(pos_id) for _, pos_id in examples], dtype=np.int64)
-    total = 0.0
-    n_batches = 0
+    total = grad_norm = 0.0
+    n_batches = clipped = 0
     for batch in _batches(order, train_cfg.finetune_batch):
         with GradTape() as tape:
             xs = [build_model_input(examples[i][0], catalog, vocab, limits) for i in batch]
-            rows = aggregate_rows(encode_batches(encoder, xs, True, drop_rng))
+            rows = aggregate_rows(encode_batches(encoder, xs, True, drop_rng, aggregate=True))
             loss = finetune_loss(rows, positives[batch], matrix.rows, loss_cfg.temperature)
         _check_finite(loss, f"batch {n_batches + 1}")
         tape.backward(loss)
-        clip_global_norm(params, train_cfg.grad_clip)
+        norm = clip_global_norm(params, train_cfg.grad_clip)
         adam.step()
+        grad_norm = max(grad_norm, norm)
+        clipped += int(norm > train_cfg.grad_clip)
         total += float(loss.data)
         n_batches += 1
-    return total / max(n_batches, 1)
+    return {"train_loss": total / max(n_batches, 1), "grad_norm": grad_norm, "clipped": clipped}

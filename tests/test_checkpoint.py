@@ -36,6 +36,18 @@ def test_round_trip_is_bit_exact(tmp_path):
         npt.assert_array_equal(tensors2[name], tensors[name])
 
 
+def test_loaded_tensors_are_read_only_views_of_the_file(tmp_path):
+    config, tensors = _payload()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, config, tensors)
+    _, loaded = load_checkpoint(path)
+    for name, arr in loaded.items():
+        assert not arr.flags.writeable and not arr.flags.owndata, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
+    npt.assert_array_equal(loaded["emb.token"], tensors["emb.token"])
+
+
 def test_save_load_save_produces_identical_bytes(tmp_path):
     config, tensors = _payload()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

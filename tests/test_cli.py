@@ -446,7 +446,7 @@ def test_checkpoint_missing_a_tensor_is_exit_4(workdir, tmp_path, capsys, name):
 
 def test_finetune_from_nan_weights_is_exit_3_and_writes_nothing(workdir, tmp_path, capsys):
     config, tensors = load_checkpoint(workdir["pre"])
-    tensors["emb.token"][...] = np.nan
+    tensors["emb.token"] = np.full_like(tensors["emb.token"], np.nan)
     crafted = tmp_path / "nan.ckpt"
     save_checkpoint(crafted, config, tensors)
     out = tmp_path / "fine.ckpt"
@@ -474,6 +474,41 @@ def test_model_checkpoint_keeps_the_item_matrix_fingerprint(workdir, tmp_path):
     _, tensors = load_checkpoint(path)
     save_checkpoint(path, config, tensors)
     assert _load_model_ckpt(str(path))[-1].fingerprint == config["fingerprint"]
+
+
+def test_read_only_checkpoint_tensors_serve_as_writable_copies_do(workdir, tmp_path,
+                                                                  monkeypatch, capsys):
+    """Every command that loads a checkpoint gives the same output and files
+    whether it gets the read-only views `load_checkpoint` returns or copies."""
+    items = workdir["data"] / "items.jsonl"
+    mat = tmp_path / "items.mat"
+    assert run("encode-items", "--ckpt", workdir["pre"], "--items", items, "--out", mat) == 0
+
+    def outputs(tag):
+        fine = tmp_path / f"fine-{tag}.ckpt"
+        commands = [
+            ("finetune", "--config", workdir["config"], "--init", workdir["pre"], "--out", fine),
+            ("recommend", "--ckpt", fine, "--items", items, "--history", "d0_i000,d0_i003"),
+            ("recommend", "--ckpt", fine, "--items", items, "--history", "d0_i001",
+             "--item-matrix", mat),
+            ("evaluate", "--ckpt", fine, "--data", workdir["data"]),
+            ("evaluate", "--ckpt", fine, "--data", workdir["data"], "--zero-shot"),
+        ]
+        got = []
+        for argv in commands:
+            capsys.readouterr()
+            assert run(*argv) == 0
+            got.append(capsys.readouterr().out)
+        return got, fine.read_bytes()
+
+    views = outputs("views")
+
+    def copying(path, check_finite=True):
+        config, tensors = load_checkpoint(path, check_finite)
+        return config, {name: arr.copy() for name, arr in tensors.items()}
+
+    monkeypatch.setattr("txrec.cli.load_checkpoint", copying)
+    assert outputs("copies") == views
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +698,12 @@ def test_stored_item_matrix_of_another_width_is_exit_4(workdir, tmp_path, capsys
 def test_non_finite_item_matrix_is_exit_4(workdir, tmp_path, capsys, source):
     config, tensors = load_checkpoint(workdir["fine"])
     if source == "model checkpoint":
-        tensors["item_matrix"][...] = np.nan
+        tensors["item_matrix"] = np.full_like(tensors["item_matrix"], np.nan)
         crafted, name = tmp_path / "nan.ckpt", "item_matrix"
         save_checkpoint(crafted, config, tensors)
         argv = ["--ckpt", crafted]
     else:
+        tensors["item_matrix"] = tensors["item_matrix"].copy()  # loaded tensors are read-only
         tensors["item_matrix"][0, 0] = np.inf
         crafted, name = tmp_path / "inf.mat", "rows"
         save_checkpoint(crafted, {"kind": "item_matrix", "item_ids": config["item_ids"],

@@ -189,12 +189,15 @@ def test_train_mode_dropout_needs_rng_and_perturbs(tiny_corpus):
 
 
 def test_sequence_and_item_repr_are_row_zero(tiny_corpus):
+    """Row 0 to float roundoff: the aggregate path's (1, d) matmuls may round
+    differently from the full encode's (len, d) ones."""
     catalog, vocab, limits = tiny_corpus
-    enc = Encoder(_cfg(vocab.size), stream(8, "init"))
-    x = _history(tiny_corpus)
-    npt.assert_array_equal(enc.sequence_repr(x), enc.encode(x).data[0])
-    r = enc.sequence_repr(item_input("i2", catalog, vocab, limits))
-    assert r.shape == (enc.config.d,)
+    for dtype, atol in ((np.float32, 1e-6), (F64, 1e-12)):
+        enc = Encoder(_cfg(vocab.size), stream(8, "init"), dtype=dtype)
+        for x in (_history(tiny_corpus), item_input("i2", catalog, vocab, limits)):
+            r = enc.sequence_repr(x)
+            assert r.shape == (enc.config.d,) and r.dtype == dtype
+            npt.assert_allclose(r, enc.encode(x).data[0], rtol=0.0, atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +360,41 @@ def test_aggregate_encode_is_differentiable(tiny_corpus):
     w = rng.normal(size=2 * cfg.d)
     fd_gradcheck(lambda: scalarize(enc.encode(batch, aggregate=True), w), enc.parameters(),
                  rng, coords_per_tensor=4)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_aggregate_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, dtype, atol):
+    """With dropout, the aggregate rows are row 0 of the full encode when both
+    draw from same-seeded rngs, and both rngs end in the same state."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers, dropout=0.3), stream(31, "init"),
+                  dtype=dtype)
+    xs = _mixed_lengths(tiny_corpus)
+    for x in (xs[0], ModelBatch.pack(xs)):
+        rng_full, rng_agg = stream(32, "dropout"), stream(32, "dropout")
+        full = enc.encode(x, train=True, dropout_rng=rng_full).data
+        got = enc.encode(x, train=True, dropout_rng=rng_agg, aggregate=True).data
+        want = full[..., 0, :]
+        assert got.shape == want.shape and got.dtype == dtype
+        npt.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert np.abs(got - enc.encode(x, aggregate=True).data).max() > 1e-4  # dropout acted
+        assert rng_full.random() == rng_agg.random()
+
+
+def test_aggregate_train_encode_gradcheck(tiny_corpus):
+    """Float64 with dropout on: every evaluation reseeds the rng, so the masks
+    are fixed and the finite differences see the same function."""
+    _, vocab, _ = tiny_corpus
+    cfg = _cfg(vocab.size, d=4, n_layers=2, n_heads=2, window=1, ffn_dim=8, dropout=0.3)
+    enc = Encoder(cfg, stream(33, "init"), dtype=F64)
+    batch = ModelBatch.pack([_history(tiny_corpus, ids=("i2",)),
+                             _history(tiny_corpus, ids=("i0", "i3"))])
+    rng = np.random.default_rng(34)
+    w = rng.normal(size=2 * cfg.d)
+    fd_gradcheck(lambda: scalarize(enc.encode(batch, train=True, dropout_rng=stream(35, "dropout"),
+                                              aggregate=True), w),
+                 enc.parameters(), rng, coords_per_tensor=4)
 
 
 def test_aggregate_encode_scores_fewer_pairs(tiny_corpus):

@@ -146,9 +146,10 @@ def test_pretrain_loss_decreases(tiny_corpus):
     assert min(r["loss"] for r in history[-3:]) < history[0]["loss"]
     for r in history:
         assert r["stage"] == "pretrain"
-        assert set(r) == {"stage", "epoch", "loss", "iic", "mlm",
+        assert set(r) == {"stage", "epoch", "loss", "iic", "mlm", "grad_norm", "clipped",
                           "valid_metric", "snapshot_taken"}
         assert r["mlm"] > 0.0
+        assert r["grad_norm"] > 0.0 and 0 <= r["clipped"] <= 2  # 16 examples, batches of 8
 
 
 def test_pretrain_identical_seeds_identical_curves(tiny_corpus):
@@ -251,7 +252,8 @@ def _batch_loss(objective, tiny_corpus, enc, head):
     pos = np.array([catalog.ids.index(p) for _, p in examples])
     rows = np.random.default_rng(5).normal(size=(len(catalog), enc.config.d)).astype(
         enc.token_emb.data.dtype)
-    return (lambda: finetune_loss(aggregate_rows(encode_batches(enc, xs, train=True)),
+    return (lambda: finetune_loss(aggregate_rows(encode_batches(enc, xs, train=True,
+                                                                aggregate=True)),
                                   pos, rows, 0.1),
             enc.parameters())
 
@@ -332,6 +334,87 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
     assert abs(float(build().data) - want) < 1e-10
 
 
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers):
+    """Float32, dropout on, same dropout seed: a finetuning batch encoded with
+    the aggregate-only last layer, as `_finetune_epoch` encodes it, gives the
+    loss and gradients of the full last layer, to 1e-6 of each tensor's
+    largest gradient."""
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab, seed=16, n_layers=n_layers, dropout=0.3)
+    examples = _mixed_examples()
+    xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
+    pos = np.array([catalog.ids.index(p) for _, p in examples])
+    rows = np.random.default_rng(5).normal(size=(len(catalog), 8)).astype(np.float32)
+
+    def build(aggregate):
+        return lambda: finetune_loss(aggregate_rows(encode_batches(
+            enc, xs, True, stream(17, "dropout"), aggregate=aggregate)), pos, rows, 0.1)
+
+    loss, grads = _loss_and_grads(build(False), enc.parameters())
+    loss_agg, grads_agg = _loss_and_grads(build(True), enc.parameters())
+    assert abs(loss_agg - loss) <= 1e-6
+    for p, g, g_agg in zip(enc.parameters(), grads, grads_agg):
+        assert g_agg.dtype == np.float32
+        npt.assert_allclose(g_agg, g, rtol=0.0, atol=1e-6 * max(np.abs(g).max(), 1.0),
+                            err_msg=p.name)
+
+
+def test_finetune_trains_through_the_aggregate_only_last_layer(tiny_corpus, monkeypatch):
+    catalog, vocab, limits = tiny_corpus
+    calls = []
+
+    def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False):
+        calls.append((train, aggregate))
+        return encode_batches(encoder, inputs, train, dropout_rng, aggregate)
+
+    monkeypatch.setattr("txrec.trainer.encode_batches", spy)
+    cfg = TrainConfig(n_epochs=1, finetune_batch=8, lr=1e-3, patience=2, seed=0)
+    two_stage_finetune(leave_one_out(_sequences()), catalog, vocab,
+                       _encoder(vocab, seed=18, dropout=0.1), cfg, LossConfig(), limits)
+    assert (True, True) in calls and (True, False) not in calls
+
+
+# ---------------------------------------------------------------------------
+# epoch records
+
+
+@pytest.mark.parametrize("clip", [1e-6, 1e6])
+def test_epoch_records_report_the_pre_clip_norm_and_clipped_batches(tiny_corpus, monkeypatch,
+                                                                     clip):
+    """`grad_norm` is the largest norm `clip_global_norm` saw in the epoch and
+    `clipped` counts the batches above `grad_clip`: all of them, or none."""
+    catalog, vocab, limits = tiny_corpus
+    norms = []
+
+    def recording(params, max_norm):
+        norms.append(T.clip_global_norm(params, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr("txrec.trainer.clip_global_norm", recording)
+    seqs = _sequences()
+    split = leave_one_out(seqs)
+    cfg = TrainConfig(n_epochs=2, pretrain_batch=6, finetune_batch=6, lr=1e-3, patience=2,
+                      grad_clip=clip, seed=0)
+    enc = _encoder(vocab, seed=17, dropout=0.1)
+    head = MLMHead(8, vocab.size, stream(17, "init"))
+    pre = pretrain(seqs, catalog, vocab, enc, head, cfg, LossConfig(), limits)
+    fine = two_stage_finetune(split, catalog, vocab, enc, cfg, LossConfig(), limits).history
+    n_fine = -(-len(finetune_examples(split)) // 6)
+    batches = [3] * len(pre) + [n_fine] * len(fine)  # 16 pretraining sequences
+    assert len(norms) == sum(batches)
+    start = 0
+    for r, n in zip(pre + fine, batches):
+        epoch_norms = norms[start : start + n]
+        start += n
+        assert r["grad_norm"] == max(epoch_norms) > 0.0
+        assert r["clipped"] == sum(norm > clip for norm in epoch_norms) == (n if clip < 1 else 0)
+    for r in fine:
+        assert set(r) == {"stage", "epoch", "train_loss", "grad_norm", "clipped",
+                          "valid_metric", "snapshot_taken"}
+        assert isinstance(r["train_loss"], float) and r["train_loss"] > 0.0
+
+
 # ---------------------------------------------------------------------------
 # two-stage finetuning (scripted)
 
@@ -408,6 +491,31 @@ def test_finetune_early_stop_counts_from_incoming_best(tiny_corpus):
     stage2_epochs = [r["epoch"] for r in result.history if r["stage"] == 2]
     assert stage1_epochs == [1, 2, 3]  # 0.6 at epoch 1, two stale epochs, stop
     assert stage2_epochs == [1, 2]
+
+
+def test_finetune_encodes_the_catalog_once_per_stage_one_epoch(tiny_corpus, monkeypatch):
+    """The catalog encoded for the incoming snapshot serves stage one's first
+    epoch; each later stage-one epoch re-encodes, and stage two never does."""
+    encodes = []
+
+    def counting(*args, **kwargs):
+        encodes.append(encode_all_items(*args, **kwargs))
+        return encodes[-1]
+
+    monkeypatch.setattr("txrec.trainer.encode_all_items", counting)
+    result, _, seen = _scripted_run(tiny_corpus, stage1=[0.1, 0.3, 0.2],
+                                    stage2=[0.05, 0.06, 0.04], patience=3)
+    assert [(r["stage"], r["epoch"]) for r in result.history] == \
+        [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
+    assert len(encodes) == 3
+    for epoch in (1, 2, 3):
+        assert seen[(1, epoch)] is encodes[epoch - 1]
+
+
+def test_finetune_records_of_a_silent_train_fn_carry_none(tiny_corpus):
+    result, _, _ = _scripted_run(tiny_corpus, stage1=[0.1, 0.3], stage2=[0.2, 0.4])
+    for r in result.history:
+        assert (r["train_loss"], r["grad_norm"], r["clipped"]) == (None, None, None)
 
 
 def test_finetune_validation_requirements(tiny_corpus):

@@ -134,10 +134,7 @@ class MLMHead:
 
 def mlm_loss(hidden: Tensor, plan: MaskingPlan, head: MLMHead) -> Tensor:
     """Mean cross-entropy of the original tokens at the selected positions."""
-    if len(plan) == 0:
-        return Tensor(np.zeros((), dtype=hidden.data.dtype))
-    rows = T.gather_rows(hidden, plan.positions)
-    return T.cross_entropy_mean(head.logits(rows), plan.originals)
+    return pooled_mlm_loss([hidden], [plan], head)
 
 
 def pooled_mlm_loss(hiddens: list[Tensor], plans: list[MaskingPlan], head: MLMHead) -> Tensor:

@@ -766,12 +766,6 @@ def load_params(params: Iterable[Parameter], state: dict[str, np.ndarray]) -> No
         p.data[...] = src
 
 
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        if p.grad is not None:
-            p.grad[...] = 0.0
-
-
 def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...],
                      std: float = 0.02, dtype=DEFAULT_DTYPE) -> np.ndarray:
     """N(0, std) redrawn until every sample lies within two deviations."""

@@ -11,7 +11,7 @@ best-validation snapshot wins, never the last epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class ItemFeatureMatrix:
     def index(self) -> dict[str, int]:
         return self._index
 
-    def copy(self) -> "ItemFeatureMatrix":
-        return ItemFeatureMatrix(list(self.ids), self.rows.copy(), self.fingerprint, self.digest)
-
 
 def encode_all_items(encoder: Encoder, catalog: Catalog, vocab: Vocabulary,
                      limits: InputLimits = InputLimits()) -> ItemFeatureMatrix:
@@ -127,10 +124,35 @@ def _batches(order: np.ndarray, size: int):
         yield order[start : start + size]
 
 
-def _check_finite(loss: T.Tensor, where: str) -> None:
-    """Stop a run whose loss went NaN or infinite, before clipping and the step."""
-    if not np.isfinite(loss.data):
-        raise NonFiniteLossError(f"non-finite loss {float(loss.data)} at {where}")
+def _train_epoch(batches: Iterable[np.ndarray],
+                 batch_loss: Callable[[np.ndarray], tuple[T.Tensor, dict[str, float]]],
+                 adam: Adam, grad_clip: float, where: str) -> dict:
+    """One optimizer step per batch: `batch_loss(batch)` gives the loss and its
+    float parts. Returns each part's mean over the batches, the largest
+    pre-clip gradient norm and the number of clipped batches.
+
+    A NaN or infinite loss stops the run before clipping and the step, naming
+    the batch through `where`, a template with a `{batch}` field.
+    """
+    sums: dict[str, float] = {}
+    grad_norm = 0.0
+    n_batches = clipped = 0
+    for batch in batches:
+        n_batches += 1
+        with GradTape() as tape:
+            loss, parts = batch_loss(batch)
+        if not np.isfinite(loss.data):
+            raise NonFiniteLossError(f"non-finite loss {float(loss.data)} at "
+                                     f"{where.format(batch=n_batches)}")
+        tape.backward(loss)
+        norm = clip_global_norm(adam.params, grad_clip)
+        adam.step()
+        grad_norm = max(grad_norm, norm)
+        clipped += int(norm > grad_clip)
+        for key, value in parts.items():
+            sums[key] = sums.get(key, 0.0) + value
+    return {**{key: total / n_batches for key, total in sums.items()},
+            "grad_norm": grad_norm, "clipped": clipped}
 
 
 # ---------------------------------------------------------------------------
@@ -166,43 +188,23 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
     examples = pretrain_examples(sequences, catalog)
     if not examples:
         raise ValueError("no usable pretraining sequences (need length >= 2)")
-    params = encoder.parameters() + head.parameters()
-    adam = Adam(params, lr=train_cfg.lr)
+    adam = Adam(encoder.parameters() + head.parameters(), lr=train_cfg.lr)
     data_rng = stream(train_cfg.seed, "data")
     mask_rng = stream(train_cfg.seed, "mask")
     drop_rng = stream(train_cfg.seed, "dropout")
     valid_examples = pretrain_examples(valid_sequences, catalog) if valid_sequences else []
     history: list[dict] = []
+
+    def batch_loss(batch):
+        return _pretrain_batch_loss([examples[i] for i in batch], catalog, vocab, encoder, head,
+                                    loss_cfg, limits, mask_rng, drop_rng, train=True)
+
     for epoch in range(1, train_cfg.n_epochs + 1):
-        order = data_rng.permutation(len(examples))
-        iic_sum = mlm_sum = loss_sum = grad_norm = 0.0
-        n_batches = clipped = 0
-        for batch in _batches(order, train_cfg.pretrain_batch):
-            with GradTape() as tape:
-                loss, parts = _pretrain_batch_loss(
-                    [examples[i] for i in batch], catalog, vocab, encoder, head,
-                    loss_cfg, limits, mask_rng, drop_rng, train=True)
-            _check_finite(loss, f"pretrain epoch {epoch} batch {n_batches + 1}")
-            tape.backward(loss)
-            norm = clip_global_norm(params, train_cfg.grad_clip)
-            adam.step()
-            grad_norm = max(grad_norm, norm)
-            clipped += int(norm > train_cfg.grad_clip)
-            iic_sum += parts["iic"]
-            mlm_sum += parts["mlm"]
-            loss_sum += parts["loss"]
-            n_batches += 1
-        record = {
-            "stage": "pretrain",
-            "epoch": epoch,
-            "loss": loss_sum / n_batches,
-            "iic": iic_sum / n_batches,
-            "mlm": mlm_sum / n_batches,
-            "grad_norm": grad_norm,
-            "clipped": clipped,
-            "valid_metric": None,
-            "snapshot_taken": False,
-        }
+        stats = _train_epoch(_batches(data_rng.permutation(len(examples)), train_cfg.pretrain_batch),
+                             batch_loss, adam, train_cfg.grad_clip,
+                             f"pretrain epoch {epoch} batch {{batch}}")
+        record = {"stage": "pretrain", "epoch": epoch, **stats,
+                  "valid_metric": None, "snapshot_taken": False}
         if valid_examples:
             record["valid_metric"] = _pretrain_valid_loss(
                 valid_examples, catalog, vocab, encoder, head, loss_cfg, limits,
@@ -221,7 +223,7 @@ def _pretrain_batch_loss(batch, catalog, vocab, encoder, head, loss_cfg, limits,
     masked = list(encode_batches(encoder, [apply_masking_plan(x, p) for x, p in zip(xs, plans)],
                                  train, drop_rng))
     positives = encode_batches(encoder, [item_input(pos_id, catalog, vocab, limits)
-                                         for _, pos_id in batch], train, drop_rng)
+                                         for _, pos_id in batch], train, drop_rng, aggregate=True)
     iic = iic_inbatch_loss(aggregate_rows(masked), aggregate_rows(positives),
                            loss_cfg.temperature)
     mlm = None
@@ -229,12 +231,8 @@ def _pretrain_batch_loss(batch, catalog, vocab, encoder, head, loss_cfg, limits,
         hidden = {i: T.take_row(h, row) for members, h in masked for row, i in enumerate(members)}
         mlm = pooled_mlm_loss([hidden[i] for i in range(len(batch))], plans, head)
     loss = pretrain_loss(iic, mlm, loss_cfg.mlm_weight)
-    parts = {
-        "iic": float(iic.data),
-        "mlm": float(mlm.data) if mlm is not None else 0.0,
-        "loss": float(loss.data),
-    }
-    return loss, parts
+    return loss, {"loss": float(loss.data), "iic": float(iic.data),
+                  "mlm": float(mlm.data) if mlm is not None else 0.0}
 
 
 def _pretrain_valid_loss(examples, catalog, vocab, encoder, head, loss_cfg, limits,
@@ -305,11 +303,9 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
 
     def default_train(stage: int, epoch: int, enc: Encoder,
                       matrix: ItemFeatureMatrix) -> dict:
-        try:
-            return _finetune_epoch(enc, matrix, examples, adam, train_cfg, loss_cfg,
-                                   catalog, vocab, limits, data_rng, drop_rng)
-        except NonFiniteLossError as e:
-            raise NonFiniteLossError(f"{e} of finetune stage {stage} epoch {epoch}") from None
+        return _finetune_epoch(enc, matrix, examples, adam, train_cfg, loss_cfg, catalog,
+                               vocab, limits, data_rng, drop_rng,
+                               f"batch {{batch}} of finetune stage {stage} epoch {epoch}")
 
     evaluate_fn = evaluate_fn or default_evaluate
     train_fn = train_fn or default_train
@@ -319,20 +315,19 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
     best_metric = 0.0
     best_state = save_state(params)
     best_matrix = encode_all_items(encoder, catalog, vocab, limits)
-
-    def run_stage(stage: int, matrix_for_epoch) -> None:
-        nonlocal best_metric, best_state, best_matrix
+    for stage in (1, 2):
+        if stage == 2:
+            load_state(params, best_state)
+        adam = Adam(params, lr=train_cfg.lr)  # fresh moments for each stage
         scores = [best_metric]
         for epoch in range(1, train_cfg.n_epochs + 1):
-            matrix = matrix_for_epoch(epoch)
+            matrix = (best_matrix if stage == 2 or epoch == 1
+                      else encode_all_items(encoder, catalog, vocab, limits))
             stats = train_fn(stage, epoch, encoder, matrix) or {}
             metric = evaluate_fn(stage, epoch, encoder, matrix)
             took = metric > best_metric
             if took:
-                best_metric = metric
-                best_state = save_state(params)
-                if stage == 1:
-                    best_matrix = matrix.copy()
+                best_metric, best_state, best_matrix = metric, save_state(params), matrix
             record = {"stage": stage, "epoch": epoch,
                       **{key: stats.get(key) for key in ("train_loss", "grad_norm", "clipped")},
                       "valid_metric": metric, "snapshot_taken": took}
@@ -343,42 +338,24 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
             if early_stop(scores, train_cfg.patience):
                 break
 
-    adam = Adam(params, lr=train_cfg.lr)
-    run_stage(1, lambda epoch: best_matrix if epoch == 1
-              else encode_all_items(encoder, catalog, vocab, limits))
-
     load_state(params, best_state)
-    adam = Adam(params, lr=train_cfg.lr)  # fresh moments for the frozen stage
-    frozen = best_matrix
-    run_stage(2, lambda epoch: frozen)
-
-    load_state(params, best_state)
-    return FinetuneResult(best_state, frozen, best_metric, history)
+    return FinetuneResult(best_state, best_matrix, best_metric, history)
 
 
 def _finetune_epoch(encoder: Encoder, matrix: ItemFeatureMatrix, examples,
                     adam: Adam, train_cfg: TrainConfig, loss_cfg: LossConfig,
                     catalog: Catalog, vocab: Vocabulary, limits: InputLimits,
-                    data_rng: np.random.Generator,
-                    drop_rng: np.random.Generator) -> dict:
+                    data_rng: np.random.Generator, drop_rng: np.random.Generator,
+                    where: str) -> dict:
     """One pass over `examples` against `matrix`: the mean loss, the largest
     pre-clip gradient norm and the number of clipped batches."""
-    params = adam.params
-    order = data_rng.permutation(len(examples))
     positives = np.array([matrix.index_of(pos_id) for _, pos_id in examples], dtype=np.int64)
-    total = grad_norm = 0.0
-    n_batches = clipped = 0
-    for batch in _batches(order, train_cfg.finetune_batch):
-        with GradTape() as tape:
-            xs = [build_model_input(examples[i][0], catalog, vocab, limits) for i in batch]
-            rows = aggregate_rows(encode_batches(encoder, xs, True, drop_rng, aggregate=True))
-            loss = finetune_loss(rows, positives[batch], matrix.rows, loss_cfg.temperature)
-        _check_finite(loss, f"batch {n_batches + 1}")
-        tape.backward(loss)
-        norm = clip_global_norm(params, train_cfg.grad_clip)
-        adam.step()
-        grad_norm = max(grad_norm, norm)
-        clipped += int(norm > train_cfg.grad_clip)
-        total += float(loss.data)
-        n_batches += 1
-    return {"train_loss": total / max(n_batches, 1), "grad_norm": grad_norm, "clipped": clipped}
+
+    def batch_loss(batch):
+        xs = [build_model_input(examples[i][0], catalog, vocab, limits) for i in batch]
+        rows = aggregate_rows(encode_batches(encoder, xs, True, drop_rng, aggregate=True))
+        loss = finetune_loss(rows, positives[batch], matrix.rows, loss_cfg.temperature)
+        return loss, {"train_loss": float(loss.data)}
+
+    return _train_epoch(_batches(data_rng.permutation(len(examples)), train_cfg.finetune_batch),
+                        batch_loss, adam, train_cfg.grad_clip, where)

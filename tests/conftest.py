@@ -15,6 +15,13 @@ def scalarize(out: T.Tensor, weights: np.ndarray) -> T.Tensor:
     return T.matmul_nt(flat, T.Tensor(weights.reshape(1, -1)))
 
 
+def zero_grads(params) -> None:
+    """Zero the gradients that earlier backward passes left on `params`."""
+    for p in params:
+        if p.grad is not None:
+            p.grad[...] = 0.0
+
+
 def fd_gradcheck(build, params, rng: np.random.Generator, coords_per_tensor: int = 12,
                  h: float = 1e-4, tol: float = 1e-4) -> float:
     """Compare taped gradients with central differences in float64.
@@ -30,7 +37,7 @@ def fd_gradcheck(build, params, rng: np.random.Generator, coords_per_tensor: int
         loss = build()
     tape.backward(loss)
     analytic = {p.name: p.grad.copy() for p in params}
-    T.zero_grads(params)
+    zero_grads(params)
     worst = 0.0
     for p in params:
         flat = p.data.reshape(-1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -974,7 +975,9 @@ def test_make_synthetic_into_a_file_is_exit_2(tmp_path, capsys, under):
 
 
 def test_module_entry_point_prints_usage():
-    proc = subprocess.run([sys.executable, "-m", "txrec", "--help"],
-                          capture_output=True, text=True, timeout=60)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "txrec", "--help"], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "make-synthetic" in proc.stdout and "recommend" in proc.stdout

@@ -15,7 +15,7 @@ import numpy.testing as npt
 import pytest
 
 import reference as ref
-from conftest import fd_gradcheck, scalarize
+from conftest import fd_gradcheck, scalarize, zero_grads
 from txrec import tensor as T
 from txrec.encoder import build_window_index
 from txrec.rng import stream
@@ -418,8 +418,8 @@ def test_op_table_covers_every_public_op():
     functions = {name for name, value in vars(T).items()
                  if inspect.isfunction(value) and value.__module__ == T.__name__
                  and not name.startswith("_")}
-    non_ops = {"active_tape", "clip_global_norm", "load_params", "zero_grads",
-               "truncated_normal", "init_weight"}
+    non_ops = {"active_tape", "clip_global_norm", "load_params", "truncated_normal",
+               "init_weight"}
     assert functions - non_ops == set(_OPS)
 
 
@@ -536,8 +536,7 @@ def test_padded_batch_gradcheck():
     fd_gradcheck(lambda: scalarize(T.windowed_attention(q, k, v, idx, valid, g, lens), w),
                  [q, k, v], rng, coords_per_tensor=30)
     # nothing flows into the padding
-    for p in (q, k, v):
-        T.zero_grads([p])
+    zero_grads([q, k, v])
     with T.GradTape() as tape:
         loss = scalarize(T.windowed_attention(q, k, v, idx, valid, g, lens), w)
     tape.backward(loss)
@@ -589,8 +588,7 @@ def test_global_attention_gradcheck_with_padding():
     w = rng.normal(size=q.data.size)
     fd_gradcheck(lambda: scalarize(T.global_attention(q, k, v, lens), w),
                  [q, k, v], rng, coords_per_tensor=30)
-    for p in (q, k, v):
-        T.zero_grads([p])
+    zero_grads([q, k, v])
     with T.GradTape() as tape:
         loss = scalarize(T.global_attention(q, k, v, lens), w)
     tape.backward(loss)

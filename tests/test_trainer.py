@@ -92,9 +92,6 @@ def test_item_feature_matrix_index_and_copy():
     m = ItemFeatureMatrix(["a", "b"], np.arange(4.0).reshape(2, 2), "fp")
     assert m.index_of("b") == 1
     assert m.index == {"a": 0, "b": 1}
-    c = m.copy()
-    c.rows[0, 0] = 99.0
-    assert m.rows[0, 0] == 0.0
     with pytest.raises(ValueError, match="unique"):
         ItemFeatureMatrix(["a", "a"], np.zeros((2, 2)), "fp")
     with pytest.raises(ValueError, match="rows"):
@@ -229,6 +226,25 @@ def test_finetune_stops_on_non_finite_loss(tiny_corpus):
                            LossConfig(), limits)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_finetune_stops_on_non_finite_loss_in_stage_two(tiny_corpus):
+    """A snapshot taken in stage one carries an infinite weight into stage
+    two, whose first batch then stops the run."""
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab)
+
+    def evaluate_fn(stage, epoch, encoder, matrix):
+        if stage == 1:
+            encoder.parameters()[-1].data[...] = np.inf
+        return 1.0
+
+    cfg = TrainConfig(n_epochs=1, finetune_batch=8, lr=1e-3, seed=0)
+    with pytest.raises(NonFiniteLossError,
+                       match=r"^non-finite loss nan at batch 1 of finetune stage 2 epoch 1$"):
+        two_stage_finetune(leave_one_out(_sequences()), catalog, vocab, enc, cfg,
+                           LossConfig(), limits, evaluate_fn=evaluate_fn)
+
+
 # ---------------------------------------------------------------------------
 # batched losses: one encode path, whatever the token budget
 
@@ -334,6 +350,16 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
     assert abs(float(build().data) - want) < 1e-10
 
 
+def _encode_batches_spy(calls, full_last_layer=False):
+    """`encode_batches` recording each call's (train, aggregate); with
+    `full_last_layer`, every call runs the full last layer instead."""
+    def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False):
+        calls.append((train, aggregate))
+        return encode_batches(encoder, inputs, train, dropout_rng,
+                              aggregate and not full_last_layer)
+    return spy
+
+
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers):
     """Float32, dropout on, same dropout seed: a finetuning batch encoded with
@@ -363,16 +389,55 @@ def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers
 def test_finetune_trains_through_the_aggregate_only_last_layer(tiny_corpus, monkeypatch):
     catalog, vocab, limits = tiny_corpus
     calls = []
-
-    def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False):
-        calls.append((train, aggregate))
-        return encode_batches(encoder, inputs, train, dropout_rng, aggregate)
-
-    monkeypatch.setattr("txrec.trainer.encode_batches", spy)
+    monkeypatch.setattr("txrec.trainer.encode_batches", _encode_batches_spy(calls))
     cfg = TrainConfig(n_epochs=1, finetune_batch=8, lr=1e-3, patience=2, seed=0)
     two_stage_finetune(leave_one_out(_sequences()), catalog, vocab,
                        _encoder(vocab, seed=18, dropout=0.1), cfg, LossConfig(), limits)
     assert (True, True) in calls and (True, False) not in calls
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_pretrain_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypatch, n_layers):
+    """Float32, dropout 0.3, same dropout seed: a pretraining batch whose
+    positives go through the aggregate-only last layer gives the loss and
+    gradients of one whose positives run the full last layer, to 1e-6 of each
+    tensor's largest gradient, and leaves the dropout stream where it does."""
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab, seed=19, n_layers=n_layers, dropout=0.3)
+    head = MLMHead(8, vocab.size, stream(19, "init"))
+    params = enc.parameters() + head.parameters()
+    loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
+    rngs = []
+
+    def run(full_last_layer):
+        monkeypatch.setattr("txrec.trainer.encode_batches",
+                            _encode_batches_spy([], full_last_layer))
+        rngs.append(stream(20, "dropout"))
+        return _loss_and_grads(
+            lambda: _pretrain_batch_loss(_mixed_examples(), catalog, vocab, enc, head, loss_cfg,
+                                         limits, stream(4, "mask"), rngs[-1], train=True)[0],
+            params)
+
+    loss, grads = run(full_last_layer=True)
+    loss_agg, grads_agg = run(full_last_layer=False)
+    assert abs(loss_agg - loss) <= 1e-6
+    for p, g, g_agg in zip(params, grads, grads_agg):
+        assert g_agg.dtype == np.float32
+        npt.assert_allclose(g_agg, g, rtol=0.0, atol=1e-6 * max(np.abs(g).max(), 1.0),
+                            err_msg=p.name)
+    assert rngs[0].random() == rngs[1].random()
+
+
+def test_pretrain_positives_go_through_the_aggregate_only_last_layer(tiny_corpus, monkeypatch):
+    catalog, vocab, limits = tiny_corpus
+    calls = []
+    monkeypatch.setattr("txrec.trainer.encode_batches", _encode_batches_spy(calls))
+    cfg = TrainConfig(n_epochs=2, pretrain_batch=6, lr=1e-3, seed=0)
+    pretrain(_sequences(), catalog, vocab, _encoder(vocab, seed=18, dropout=0.1),
+             MLMHead(8, vocab.size, stream(18, "init")), cfg, LossConfig(), limits)
+    # 16 sequences in batches of 6: three batches an epoch, masked prefixes
+    # with the full last layer, then positives with the aggregate-only one
+    assert calls == [(True, False), (True, True)] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,8 @@ class Encoder:
         return T.layer_norm(e, self.emb_ln_g, self.emb_ln_b)
 
     def encode(self, x: ModelInput | ModelBatch, train: bool = False,
-               dropout_rng: np.random.Generator | None = None, aggregate: bool = False) -> Tensor:
+               dropout_rng: np.random.Generator | None = None, aggregate: bool = False,
+               rows: Sequence[np.ndarray] | None = None) -> Tensor:
         """Hidden states, (len, d) for one input or (B, len, d) for a padded batch.
 
         Row 0 of a sequence aggregates it. Padded keys are masked, so a
@@ -183,6 +184,11 @@ class Encoder:
         Its dropouts still draw masks for all B·len rows and keep row 0's, so
         with `train` the random stream and each aggregate row's mask are those
         of the full encode.
+
+        `rows` (with `aggregate`) names more rows to keep, one array of
+        positions per input, none of them 0: the result is then the B
+        aggregate rows followed by these M rows, (B + M, d), input by input.
+        The last layer runs them through `windowed_rows_attention`.
         """
         batch = x if isinstance(x, ModelBatch) else ModelBatch.pack([x])
         cfg = self.config
@@ -190,6 +196,17 @@ class Encoder:
         if aggregate and 0 not in batch.global_idx:
             raise ValueError(f"the aggregate row must be global, but the global rows "
                              f"are {list(batch.global_idx)}")
+        first_rows = np.arange(n_seq) * length
+        keep = first_rows
+        if rows is not None:
+            if not aggregate or len(rows) != n_seq:
+                raise ValueError(f"rows need aggregate=True and one array per input: "
+                                 f"{len(rows)} arrays for {n_seq} inputs")
+            seq = np.repeat(np.arange(n_seq), [len(r) for r in rows])
+            pos = np.concatenate(rows).astype(np.int64)
+            if ((pos < 1) | (pos >= batch.lengths[seq])).any():
+                raise ValueError(f"rows must lie in 1 .. len - 1 of their input, got {pos.tolist()}")
+            keep = np.concatenate([first_rows, seq * length + pos])
         h = T.reshape(self.embed(batch), (n_seq * length, cfg.d))
         idx, valid = build_window_index(length, cfg.window, batch.global_idx)
         g_arr = np.asarray(batch.global_idx, dtype=np.int64)
@@ -197,21 +214,27 @@ class Encoder:
         if rate > 0.0 and dropout_rng is None:
             raise ValueError("training with dropout needs a dropout rng")
         heads = (n_seq, -1, cfg.n_heads, cfg.d // cfg.n_heads)
-        first_rows = np.arange(n_seq) * length
         for i, layer in enumerate(self.layers):
             last = aggregate and i == len(self.layers) - 1
-            rows = T.gather_rows(h, first_rows) if last else h
-            q = T.transpose(T.reshape(T.matmul(rows, layer.wq), heads), (0, 2, 1, 3))
+            kept = T.gather_rows(h, first_rows) if last else h
+            q = T.transpose(T.reshape(T.matmul(kept, layer.wq), heads), (0, 2, 1, 3))
             k = T.transpose(T.reshape(T.matmul(h, layer.wk), heads), (0, 2, 1, 3))
             v = T.transpose(T.reshape(T.matmul(h, layer.wv), heads), (0, 2, 1, 3))
             if last:
                 ctx = T.global_attention(q, k, v, batch.lengths)
             else:
                 ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, batch.lengths)
-            h = rows
-            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), h.shape)
+            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), kept.shape)
+            if last and keep.size > n_seq:
+                extra = T.gather_rows(h, keep[n_seq:])
+                q = T.reshape(T.matmul(extra, layer.wq), (seq.size,) + heads[2:])
+                extra_ctx = T.windowed_rows_attention(q, k, v, seq, pos, cfg.window, g_arr,
+                                                      batch.lengths)
+                kept = T.concat_rows([kept, extra])
+                ctx = T.concat_rows([ctx, T.reshape(extra_ctx, extra.shape)])
+            h = kept
             a = T.matmul(ctx, layer.wo)
-            drop_rows = (n_seq * length, first_rows) if last else None
+            drop_rows = (n_seq * length, keep) if last else None
             if rate > 0.0:
                 a = T.dropout(a, rate, dropout_rng, drop_rows)
             h = T.layer_norm(T.add(h, a), layer.ln1_g, layer.ln1_b)
@@ -221,8 +244,8 @@ class Encoder:
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
         if aggregate:
             if not self.layers:
-                h = T.gather_rows(h, first_rows)
-            return h if x is batch else T.reshape(h, (cfg.d,))
+                h = T.gather_rows(h, keep)
+            return h if x is batch or rows is not None else T.reshape(h, (cfg.d,))
         return T.reshape(h, (n_seq, length, cfg.d) if x is batch else (length, cfg.d))
 
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
@@ -236,12 +259,14 @@ ENCODE_BATCH_TOKENS = 1024
 
 
 def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool = False,
-                   dropout_rng: np.random.Generator | None = None, aggregate: bool = False
+                   dropout_rng: np.random.Generator | None = None, aggregate: bool = False,
+                   rows: Sequence[np.ndarray] | None = None
                    ) -> Iterator[tuple[np.ndarray, Tensor]]:
     """Yield (members, hidden) per length-sorted sub-batch of at most
     ENCODE_BATCH_TOKENS padded tokens (one input at least): the indices into
     `inputs` in row order, and their (b, len, d) hidden states, or (b, d)
-    aggregate rows with `aggregate`. Lazily, so only one sub-batch's
+    aggregate rows with `aggregate`, followed by the members' `rows` when
+    given (see `Encoder.encode`). Lazily, so only one sub-batch's
     activations are alive outside a tape."""
     order = np.argsort([len(x) for x in inputs], kind="stable")
     start = 0
@@ -251,18 +276,22 @@ def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool =
             end += 1
         members = order[start:end]
         yield members, encoder.encode(ModelBatch.pack([inputs[i] for i in members]),
-                                      train, dropout_rng, aggregate)
+                                      train, dropout_rng, aggregate,
+                                      None if rows is None else [rows[i] for i in members])
         start = end
 
 
 def aggregate_rows(batches: Iterable[tuple[np.ndarray, Tensor]]) -> Tensor:
     """Row 0 of every sequence in `encode_batches`' output, (N, d) in input order.
-    Blocks may be (b, len, d) hidden states or (b, d) aggregate rows."""
+    Blocks may be (b, len, d) hidden states, or (b, d) aggregate rows that
+    more kept rows may follow."""
     blocks, members = [], []
     for idx, h in batches:
         if h.data.ndim == 3:
             n_seq, length, d = h.data.shape
             h = T.gather_rows(T.reshape(h, (n_seq * length, d)), np.arange(n_seq) * length)
+        elif len(h.data) > len(idx):
+            h = T.gather_rows(h, np.arange(len(idx)))
         blocks.append(h)
         members.append(idx)
     return T.gather_rows(T.concat_rows(blocks), np.argsort(np.concatenate(members)))

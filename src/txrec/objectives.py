@@ -137,17 +137,22 @@ def mlm_loss(hidden: Tensor, plan: MaskingPlan, head: MLMHead) -> Tensor:
     return pooled_mlm_loss([hidden], [plan], head)
 
 
-def pooled_mlm_loss(hiddens: list[Tensor], plans: list[MaskingPlan], head: MLMHead) -> Tensor:
-    """Batch MLM: one mean over every selected position of every example."""
-    blocks = []
-    targets = []
-    for h, plan in zip(hiddens, plans):
-        if len(plan):
-            blocks.append(T.gather_rows(h, plan.positions))
-            targets.append(plan.originals)
-    if not blocks:
-        return Tensor(np.zeros((), dtype=hiddens[0].data.dtype))
-    rows = T.concat_rows(blocks)
+def pooled_mlm_loss(hiddens: list[Tensor] | Tensor, plans: list[MaskingPlan],
+                    head: MLMHead) -> Tensor:
+    """Batch MLM: one mean over every selected position of every example.
+
+    `hiddens` holds each example's (len, d) hidden states, or is one (M, d)
+    tensor of just the selected rows, example by example in plan order.
+    """
+    targets = [plan.originals for plan in plans if len(plan)]
+    if not targets:
+        dtype = (hiddens if isinstance(hiddens, Tensor) else hiddens[0]).data.dtype
+        return Tensor(np.zeros((), dtype=dtype))
+    if isinstance(hiddens, Tensor):
+        rows = hiddens
+    else:
+        rows = T.concat_rows([T.gather_rows(h, plan.positions)
+                              for h, plan in zip(hiddens, plans) if len(plan)])
     return T.cross_entropy_mean(head.logits(rows), np.concatenate(targets))
 
 

@@ -193,13 +193,20 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
-    """out[i] = x[ids[i]]; backward scatter-adds, so repeated ids accumulate."""
+    """out[i] = x[ids[i]]; backward scatter-adds, so repeated ids accumulate.
+
+    Strictly increasing non-negative ids name each row once, so their
+    backward is a plain fancy add, which equals `np.add.at` bit for bit there.
+    """
     ids = np.asarray(ids, dtype=np.int64)
 
     def bwd(g: np.ndarray) -> None:
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, ids, g)
+        if ids.ndim == 1 and (ids[:1] >= 0).all() and (ids[1:] > ids[:-1]).all():
+            x.grad[ids] += g
+        else:
+            np.add.at(x.grad, ids, g)
 
     return _result(x.data[ids], (x,), bwd)
 
@@ -705,6 +712,95 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
             _accum(v, dv)
 
     return _result(out_data[0] if single else out_data, (q, k, v), bwd)
+
+
+def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: np.ndarray,
+                            window: int, global_idx: np.ndarray,
+                            lengths: np.ndarray | None = None) -> Tensor:
+    """A few non-global query rows of `windowed_attention`, alone.
+
+    q is (M, heads, d_head): row m sits at position pos[m] of sequence
+    seq[m], and no two rows share a place. k and v are (batch, heads, len,
+    d_head), with `lengths` as in `windowed_attention`. Row m attends keys
+    pos[m] - w .. pos[m] + w that lie in its sequence, plus each global key
+    outside that window: the pairs `encoder.build_window_index` allows.
+    Returns (M, heads, d_head), and counts the scored pairs of every head.
+    An encoder whose loss reads a few rows of its last layer runs them
+    through this.
+
+    Each row gathers its 2w + 1 window keys from K and V padded by w rows,
+    so the backward adds the key gradients of one window offset, over all
+    rows, with one plain fancy add; a global key's are summed per sequence.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 4 or qd.shape[1:] != kd.shape[1::2]:
+        raise ValueError(f"windowed rows attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    n_seq, n_heads, length, d_head = kd.shape
+    seq = np.asarray(seq, dtype=np.int64)
+    pos = np.asarray(pos, dtype=np.int64)
+    global_idx = np.asarray(global_idx, dtype=np.int64)
+    lengths = _real_lengths(lengths, n_seq, length)
+    if lengths.shape != (n_seq,) or lengths.max() > length \
+            or lengths.min() <= global_idx.max(initial=0):
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
+                         f"{n_seq} x {length} with global rows {global_idx.tolist()}")
+    if seq.shape != qd.shape[:1] or pos.shape != seq.shape \
+            or not ((seq >= 0) & (seq < n_seq)).all() \
+            or not ((pos >= 0) & (pos < lengths[seq])).all() \
+            or (pos[:, None] == global_idx).any() \
+            or np.unique(seq * length + pos).size != seq.size:
+        raise ValueError(f"query rows must be distinct, real and not global, got "
+                         f"sequences {seq.tolist()} at positions {pos.tolist()}")
+    w = max(min(window, length - 1), 1)    # a wider window changes no pair
+    span = 2 * w + 1
+    padded = length + 2 * w
+    alpha = 1.0 / math.sqrt(d_head)
+
+    # K and V side by side, (B * (len + 2w), 2, H, dh), with w zero rows
+    # around each sequence: key x of sequence b is row b * (len + 2w) + w + x.
+    # Row m's slot j < 2w + 1 holds key pos[m] - w + j; the global keys follow.
+    kv = np.zeros((n_seq, padded, 2, n_heads, d_head), dtype=qd.dtype)
+    kv[:, w : w + length, 0] = kd.transpose(0, 2, 1, 3)
+    kv[:, w : w + length, 1] = vd.transpose(0, 2, 1, 3)
+    kv = kv.reshape(n_seq * padded, 2, n_heads, d_head)
+    at = seq * padded + pos
+    slots = np.concatenate([at[:, None] + np.arange(span),
+                            (seq * padded + w)[:, None] + global_idx], axis=1)  # (M, C)
+    kvc = np.take(kv, slots, axis=0)                                # (M, C, 2, H, dh)
+    kc = kvc[:, :, 0].transpose(0, 2, 1, 3)                         # (M, H, C, dh)
+    vc = kvc[:, :, 1].transpose(0, 2, 1, 3)
+    key = pos[:, None] + np.arange(-w, w + 1)
+    mask = np.concatenate([(key >= 0) & (key < lengths[seq][:, None]),
+                           np.abs(pos[:, None] - global_idx) > w], axis=1)[:, None]
+    s = (kc @ qd[..., None])[..., 0]                                # (M, H, C)
+    s *= alpha
+    p = _softmax_masked(s, mask, axis=-1)
+    out_data = (p[:, :, None] @ vc)[:, :, 0]
+    attention_pairs.add(n_heads * int(np.count_nonzero(mask)))
+
+    def bwd(g: np.ndarray) -> None:
+        dp = (vc @ g[..., None])[..., 0]
+        ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+        ds *= alpha
+        if q.needs_grad:
+            _accum(q, (ds[:, :, None] @ kc)[:, :, 0])
+        # slot j's key and value gradients are coef[j] * rows, (M, 2, H, dh):
+        # formed one slot at a time, as an (M, C, 2, H, dh) block costs more
+        coef = np.ascontiguousarray(np.stack([ds, p], axis=1).transpose(3, 0, 1, 2))[..., None]
+        rows = np.stack([qd, g], axis=1)
+        dkv = np.zeros_like(kv)
+        for j in range(span):
+            dkv[at + j] += coef[j] * rows
+        dkv = dkv.reshape(n_seq, padded, 2, n_heads, d_head)
+        member = (seq == np.arange(n_seq)[:, None]).astype(qd.dtype)   # (B, M)
+        for j, g_j in enumerate(global_idx):
+            dkv[:, w + g_j] += (member @ (coef[span + j] * rows).reshape(seq.size, -1)).reshape(
+                n_seq, 2, n_heads, d_head)
+        for t, i in ((k, 0), (v, 1)):
+            if t.needs_grad:
+                _accum(t, dkv[:, w : w + length, i].transpose(0, 2, 1, 3))
+
+    return _result(out_data, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------------

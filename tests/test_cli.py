@@ -582,6 +582,26 @@ def test_recommend_orders_by_score_then_id(workdir, capsys):
     assert all(set(r) == {"item_id", "score"} for r in out)
 
 
+def test_recommend_output_does_not_depend_on_item_matrix_alignment(workdir, capsys,
+                                                                   monkeypatch):
+    args = ("recommend", "--ckpt", workdir["fine"], "--items", workdir["data"] / "items.jsonl",
+            "--history", "d0_i000,d0_i001", "--topk", 12)
+    assert run(*args) == 0
+    want = capsys.readouterr().out
+
+    def unaligned_matrix(path, *rest):
+        config, tensors = load_checkpoint(path, *rest)
+        m = tensors["item_matrix"]
+        tensors["item_matrix"] = np.frombuffer(b"\0" + m.tobytes(), m.dtype,
+                                               offset=1).reshape(m.shape)
+        assert not tensors["item_matrix"].flags.aligned
+        return config, tensors
+
+    monkeypatch.setattr("txrec.cli.load_checkpoint", unaligned_matrix)
+    assert run(*args) == 0
+    assert capsys.readouterr().out == want
+
+
 def test_recommend_topk_clamps_to_catalog(workdir, capsys):
     assert run("recommend", "--ckpt", workdir["fine"],
                "--items", workdir["data"] / "items.jsonl",

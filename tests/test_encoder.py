@@ -407,6 +407,114 @@ def test_aggregate_encode_scores_fewer_pairs(tiny_corpus):
 
 
 # ---------------------------------------------------------------------------
+# kept rows: the aggregate-only last layer plus named rows
+
+
+def _some_rows(xs):
+    """Positions to keep per input: its first and last non-aggregate rows and
+    one in between, none for an input of one token."""
+    return [np.unique([1, len(x) // 2, len(x) - 1]) if len(x) > 1
+            else np.array([], dtype=np.int64) for x in xs]
+
+
+def _kept(full, rows):
+    """Row 0 of each sequence of a full (B, len, d) encode, then its `rows`."""
+    return np.concatenate([full[:, 0]] + [full[b, r] for b, r in enumerate(rows)])
+
+
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_kept_rows_encode_is_those_rows_of_the_full_encode(tiny_corpus, n_layers, dtype, atol):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers), stream(36, "init"), dtype=dtype)
+    xs = _mixed_lengths(tiny_corpus) + [_raw_input([1])]
+    rows = _some_rows(xs)
+    batch = ModelBatch.pack(xs)
+    got = enc.encode(batch, aggregate=True, rows=rows).data
+    assert got.shape == (len(xs) + sum(map(len, rows)), enc.config.d) and got.dtype == dtype
+    npt.assert_allclose(got, _kept(enc.encode(batch).data, rows), rtol=0.0, atol=atol)
+    one = enc.encode(xs[0], aggregate=True, rows=rows[:1]).data  # a single input
+    npt.assert_allclose(one, _kept(enc.encode(xs[0]).data[None], rows[:1]), rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_kept_rows_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, dtype, atol):
+    """With dropout, the kept rows are those rows of the full encode when both
+    draw from same-seeded rngs, and both rngs end in the same state."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers, dropout=0.3), stream(37, "init"),
+                  dtype=dtype)
+    xs = _mixed_lengths(tiny_corpus)
+    rows = _some_rows(xs)
+    batch = ModelBatch.pack(xs)
+    rng_full, rng_kept = stream(38, "dropout"), stream(38, "dropout")
+    full = enc.encode(batch, train=True, dropout_rng=rng_full).data
+    got = enc.encode(batch, train=True, dropout_rng=rng_kept, aggregate=True, rows=rows).data
+    npt.assert_allclose(got, _kept(full, rows), rtol=0.0, atol=atol)
+    assert np.abs(got - enc.encode(batch, aggregate=True, rows=rows).data).max() > 1e-4
+    assert rng_full.random() == rng_kept.random()
+
+
+def test_kept_rows_train_encode_gradcheck(tiny_corpus):
+    """Float64 with dropout on: every evaluation reseeds the rng, so the masks
+    are fixed and the finite differences see the same function."""
+    _, vocab, _ = tiny_corpus
+    cfg = _cfg(vocab.size, d=4, n_layers=2, n_heads=2, window=1, ffn_dim=8, dropout=0.3)
+    enc = Encoder(cfg, stream(39, "init"), dtype=F64)
+    xs = [_history(tiny_corpus, ids=("i2",)), _history(tiny_corpus, ids=("i0", "i3"))]
+    rows = [np.array([1, len(xs[0]) - 1]), np.array([2, 3, 9])]
+    batch = ModelBatch.pack(xs)
+    rng = np.random.default_rng(40)
+    w = rng.normal(size=(2 + 5) * cfg.d)
+    fd_gradcheck(lambda: scalarize(enc.encode(batch, train=True, dropout_rng=stream(41, "dropout"),
+                                              aggregate=True, rows=rows), w),
+                 enc.parameters(), rng, coords_per_tensor=4)
+
+
+def test_kept_rows_encode_scores_only_their_pairs(tiny_corpus):
+    """One layer: row 0 scores every real key, each kept row its window."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=1), stream(42, "init"))
+    x = _history(tiny_corpus)
+    rows = _some_rows([x])
+    enc.encode(x, aggregate=True, rows=rows)
+    allowed = ref.allowed_pairs_ref(len(x), enc.config.window)
+    assert T.attention_pairs.pairs == enc.config.n_heads * (len(x) + int(allowed[rows[0]].sum()))
+
+
+def test_kept_rows_follow_their_inputs_through_encode_batches(tiny_corpus, monkeypatch):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(43, "init"))
+    xs = _mixed_lengths(tiny_corpus)
+    rows = _some_rows(xs)
+    want = [enc.encode(x, aggregate=True, rows=[r]).data for x, r in zip(xs, rows)]
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 60)
+    batches = list(encode_batches(enc, xs, aggregate=True, rows=rows))
+    assert len(batches) > 1
+    for members, h in batches:
+        assert h.data.shape == (len(members) + sum(len(rows[i]) for i in members), enc.config.d)
+        npt.assert_allclose(h.data[: len(members)], [want[i][0] for i in members],
+                            rtol=0.0, atol=1e-6)
+        npt.assert_allclose(h.data[len(members):], np.concatenate([want[i][1:] for i in members]),
+                            rtol=0.0, atol=1e-6)
+    npt.assert_allclose(aggregate_rows(batches).data, [r[0] for r in want], rtol=0.0, atol=1e-6)
+
+
+def test_kept_rows_encode_rejects_rows_it_cannot_keep(tiny_corpus):
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(44, "init"))
+    batch = ModelBatch.pack(_mixed_lengths(tiny_corpus)[:2])   # 28 and 10 tokens
+    with pytest.raises(ValueError, match="aggregate=True"):
+        enc.encode(batch, rows=[np.array([1]), np.array([1])])
+    with pytest.raises(ValueError, match="one array per input"):
+        enc.encode(batch, aggregate=True, rows=[np.array([1])])
+    for bad in ([0], [10]):
+        with pytest.raises(ValueError, match="1 .. len - 1"):
+            enc.encode(batch, aggregate=True, rows=[np.array([1]), np.array(bad)])
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 

@@ -238,6 +238,26 @@ def test_gather_take_stack_concat_gradchecks():
         w3), [x], rng)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_gather_rows_backward_equals_add_at_bit_for_bit(dtype):
+    """Increasing ids take the plain fancy add; repeated, unsorted or wrapping
+    negative ids still accumulate. Either way the gradient is `np.add.at`'s,
+    added onto what the row gradients already held."""
+    rng = np.random.default_rng(12)
+    x = T.Parameter("x", rng.normal(size=(7, 5)), dtype=dtype)
+    start = rng.normal(size=(7, 5)).astype(dtype)
+    for ids in ([0, 2, 3, 6], [4], [1, 1, 2], [3, 0], [-7, 0]):
+        ids = np.array(ids)
+        w = rng.normal(size=len(ids) * 5).astype(dtype)
+        x.grad[...] = start
+        with T.GradTape() as tape:
+            loss = scalarize(T.gather_rows(x, ids), w)
+        tape.backward(loss)
+        want = start.copy()
+        np.add.at(want, ids, w.reshape(len(ids), 5))
+        assert x.grad.tobytes() == want.tobytes(), ids
+
+
 # ---------------------------------------------------------------------------
 # normalize / dropout
 
@@ -404,6 +424,9 @@ _OPS = {
         make((2, 5, 3)), make((2, 5, 3)), make((2, 5, 3)), _IDX, _VALID, np.array([0])),
     "global_attention": lambda make: T.global_attention(
         make((2, 2, 1, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([5, 3])),
+    "windowed_rows_attention": lambda make: T.windowed_rows_attention(
+        make((3, 2, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([0, 0, 1]),
+        np.array([1, 4, 2]), 2, np.array([0]), np.array([5, 3])),
 }
 
 
@@ -645,6 +668,85 @@ def test_windowed_attention_global_rows_are_unchanged_bit_for_bit(dtype):
     assert q.grad[:, :, global_idx].tobytes() == (dq_gl * alpha).tobytes()
     assert k.grad.tobytes() == (dk_ref * alpha).tobytes()
     assert v.grad.tobytes() == dv_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# windowed rows attention
+
+
+def _rows_setup(rng, lengths, window, global_idx, rows, n_heads=2, d_head=3):
+    """Keys and values of a right-padded batch, and queries at `rows`, one
+    list of positions per sequence."""
+    shape = (len(lengths), n_heads, max(lengths), d_head)
+    k, v = (_param(name, shape, rng) for name in "kv")
+    seq = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    pos = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
+    q = _param("q", (seq.size, n_heads, d_head), rng)
+    return q, k, v, seq, pos, np.asarray(global_idx, dtype=np.int64), np.asarray(lengths)
+
+
+_ROWS_CASES = [
+    # rows at both ends of each sequence
+    ([12, 12], 3, (0,), [[1, 2, 11], [1, 6, 10, 11]]),
+    # rows within w of a global key at 5: it sits in their window, counted once
+    ([13], 2, (0, 5), [[1, 2, 3, 4, 6, 7, 8, 12]]),
+    # a right-padded batch, rows near each sequence's own end
+    ([13, 6, 9], 3, (0,), [[4, 12], [3, 5], [1, 8]]),
+    # sequences no longer than w
+    ([4, 2, 3], 5, (0,), [[1, 2, 3], [1], [2]]),
+    # a sequence without rows, and no global keys at all
+    ([9, 7], 2, (), [[], [0, 3, 6]]),
+]
+
+
+@pytest.mark.parametrize("lengths,window,global_idx,rows", _ROWS_CASES)
+def test_windowed_rows_attention_matches_dense_at_the_rows(lengths, window, global_idx, rows):
+    rng = np.random.default_rng(50)
+    q, k, v, seq, pos, g, lens = _rows_setup(rng, lengths, window, global_idx, rows)
+    out = T.windowed_rows_attention(q, k, v, seq, pos, window, g, lens).data
+    assert out.shape == q.data.shape
+    pairs = 0
+    for m, (b, r) in enumerate(zip(seq, pos)):
+        n = lengths[b]
+        allowed = ref.allowed_pairs_ref(n, window, global_idx)
+        q_full = np.zeros((2, n, 3))
+        q_full[:, r] = q.data[m]
+        expected = ref.dense_attention_ref(q_full, k.data[b, :, :n], v.data[b, :, :n], allowed)
+        npt.assert_allclose(out[m], expected[:, r], atol=1e-12)
+        pairs += 2 * int(allowed[r].sum())
+    assert T.attention_pairs.pairs == pairs
+
+
+def test_windowed_rows_attention_gradcheck_with_padding():
+    rng = np.random.default_rng(51)
+    q, k, v, seq, pos, g, lens = _rows_setup(rng, [9, 4, 7], 2, (0,),
+                                             [[1, 2, 5, 8], [3], [1, 4, 6]])
+    w = rng.normal(size=q.data.size)
+
+    def build():
+        return scalarize(T.windowed_rows_attention(q, k, v, seq, pos, 2, g, lens), w)
+
+    fd_gradcheck(build, [q, k, v], rng, coords_per_tensor=30)
+    zero_grads([q, k, v])
+    with T.GradTape() as tape:
+        loss = build()
+    tape.backward(loss)
+    for p in (k, v):  # nothing flows into the padded keys
+        assert not p.grad[1, :, 4:].any() and not p.grad[2, :, 7:].any()
+
+
+def test_windowed_rows_attention_rejects_rows_it_cannot_serve():
+    rng = np.random.default_rng(52)
+    q, k, v, seq, pos, g, lens = _rows_setup(rng, [6, 4], 2, (0,), [[1, 3], [2]])
+    T.windowed_rows_attention(q, k, v, seq, pos, 2, g, lens)
+    for bad_seq, bad_pos in (([0, 0, 1], [1, 1, 2]),   # a row twice
+                             ([0, 0, 1], [0, 3, 2]),   # a global row
+                             ([0, 0, 1], [1, 3, 4]),   # past its sequence's length
+                             ([0, 0, 2], [1, 3, 2])):  # no such sequence
+        with pytest.raises(ValueError, match="query rows"):
+            T.windowed_rows_attention(q, k, v, np.array(bad_seq), np.array(bad_pos), 2, g, lens)
+    with pytest.raises(ValueError, match="shapes"):
+        T.windowed_rows_attention(k, k, v, seq, pos, 2, g, lens)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from txrec.trainer import (
     ItemFeatureMatrix,
     TrainConfig,
     _pretrain_batch_loss,
+    _pretrain_valid_loss,
     early_stop,
     encode_all_items,
     finetune_examples,
@@ -96,6 +97,19 @@ def test_item_feature_matrix_index_and_copy():
         ItemFeatureMatrix(["a", "a"], np.zeros((2, 2)), "fp")
     with pytest.raises(ValueError, match="rows"):
         ItemFeatureMatrix(["a"], np.zeros((2, 2)), "fp")
+
+
+def test_item_feature_matrix_aligns_unaligned_rows_only():
+    rows = np.arange(12, dtype=np.float32).reshape(3, 4)
+    unaligned = np.frombuffer(b"\0" + rows.tobytes(), np.float32, offset=1).reshape(3, 4)
+    assert not unaligned.flags.aligned
+    m = ItemFeatureMatrix(["a", "b", "c"], unaligned, "fp")
+    assert m.rows.flags.aligned
+    npt.assert_array_equal(m.rows, rows)
+    # an aligned read-only view, as a checkpoint hands out, is kept as it is
+    view = np.frombuffer(rows.tobytes(), np.float32).reshape(3, 4)
+    assert view.flags.aligned and not view.flags.writeable
+    assert ItemFeatureMatrix(["a", "b", "c"], view, "fp").rows is view
 
 
 def test_encode_all_items_matches_per_item_encoding(tiny_corpus):
@@ -351,13 +365,25 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
 
 
 def _encode_batches_spy(calls, full_last_layer=False):
-    """`encode_batches` recording each call's (train, aggregate); with
-    `full_last_layer`, every call runs the full last layer instead."""
-    def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False):
-        calls.append((train, aggregate))
-        return encode_batches(encoder, inputs, train, dropout_rng,
-                              aggregate and not full_last_layer)
+    """`encode_batches` recording each call's (train, aggregate), plus "rows"
+    when it keeps more rows; with `full_last_layer`, every call runs the full
+    last layer instead, and kept rows are gathered from its output."""
+    def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False, rows=None):
+        calls.append((train, aggregate) if rows is None else (train, aggregate, "rows"))
+        if not full_last_layer:
+            return encode_batches(encoder, inputs, train, dropout_rng, aggregate, rows)
+        if rows is None:
+            return encode_batches(encoder, inputs, train, dropout_rng)
+        return [(members, _kept_rows(h, [rows[i] for i in members]))
+                for members, h in encode_batches(encoder, inputs, train, dropout_rng)]
     return spy
+
+
+def _kept_rows(h, rows):
+    """Row 0 of each sequence of (b, len, d) hidden states, then its `rows`."""
+    n_seq, length, d = h.data.shape
+    at = [np.arange(n_seq) * length] + [b * length + np.asarray(r) for b, r in enumerate(rows)]
+    return T.gather_rows(T.reshape(h, (n_seq * length, d)), np.concatenate(at))
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -399,9 +425,11 @@ def test_finetune_trains_through_the_aggregate_only_last_layer(tiny_corpus, monk
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_pretrain_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypatch, n_layers):
     """Float32, dropout 0.3, same dropout seed: a pretraining batch whose
-    positives go through the aggregate-only last layer gives the loss and
-    gradients of one whose positives run the full last layer, to 1e-6 of each
-    tensor's largest gradient, and leaves the dropout stream where it does."""
+    positives go through the aggregate-only last layer, and whose masked
+    prefixes keep only their aggregate and masked rows there, gives the loss
+    and gradients of one that runs the full last layer throughout, to 1e-6 of
+    each tensor's largest gradient, and leaves the dropout stream where it
+    does."""
     catalog, vocab, limits = tiny_corpus
     enc = _encoder(vocab, seed=19, n_layers=n_layers, dropout=0.3)
     head = MLMHead(8, vocab.size, stream(19, "init"))
@@ -428,6 +456,27 @@ def test_pretrain_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypa
     assert rngs[0].random() == rngs[1].random()
 
 
+def test_pretrain_valid_loss_matches_the_full_last_layer(tiny_corpus, monkeypatch):
+    """Validation encodes masked prefixes through the aggregate-only last
+    layer too. Matrices are scaled up from the 0.02-std init, so attention is
+    far from uniform and a wrong key set moves the loss."""
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab, seed=21, n_layers=2, dropout=0.3)
+    for p in enc.parameters():
+        if p.data.ndim == 2:
+            p.data *= 25.0
+    head = MLMHead(8, vocab.size, stream(21, "init"))
+    examples = _mixed_examples() * 3
+    values = []
+    for full_last_layer in (True, False):
+        monkeypatch.setattr("txrec.trainer.encode_batches",
+                            _encode_batches_spy([], full_last_layer))
+        values.append(_pretrain_valid_loss(examples, catalog, vocab, enc, head,
+                                           LossConfig(temperature=0.1, mlm_weight=0.5),
+                                           limits, stream(22, "valid-mask")))
+    assert abs(values[1] - values[0]) <= 1e-6
+
+
 def test_pretrain_positives_go_through_the_aggregate_only_last_layer(tiny_corpus, monkeypatch):
     catalog, vocab, limits = tiny_corpus
     calls = []
@@ -436,8 +485,9 @@ def test_pretrain_positives_go_through_the_aggregate_only_last_layer(tiny_corpus
     pretrain(_sequences(), catalog, vocab, _encoder(vocab, seed=18, dropout=0.1),
              MLMHead(8, vocab.size, stream(18, "init")), cfg, LossConfig(), limits)
     # 16 sequences in batches of 6: three batches an epoch, masked prefixes
-    # with the full last layer, then positives with the aggregate-only one
-    assert calls == [(True, False), (True, True)] * 6
+    # keeping their masked rows, then positives, both through the
+    # aggregate-only last layer
+    assert calls == [(True, True, "rows"), (True, True)] * 6
 
 
 # ---------------------------------------------------------------------------

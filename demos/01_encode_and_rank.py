@@ -52,8 +52,7 @@ print("  token types", sent.token_types.tolist(), "(1 = key, 2 = value)\n")
 history = ["sku-001", "sku-005", "sku-002"]
 x = build_model_input(history, catalog, vocab, limits)
 print(f"history {history} -> {len(x.token_ids)} tokens")
-print("  item slots ", x.item_positions.tolist())
-print("  global mask", x.global_mask.astype(int).tolist(), "\n")
+print("  item slots ", x.item_positions.tolist(), "(slot 0 is the aggregate)\n")
 
 # ---------------------------------------------------------------------------
 # Encode with a fresh (untrained) model and rank the full catalog.

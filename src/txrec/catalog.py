@@ -215,7 +215,6 @@ class ModelInput:
     token_positions: np.ndarray  # int64 (len,) 0..len-1
     token_types: np.ndarray     # int64 (len,)
     item_positions: np.ndarray  # int64 (len,) 0 for the aggregate, then 1=newest item
-    global_mask: np.ndarray     # bool (len,)
 
     def __len__(self) -> int:
         return len(self.token_ids)
@@ -226,7 +225,9 @@ class ModelBatch:
     """Right-padded index arrays for one batched encoder call.
 
     Slots past a sequence's length hold PAD_ID and index 0 everywhere; the
-    encoder masks them as keys and never reads their rows back.
+    encoder masks them as keys and never reads their rows back. Position 0
+    of every sequence is its aggregate slot, the one row that attends, and
+    is attended by, every real token.
     """
 
     token_ids: np.ndarray        # int64 (B, len)
@@ -234,7 +235,6 @@ class ModelBatch:
     token_types: np.ndarray      # int64 (B, len)
     item_positions: np.ndarray   # int64 (B, len)
     lengths: np.ndarray          # int64 (B,)
-    global_idx: tuple[int, ...]  # positions that are global in every sequence
 
     @classmethod
     def pack(cls, inputs: Sequence[ModelInput]) -> "ModelBatch":
@@ -243,17 +243,13 @@ class ModelBatch:
         lengths = np.array([len(x) for x in inputs], dtype=np.int64)
         filled = np.arange(lengths.max()) < lengths[:, None]  # row-major, like a concatenation
         arrays = {}
-        for f in ("token_ids", "token_positions", "token_types", "item_positions", "global_mask"):
+        for f in ("token_ids", "token_positions", "token_types", "item_positions"):
             parts = [getattr(x, f) for x in inputs]
             if any(len(p) != n for p, n in zip(parts, lengths)):
                 raise ValueError("model input arrays disagree on length")
-            arrays[f] = np.zeros(filled.shape, dtype=bool if f == "global_mask" else np.int64)
+            arrays[f] = np.zeros(filled.shape, dtype=np.int64)
             arrays[f][filled] = np.concatenate(parts)
-        gmask = arrays.pop("global_mask")
-        if (gmask != gmask[0]).any():
-            raise ValueError("inputs of one batch must share their global positions")
-        global_idx = tuple(np.flatnonzero(gmask[0]).tolist())
-        return cls(lengths=lengths, global_idx=global_idx, **arrays)
+        return cls(lengths=lengths, **arrays)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -283,13 +279,11 @@ def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabula
     cap = limits.max_tokens + 1  # plus the aggregate slot
     if len(ids) > cap:  # cut only then: each view is one more array object per input
         ids, types, slots = ids[:cap], types[:cap], slots[:cap]
-    positions = np.arange(len(ids), dtype=np.int64)
     return ModelInput(
         token_ids=_freeze(ids),
-        token_positions=_freeze(positions),
+        token_positions=_freeze(np.arange(len(ids), dtype=np.int64)),
         token_types=_freeze(types),
         item_positions=_freeze(slots),
-        global_mask=_freeze(positions == 0),
     )
 
 

@@ -92,6 +92,8 @@ def load_checkpoint(path: str | Path, check_finite: bool = True
         for _ in range(n_tensors):
             name_len, = struct.unpack_from("<H", raw, off); off += 2
             name = raw[off : off + name_len].decode("utf-8"); off += name_len
+            if name in tensors:
+                raise CheckpointError(f"{path}: tensor '{name}' appears more than once")
             tag, ndim = struct.unpack_from("<BB", raw, off); off += 2
             if tag not in _DTYPE_TAGS:
                 raise CheckpointError(f"{path}: unknown dtype tag {tag} for '{name}'")

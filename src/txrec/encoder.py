@@ -59,37 +59,27 @@ class EncoderConfig:
 
 
 @lru_cache(maxsize=256)
-def build_window_index(length: int, window: int,
-                       global_idx: tuple[int, ...] = (0,)) -> tuple[np.ndarray, np.ndarray]:
+def build_window_index(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row candidate key slots for the sliding-chunk attention kernel.
 
-    Returns (idx, valid), both (length, 3*w + len(global_idx)), where w is
-    the window clamped to the sequence (a wider window changes no pair).
-    Rows are cut into chunks of w; slot s of a row in chunk i holds key
-    i*w - w + s, valid when it lies in the sequence and within w of the row.
-    One extra slot per global key is valid only when that key is outside the
-    row's window, so each allowed pair appears exactly once. Rows that are
-    themselves global are handled densely by the kernel and keep only their
-    window slots here. Invalid slots point at key 0.
+    Returns (idx, valid), both (length, 3*w + 1), where w is the window
+    clamped to the sequence (a wider window changes no pair). Rows are cut
+    into chunks of w; slot s of a row in chunk i holds key i*w - w + s, valid
+    when it lies in the sequence and within w of the row. The last slot
+    holds key 0, the aggregate slot and the one global row, valid only when
+    it is outside the row's window, so each allowed pair appears exactly
+    once. Row 0 is handled densely by the kernel and keeps only its window
+    slots here. Invalid slots point at key 0.
     """
     w = max(min(window, length - 1), 1)
     pos = np.arange(length)
-    idx = (pos // w * w - w)[:, None] + np.arange(3 * w)[None, :]
+    idx = np.hstack([(pos // w * w - w)[:, None] + np.arange(3 * w), np.zeros((length, 1), np.int64)])
     valid = (idx >= 0) & (idx < length) & (np.abs(idx - pos[:, None]) <= w)
+    valid[:, -1] = pos > w
     idx = np.where(valid, idx, 0)
-    cols = [idx]
-    vals = [valid]
-    for g in global_idx:
-        if not 0 <= g < length:
-            raise ValueError(f"global index {g} outside sequence of length {length}")
-        outside = np.abs(pos - g) > w
-        cols.append(np.full((length, 1), g, dtype=np.int64))
-        vals.append(outside[:, None])
-    idx_full = np.hstack(cols).astype(np.int64)
-    valid_full = np.hstack(vals)
-    idx_full.setflags(write=False)
-    valid_full.setflags(write=False)
-    return idx_full, valid_full
+    idx.setflags(write=False)
+    valid.setflags(write=False)
+    return idx, valid
 
 
 class _Layer:
@@ -193,9 +183,6 @@ class Encoder:
         batch = x if isinstance(x, ModelBatch) else ModelBatch.pack([x])
         cfg = self.config
         n_seq, length = batch.token_ids.shape
-        if aggregate and 0 not in batch.global_idx:
-            raise ValueError(f"the aggregate row must be global, but the global rows "
-                             f"are {list(batch.global_idx)}")
         first_rows = np.arange(n_seq) * length
         keep = first_rows
         if rows is not None:
@@ -208,8 +195,7 @@ class Encoder:
                 raise ValueError(f"rows must lie in 1 .. len - 1 of their input, got {pos.tolist()}")
             keep = np.concatenate([first_rows, seq * length + pos])
         h = T.reshape(self.embed(batch), (n_seq * length, cfg.d))
-        idx, valid = build_window_index(length, cfg.window, batch.global_idx)
-        g_arr = np.asarray(batch.global_idx, dtype=np.int64)
+        idx, valid = build_window_index(length, cfg.window)
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and dropout_rng is None:
             raise ValueError("training with dropout needs a dropout rng")
@@ -223,13 +209,12 @@ class Encoder:
             if last:
                 ctx = T.global_attention(q, k, v, batch.lengths)
             else:
-                ctx = T.windowed_attention(q, k, v, idx, valid, g_arr, batch.lengths)
+                ctx = T.windowed_attention(q, k, v, idx, valid, batch.lengths)
             ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), kept.shape)
             if last and keep.size > n_seq:
                 extra = T.gather_rows(h, keep[n_seq:])
                 q = T.reshape(T.matmul(extra, layer.wq), (seq.size,) + heads[2:])
-                extra_ctx = T.windowed_rows_attention(q, k, v, seq, pos, cfg.window, g_arr,
-                                                      batch.lengths)
+                extra_ctx = T.windowed_rows_attention(q, k, v, seq, pos, cfg.window, batch.lengths)
                 kept = T.concat_rows([kept, extra])
                 ctx = T.concat_rows([ctx, T.reshape(extra_ctx, extra.shape)])
             h = kept
@@ -282,15 +267,12 @@ def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool =
 
 
 def aggregate_rows(batches: Iterable[tuple[np.ndarray, Tensor]]) -> Tensor:
-    """Row 0 of every sequence in `encode_batches`' output, (N, d) in input order.
-    Blocks may be (b, len, d) hidden states, or (b, d) aggregate rows that
-    more kept rows may follow."""
+    """Row 0 of every sequence in the output of `encode_batches(...,
+    aggregate=True)`, (N, d) in input order. A block's (b, d) aggregate rows
+    may be followed by more kept rows, which are dropped."""
     blocks, members = [], []
     for idx, h in batches:
-        if h.data.ndim == 3:
-            n_seq, length, d = h.data.shape
-            h = T.gather_rows(T.reshape(h, (n_seq * length, d)), np.arange(n_seq) * length)
-        elif len(h.data) > len(idx):
+        if len(h.data) > len(idx):
             h = T.gather_rows(h, np.arange(len(idx)))
         blocks.append(h)
         members.append(idx)

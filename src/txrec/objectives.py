@@ -95,7 +95,6 @@ def apply_masking_plan(x: ModelInput, plan: MaskingPlan) -> ModelInput:
         token_positions=x.token_positions,
         token_types=x.token_types,
         item_positions=x.item_positions,
-        global_mask=x.global_mask,
     )
 
 

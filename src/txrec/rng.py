@@ -5,11 +5,12 @@ no global RNG state. Each consumer asks for a stream by name, so e.g. the
 masking draws are reproducible independently of how many parameters were
 initialized before them. Stream names in use:
 
-    "init"       parameter initialization
-    "mask"       MLM corruption draws
-    "data"       shuffling of training example order
-    "dropout"    dropout masks
-    "synthetic"  synthetic corpus generation
+    "init"                  parameter initialization
+    "mask"                  MLM corruption draws during training
+    "valid-mask"            MLM corruption draws of the validation loss
+    "data"                  shuffling of training example order
+    "dropout"               dropout masks
+    "synthetic-domain-{d}"  synthetic corpus generation, one per domain d
 """
 
 from __future__ import annotations

@@ -542,8 +542,8 @@ def _dense_rows_grad(g: np.ndarray, p: np.ndarray, qd: np.ndarray, kd: np.ndarra
 
 
 def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-    """A few query rows attending every real key: the global rows of
-    `windowed_attention`, alone.
+    """Query rows attending every real key, as the aggregate row (row 0) of
+    `windowed_attention` does.
 
     q is (batch, heads, G, d_head); k and v are (batch, heads, len, d_head).
     `lengths` (batch,) gives each sequence's real length in a right-padded
@@ -575,64 +575,51 @@ def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None
 
 
 def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray,
-                       neighbor_valid: np.ndarray, global_idx: np.ndarray,
-                       lengths: np.ndarray | None = None) -> Tensor:
-    """Sliding-window attention with a few rows that attend everywhere.
+                       neighbor_valid: np.ndarray, lengths: np.ndarray | None = None) -> Tensor:
+    """Sliding-window attention whose row 0, the aggregate slot, is global.
 
-    q, k, v are (batch, heads, len, d_head), or (heads, len, d_head) for one
-    sequence. neighbor_idx / neighbor_valid come from
-    `encoder.build_window_index` and are (len, 3w + G): query rows are cut
-    into chunks of w rows, and slot s of a row in chunk i holds key
+    q, k, v are (batch, heads, len, d_head). neighbor_idx / neighbor_valid
+    come from `encoder.build_window_index` and are (len, 3w + 1): query rows
+    are cut into chunks of w rows, and slot s of a row in chunk i holds key
     i*w - w + s, so one batched matmul against overlapping views of the
     padded keys scores every chunk at once (the sliding-chunk form of
-    Longformer). The last G slots hold the global keys, valid only outside
-    the row's window. The kernel reads w off the slot count and uses
-    neighbor_idx, the slot-to-key map its views realize, only to check the
-    layout. Rows listed in global_idx ignore their window and attend
-    densely; every row can attend the global rows, so the pattern is
-    symmetric. Work is O(len * w) plus O(len) per global row instead of
-    O(len^2).
+    Longformer). The last slot holds key 0, valid only outside the row's
+    window. The kernel reads w off the slot count and uses neighbor_idx, the
+    slot-to-key map its views realize, only to check the layout. Row 0
+    ignores its window and attends densely, and every row attends key 0, so
+    the pattern is symmetric. Work is O(len * w) instead of O(len^2).
 
     `lengths` (batch,) gives each sequence's real length in a right-padded
     batch and defaults to the full length: keys at or past a sequence's
-    length are masked, and its padded rows come out as zeros. Global rows
-    must lie inside every sequence.
+    length are masked, and its padded rows come out as zeros.
 
     `attention_pairs` is incremented by the number of scored pairs of real
     rows and keys summed over heads, which is what the linear-scaling checks
     measure.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.shape != kd.shape or qd.shape != vd.shape or qd.ndim not in (3, 4):
-        raise ValueError(f"attention shapes must match: {qd.shape}, {kd.shape}, {vd.shape}")
-    single = qd.ndim == 3
-    if single:
-        qd, kd, vd = qd[None], kd[None], vd[None]
+    if qd.shape != kd.shape or qd.shape != vd.shape or qd.ndim != 4:
+        raise ValueError(f"attention shapes must match and be 4-D: {qd.shape}, {kd.shape}, {vd.shape}")
     n_seq, n_heads, length, d_head = qd.shape
-    global_idx = np.asarray(global_idx, dtype=np.int64)
-    n_glob = global_idx.size
     n_slots = neighbor_valid.shape[-1]
-    w = (n_slots - n_glob) // 3
-    if w < 1 or neighbor_valid.shape != (length, 3 * w + n_glob) \
+    w = (n_slots - 1) // 3
+    if w < 1 or neighbor_valid.shape != (length, 3 * w + 1) \
             or neighbor_idx.shape != neighbor_valid.shape:
-        raise ValueError(f"window index {neighbor_valid.shape} does not fit length {length} "
-                         f"with {n_glob} global rows")
+        raise ValueError(f"window index {neighbor_valid.shape} does not fit length {length}")
     n_chunks = -(-length // w)
     span = n_chunks * w
     win = 3 * w
     alpha = 1.0 / math.sqrt(d_head)
 
     lengths = _real_lengths(lengths, n_seq, length)
-    if lengths.shape != (n_seq,) or lengths.max() > length \
-            or lengths.min() <= global_idx.max(initial=0):
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
-                         f"{n_seq} x {length} with global rows {global_idx.tolist()}")
+    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
 
     # Scores and weights live slot-first, (S, B, H, C, w), so the softmax
     # reduces over a leading axis; matmuls read and write them through
     # (B, H, C, w, S) views. mask is (S, B, 1, C, w): the window layout,
     # then each sequence's real keys. row_local (B, 1, C, w) marks the
-    # rows the band serves: real and not global.
+    # rows the band serves: real and not row 0.
     key_real = np.arange(span + 2 * w) - w < lengths[:, None]     # (B, span + 2w)
     win_real = _chunk_view(key_real.reshape(n_seq, 1, -1, 1), w)[:, 0, :, 0]  # (B, C, 3w)
     slots = np.zeros((span, n_slots), dtype=bool)
@@ -640,7 +627,7 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     mask = np.repeat(slots.T.reshape(n_slots, 1, 1, n_chunks, w), n_seq, axis=1)
     mask[:win] &= win_real.transpose(2, 0, 1)[:, :, None, :, None]
     row_local = np.ones(span, dtype=bool)
-    row_local[global_idx] = False
+    row_local[0] = False
     row_local = row_local.reshape(1, 1, n_chunks, w) & key_real[:, w : w + span].reshape(n_seq, 1, n_chunks, w)
 
     qc = _padded(qd, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
@@ -649,34 +636,28 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     s = np.empty((n_slots, n_seq, n_heads, n_chunks, w), dtype=qd.dtype)
     s_rows = s.transpose(1, 2, 3, 4, 0)
     np.matmul(qc, kc, out=s_rows[..., :win])
-    np.matmul(qc, kd[:, :, None, global_idx].swapaxes(-1, -2), out=s_rows[..., win:])
+    np.matmul(qc, kd[:, :, None, [0]].swapaxes(-1, -2), out=s_rows[..., win:])
     s *= alpha
     p = _softmax_masked(s, mask, axis=0)
     p *= row_local
     p_rows = p.transpose(1, 2, 3, 4, 0)
     out_c = p_rows[..., :win] @ vc.swapaxes(-1, -2)          # (B, H, C, w, dh)
-    for j, g_j in enumerate(global_idx):
-        out_c += p[win + j][..., None] * vd[:, :, None, None, g_j]
+    out_c += p[win][..., None] * vd[:, :, None, None, 0]
     out_data = out_c.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
-
-    p_gl = None
-    q_gl = None
-    if n_glob:
-        q_gl = qd[:, :, global_idx]                          # (B, H, G, dh)
-        out_data[:, :, global_idx], p_gl = _dense_rows(q_gl, kd, vd, lengths, alpha)
-
+    q_gl = qd[:, :, [0]]                                     # (B, H, 1, dh)
+    out_data[:, :, [0]], p_gl = _dense_rows(q_gl, kd, vd, lengths, alpha)
     attention_pairs.add(n_heads * int(np.count_nonzero(mask & row_local)))
 
     def bwd(g: np.ndarray) -> None:
-        g = g[None] if single else g
         gc = _padded(g, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
         dp = np.empty_like(p)
         dp_rows = dp.transpose(1, 2, 3, 4, 0)
         np.matmul(gc, vc, out=dp_rows[..., :win])
-        np.matmul(gc, vd[:, :, None, global_idx].swapaxes(-1, -2), out=dp_rows[..., win:])
+        np.matmul(gc, vd[:, :, None, [0]].swapaxes(-1, -2), out=dp_rows[..., win:])
         ds = p * (dp - (p * dp).sum(axis=0))
         ds_rows = ds.transpose(1, 2, 3, 4, 0)
         dq = ds_rows[..., :win] @ kc.swapaxes(-1, -2)
+        dq += ds[win][..., None] * kd[:, :, None, None, 0]
         # window slots j*w .. j*w + w - 1 of chunk i are padded key rows (i + j)*w ..
         dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=qd.dtype)
         dvp = np.zeros_like(dkp)
@@ -688,22 +669,15 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
         dk = dkp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
         dv = dvp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
         flat = (n_seq, n_heads, 1, span)
-        q_flat = qc.reshape(n_seq, n_heads, span, d_head)
-        g_flat = gc.reshape(n_seq, n_heads, span, d_head)
-        for j, g_j in enumerate(global_idx):
-            dq += ds[win + j][..., None] * kd[:, :, None, None, g_j]
-            dk[:, :, g_j] += (ds[win + j].reshape(flat) @ q_flat)[:, :, 0]
-            dv[:, :, g_j] += (p[win + j].reshape(flat) @ g_flat)[:, :, 0]
+        dk[:, :, 0] += (ds[win].reshape(flat) @ qc.reshape(n_seq, n_heads, span, d_head))[:, :, 0]
+        dv[:, :, 0] += (p[win].reshape(flat) @ gc.reshape(n_seq, n_heads, span, d_head))[:, :, 0]
         dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
-        if n_glob:
-            dq_gl, dk_gl, dv_gl = _dense_rows_grad(g[:, :, global_idx], p_gl, q_gl, kd, vd)
-            dq[:, :, global_idx] += dq_gl
-            dk += dk_gl
-            dv += dv_gl
+        dq_gl, dk_gl, dv_gl = _dense_rows_grad(g[:, :, [0]], p_gl, q_gl, kd, vd)
+        dq[:, :, [0]] += dq_gl
+        dk += dk_gl
+        dv += dv_gl
         dq *= alpha
         dk *= alpha
-        if single:
-            dq, dk, dv = dq[0], dk[0], dv[0]
         if q.needs_grad:
             _accum(q, dq)
         if k.needs_grad:
@@ -711,18 +685,17 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
         if v.needs_grad:
             _accum(v, dv)
 
-    return _result(out_data[0] if single else out_data, (q, k, v), bwd)
+    return _result(out_data, (q, k, v), bwd)
 
 
 def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: np.ndarray,
-                            window: int, global_idx: np.ndarray,
-                            lengths: np.ndarray | None = None) -> Tensor:
-    """A few non-global query rows of `windowed_attention`, alone.
+                            window: int, lengths: np.ndarray | None = None) -> Tensor:
+    """A few query rows of `windowed_attention` other than row 0, alone.
 
-    q is (M, heads, d_head): row m sits at position pos[m] of sequence
+    q is (M, heads, d_head): row m sits at position pos[m] >= 1 of sequence
     seq[m], and no two rows share a place. k and v are (batch, heads, len,
     d_head), with `lengths` as in `windowed_attention`. Row m attends keys
-    pos[m] - w .. pos[m] + w that lie in its sequence, plus each global key
+    pos[m] - w .. pos[m] + w that lie in its sequence, plus key 0 when it is
     outside that window: the pairs `encoder.build_window_index` allows.
     Returns (M, heads, d_head), and counts the scored pairs of every head.
     An encoder whose loss reads a few rows of its last layer runs them
@@ -730,7 +703,7 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
 
     Each row gathers its 2w + 1 window keys from K and V padded by w rows,
     so the backward adds the key gradients of one window offset, over all
-    rows, with one plain fancy add; a global key's are summed per sequence.
+    rows, with one plain fancy add; key 0's are summed per sequence.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 4 or qd.shape[1:] != kd.shape[1::2]:
@@ -738,18 +711,14 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
     n_seq, n_heads, length, d_head = kd.shape
     seq = np.asarray(seq, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
-    global_idx = np.asarray(global_idx, dtype=np.int64)
     lengths = _real_lengths(lengths, n_seq, length)
-    if lengths.shape != (n_seq,) or lengths.max() > length \
-            or lengths.min() <= global_idx.max(initial=0):
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of "
-                         f"{n_seq} x {length} with global rows {global_idx.tolist()}")
+    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
     if seq.shape != qd.shape[:1] or pos.shape != seq.shape \
             or not ((seq >= 0) & (seq < n_seq)).all() \
-            or not ((pos >= 0) & (pos < lengths[seq])).all() \
-            or (pos[:, None] == global_idx).any() \
+            or not ((pos >= 1) & (pos < lengths[seq])).all() \
             or np.unique(seq * length + pos).size != seq.size:
-        raise ValueError(f"query rows must be distinct, real and not global, got "
+        raise ValueError(f"query rows must be distinct, real and not row 0, got "
                          f"sequences {seq.tolist()} at positions {pos.tolist()}")
     w = max(min(window, length - 1), 1)    # a wider window changes no pair
     span = 2 * w + 1
@@ -758,21 +727,20 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
 
     # K and V side by side, (B * (len + 2w), 2, H, dh), with w zero rows
     # around each sequence: key x of sequence b is row b * (len + 2w) + w + x.
-    # Row m's slot j < 2w + 1 holds key pos[m] - w + j; the global keys follow.
+    # Row m's slot j < 2w + 1 holds key pos[m] - w + j; key 0 follows.
     kv = np.zeros((n_seq, padded, 2, n_heads, d_head), dtype=qd.dtype)
     kv[:, w : w + length, 0] = kd.transpose(0, 2, 1, 3)
     kv[:, w : w + length, 1] = vd.transpose(0, 2, 1, 3)
     kv = kv.reshape(n_seq * padded, 2, n_heads, d_head)
     at = seq * padded + pos
-    slots = np.concatenate([at[:, None] + np.arange(span),
-                            (seq * padded + w)[:, None] + global_idx], axis=1)  # (M, C)
-    kvc = np.take(kv, slots, axis=0)                                # (M, C, 2, H, dh)
-    kc = kvc[:, :, 0].transpose(0, 2, 1, 3)                         # (M, H, C, dh)
+    slots = np.concatenate([at[:, None] + np.arange(span), (seq * padded + w)[:, None]], axis=1)
+    kvc = np.take(kv, slots, axis=0)                                # (M, 2w + 2, 2, H, dh)
+    kc = kvc[:, :, 0].transpose(0, 2, 1, 3)                         # (M, H, 2w + 2, dh)
     vc = kvc[:, :, 1].transpose(0, 2, 1, 3)
     key = pos[:, None] + np.arange(-w, w + 1)
     mask = np.concatenate([(key >= 0) & (key < lengths[seq][:, None]),
-                           np.abs(pos[:, None] - global_idx) > w], axis=1)[:, None]
-    s = (kc @ qd[..., None])[..., 0]                                # (M, H, C)
+                           (pos > w)[:, None]], axis=1)[:, None]
+    s = (kc @ qd[..., None])[..., 0]                                # (M, H, 2w + 2)
     s *= alpha
     p = _softmax_masked(s, mask, axis=-1)
     out_data = (p[:, :, None] @ vc)[:, :, 0]
@@ -785,7 +753,7 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
         if q.needs_grad:
             _accum(q, (ds[:, :, None] @ kc)[:, :, 0])
         # slot j's key and value gradients are coef[j] * rows, (M, 2, H, dh):
-        # formed one slot at a time, as an (M, C, 2, H, dh) block costs more
+        # formed one slot at a time, as an (M, 2w + 2, 2, H, dh) block costs more
         coef = np.ascontiguousarray(np.stack([ds, p], axis=1).transpose(3, 0, 1, 2))[..., None]
         rows = np.stack([qd, g], axis=1)
         dkv = np.zeros_like(kv)
@@ -793,9 +761,8 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
             dkv[at + j] += coef[j] * rows
         dkv = dkv.reshape(n_seq, padded, 2, n_heads, d_head)
         member = (seq == np.arange(n_seq)[:, None]).astype(qd.dtype)   # (B, M)
-        for j, g_j in enumerate(global_idx):
-            dkv[:, w + g_j] += (member @ (coef[span + j] * rows).reshape(seq.size, -1)).reshape(
-                n_seq, 2, n_heads, d_head)
+        dkv[:, w] += (member @ (coef[span] * rows).reshape(seq.size, -1)).reshape(
+            n_seq, 2, n_heads, d_head)
         for t, i in ((k, 0), (v, 1)):
             if t.needs_grad:
                 _accum(t, dkv[:, w : w + length, i].transpose(0, 2, 1, 3))

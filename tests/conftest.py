@@ -15,6 +15,17 @@ def scalarize(out: T.Tensor, weights: np.ndarray) -> T.Tensor:
     return T.matmul_nt(flat, T.Tensor(weights.reshape(1, -1)))
 
 
+def kept_rows(h: T.Tensor, rows=None) -> T.Tensor:
+    """Row 0 of each sequence of (b, len, d) hidden states, then each
+    sequence's `rows` when given: what `Encoder.encode(..., aggregate=True,
+    rows=rows)` returns, gathered from a full encode."""
+    n_seq, length, d = h.data.shape
+    rows = [[]] * n_seq if rows is None else rows
+    at = [np.arange(n_seq) * length] + [b * length + np.asarray(r, dtype=np.int64)
+                                        for b, r in enumerate(rows)]
+    return T.gather_rows(T.reshape(h, (n_seq * length, d)), np.concatenate(at))
+
+
 def zero_grads(params) -> None:
     """Zero the gradients that earlier backward passes left on `params`."""
     for p in params:

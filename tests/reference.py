@@ -59,12 +59,13 @@ def dense_attention_ref(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     return np.einsum("hqk,hkd->hqd", p, v)
 
 
-def allowed_pairs_ref(length: int, window: int, global_idx=(0,)) -> np.ndarray:
+def allowed_pairs_ref(length: int, window: int) -> np.ndarray:
+    """(len, len) pairs within the window, plus row and column 0: the
+    aggregate slot attends, and is attended by, every position."""
     pos = np.arange(length)
     ok = np.abs(pos[:, None] - pos[None, :]) <= window
-    for g in global_idx:
-        ok[g, :] = True
-        ok[:, g] = True
+    ok[0, :] = True
+    ok[:, 0] = True
     return ok
 
 
@@ -84,8 +85,7 @@ def encode_ref(state: dict[str, np.ndarray], cfg, x, masked: bool = True) -> np.
     d_head = cfg.d // n_heads
     allowed = None
     if masked:
-        allowed = allowed_pairs_ref(length, cfg.window,
-                                    tuple(np.flatnonzero(x.global_mask)))
+        allowed = allowed_pairs_ref(length, cfg.window)
 
     def split(m):
         return m.reshape(length, n_heads, d_head).transpose(1, 0, 2)

@@ -123,22 +123,22 @@ def test_criterion_02_windowed_attention_matches_dense_and_scales_linearly():
         dh = int(rng.integers(2, 5))
         q, k, v = (rng.standard_normal((heads, length, dh)).astype(np.float32)
                    for _ in range(3))
-        idx, valid = build_window_index(length, w, (0,))
-        out = T.windowed_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v),
-                                   idx, valid, (0,))
+        idx, valid = build_window_index(length, w)
+        out = T.windowed_attention(T.Tensor(q[None]), T.Tensor(k[None]), T.Tensor(v[None]),
+                                   idx, valid)
         ref = dense_attention_ref(q.astype(np.float64), k.astype(np.float64),
                                   v.astype(np.float64),
-                                  allowed_pairs_ref(length, w, (0,)))
+                                  allowed_pairs_ref(length, w))
         worst = max(worst, float(np.abs(out.data - ref).max()))
     assert worst < 1e-5
 
     counts = []
     for length in (64, 128, 256):
-        idx, valid = build_window_index(length, 8, (0,))
+        idx, valid = build_window_index(length, 8)
         q, k, v = (rng.standard_normal((2, length, 4)).astype(np.float32)
                    for _ in range(3))
         T.attention_pairs.reset()
-        T.windowed_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), idx, valid, (0,))
+        T.windowed_attention(T.Tensor(q[None]), T.Tensor(k[None]), T.Tensor(v[None]), idx, valid)
         counts.append(T.attention_pairs.pairs)
     s1 = (counts[1] - counts[0]) / 64.0
     s2 = (counts[2] - counts[1]) / 128.0
@@ -387,7 +387,6 @@ def test_criterion_09_masking_rate_and_action_split():
         token_positions=np.arange(n_pos + 1, dtype=np.int64),
         token_types=np.concatenate([[0], np.full(n_pos, 2)]).astype(np.int64),
         item_positions=np.concatenate([[0], 1 + np.arange(n_pos) // 9]).astype(np.int64),
-        global_mask=np.arange(n_pos + 1) == 0,
     )
     rng = stream(9, "mask")
     n_candidates = n_selected = n_m = n_r = n_k = 0

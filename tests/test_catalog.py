@@ -186,9 +186,8 @@ def test_build_model_input_layout_by_hand():
                            [TYPE_CLS, TYPE_KEY, TYPE_VALUE, TYPE_VALUE, TYPE_KEY, TYPE_VALUE])
     npt.assert_array_equal(x.token_positions, np.arange(6))
     npt.assert_array_equal(x.item_positions, [0, 1, 1, 1, 2, 2])
-    npt.assert_array_equal(x.global_mask, [True] + [False] * 5)
     assert len(x) == 6
-    assert x.token_ids.dtype == np.int64 and x.global_mask.dtype == np.bool_
+    assert x.token_ids.dtype == np.int64 and x.item_positions.dtype == np.int64
 
 
 def test_build_model_input_arrays_are_frozen():

@@ -186,6 +186,18 @@ def test_rejects_a_tensor_name_that_is_not_utf8(tmp_path):
         load_checkpoint(path)
 
 
+def test_rejects_a_tensor_name_that_appears_twice(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, {}, {"w": np.ones(2, dtype=np.float32),
+                               "v": np.zeros(3, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())[:-4]
+    raw[raw.index(b"\x01\x00v") + 2] = ord("w")  # rename the second tensor, then re-sign
+    raw += struct.pack("<I", zlib.crc32(bytes(raw)) & 0xFFFFFFFF)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="tensor 'w' appears more than once"):
+        load_checkpoint(path)
+
+
 def test_rejects_a_config_blob_that_overruns_the_file(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, {}, {})

@@ -795,6 +795,20 @@ def test_checkpoint_whose_shape_overruns_its_payload_is_exit_4(workdir, tmp_path
                                        f"(1000, 1000) overruns the payload\n")
 
 
+def test_checkpoint_with_a_tensor_name_twice_is_exit_4(workdir, tmp_path, capsys):
+    config, tensors = load_checkpoint(workdir["fine"])
+    tensors["emb.poz"] = np.zeros_like(tensors["emb.pos"])  # renamed below to a second emb.pos
+    crafted = tmp_path / "twice.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    body = crafted.read_bytes()[:-4]
+    crafted.write_bytes(_with_crc(body.replace(b"emb.poz", b"emb.pos")))
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    assert capsys.readouterr().err == (f"checkpoint error: {crafted}: tensor 'emb.pos' "
+                                       f"appears more than once\n")
+
+
 def test_checkpoint_config_that_is_not_an_object_is_exit_4(workdir, tmp_path, capsys):
     crafted = tmp_path / "list.ckpt"
     save_checkpoint(crafted, ["kind", "model"], {})

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import reference as ref
-from conftest import fd_gradcheck, scalarize
+from conftest import fd_gradcheck, kept_rows, scalarize
 from txrec import tensor as T
 from txrec.catalog import ModelBatch, ModelInput, build_model_input, item_input
 from txrec.encoder import (
@@ -64,7 +64,7 @@ def test_config_to_dict_round_trips():
 
 def test_attention_mask_hand_example():
     # length 5, window 1, aggregate at 0: row 3 sees {0, 2, 3, 4}
-    m = ref.allowed_pairs_ref(5, 1, (0,))
+    m = ref.allowed_pairs_ref(5, 1)
     npt.assert_array_equal(m[3], [True, False, True, True, True])
     npt.assert_array_equal(m[0], np.ones(5, dtype=bool))
     npt.assert_array_equal(m[:, 0], np.ones(5, dtype=bool))
@@ -72,24 +72,26 @@ def test_attention_mask_hand_example():
 
 
 def test_attention_mask_is_symmetric():
-    for length, window, g in [(9, 2, (0,)), (13, 3, (0, 4)), (6, 1, ())]:
-        m = ref.allowed_pairs_ref(length, window, g)
+    for length, window in [(9, 2), (13, 3), (6, 1)]:
+        m = ref.allowed_pairs_ref(length, window)
         npt.assert_array_equal(m, m.T)
         assert m.diagonal().all()
 
 
-@pytest.mark.parametrize("length,window,global_idx", [
-    (5, 1, (0,)), (12, 3, (0,)), (7, 2, ()), (15, 2, (0, 6)), (3, 5, (0,)),
-])
-def test_window_index_covers_mask_exactly_once(length, window, global_idx):
-    idx, valid = build_window_index(length, window, global_idx)
-    dense = ref.allowed_pairs_ref(length, window, global_idx)
-    is_global = np.zeros(length, dtype=bool)
-    is_global[list(global_idx)] = True
+_WINDOW_CASES = [(5, 1), (12, 3), (7, 2), (15, 2), (3, 5)]
+
+
+# ids name the cases as they were named when each case also chose its own
+# global rows, so test reports stay comparable across versions
+@pytest.mark.parametrize("length,window", _WINDOW_CASES,
+                         ids=[f"{n}-{w}-global_idx{i}" for i, (n, w) in enumerate(_WINDOW_CASES)])
+def test_window_index_covers_mask_exactly_once(length, window):
+    idx, valid = build_window_index(length, window)
+    dense = ref.allowed_pairs_ref(length, window)
     seen = np.zeros((length, length), dtype=int)
     for row in range(length):
-        if is_global[row]:
-            seen[row, :] += 1  # kernel routes these rows through the dense path
+        if row == 0:
+            seen[row, :] += 1  # the kernel routes the aggregate row through the dense path
         else:
             for col, ok in zip(idx[row], valid[row]):
                 if ok:
@@ -98,16 +100,11 @@ def test_window_index_covers_mask_exactly_once(length, window, global_idx):
 
 
 def test_window_index_is_cached_and_frozen():
-    a = build_window_index(10, 2, (0,))
-    b = build_window_index(10, 2, (0,))
+    a = build_window_index(10, 2)
+    b = build_window_index(10, 2)
     assert a[0] is b[0]
     with pytest.raises(ValueError):
         a[0][0, 0] = 5
-
-
-def test_window_index_rejects_global_out_of_range():
-    with pytest.raises(ValueError, match="global index 9"):
-        build_window_index(5, 2, (9,))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +162,6 @@ def test_dense_encode_is_token_permutation_equivariant(tiny_corpus):
         token_positions=x.token_positions[perm],
         token_types=x.token_types[perm],
         item_positions=x.item_positions[perm],
-        global_mask=x.global_mask[perm],
     )
     npt.assert_allclose(enc.encode(xp).data, enc.encode(x).data[perm], atol=1e-10)
 
@@ -211,24 +207,15 @@ def test_model_batch_pack_pads_right_and_keeps_lengths(tiny_corpus):
     n = len(short)
     assert batch.token_ids.shape == (2, len(long))
     npt.assert_array_equal(batch.lengths, [n, len(long)])
-    assert batch.global_idx == (0,)
     npt.assert_array_equal(batch.token_ids[0, :n], short.token_ids)
     npt.assert_array_equal(batch.item_positions[1], long.item_positions)
     assert not batch.token_ids[0, n:].any() and not batch.token_positions[0, n:].any()
-
-
-def test_model_batch_rejects_mixed_global_positions(tiny_corpus):
-    x = _history(tiny_corpus)
-    moved = ModelInput(x.token_ids, x.token_positions, x.token_types, x.item_positions,
-                       np.roll(x.global_mask, 1))
-    with pytest.raises(ValueError, match="global"):
-        ModelBatch.pack([x, moved])
     with pytest.raises(ValueError, match="at least one"):
         ModelBatch.pack([])
 
 
 @pytest.mark.parametrize("field", ["token_ids", "token_positions", "token_types",
-                                   "item_positions", "global_mask"])
+                                   "item_positions"])
 def test_model_batch_rejects_arrays_that_disagree_on_length(tiny_corpus, field):
     x, y = _history(tiny_corpus), _history(tiny_corpus, ids=("i1",))
 
@@ -298,9 +285,13 @@ def test_aggregate_rows_do_not_depend_on_batch_mates_or_budget(tiny_corpus, monk
     enc = Encoder(_cfg(vocab.size), stream(24, "init"))
     xs = _mixed_lengths(tiny_corpus)
     alone = np.stack([enc.encode(x).data[0] for x in xs])
-    together = aggregate_rows(encode_batches(enc, xs)).data
+
+    def row_zero():
+        return aggregate_rows((m, kept_rows(h)) for m, h in encode_batches(enc, xs)).data
+
+    together = row_zero()
     monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 1)
-    one_per_call = aggregate_rows(encode_batches(enc, xs)).data
+    one_per_call = row_zero()
     assert together.dtype == np.float32
     npt.assert_allclose(together, alone, rtol=0.0, atol=1e-6)
     npt.assert_allclose(one_per_call, alone, rtol=0.0, atol=1e-6)
@@ -336,18 +327,6 @@ def test_aggregate_row_does_not_depend_on_batch_mates_or_budget(tiny_corpus, mon
         batches = list(encode_batches(enc, xs, aggregate=True))
         assert all(h.data.shape == (len(m), enc.config.d) for m, h in batches)
         npt.assert_allclose(aggregate_rows(batches).data, alone, rtol=0.0, atol=1e-6)
-
-
-def test_aggregate_encode_needs_a_global_first_row(tiny_corpus):
-    _, vocab, _ = tiny_corpus
-    enc = Encoder(_cfg(vocab.size), stream(27, "init"))
-    x = _raw_input([1, 4, 4, 4])
-    for mask in ([False, True, False, False], [False] * 4):
-        moved = ModelInput(x.token_ids, x.token_positions, x.token_types, x.item_positions,
-                           np.array(mask))
-        enc.encode(moved)  # the full encode takes any global rows
-        with pytest.raises(ValueError, match="aggregate row must be global"):
-            enc.encode(moved, aggregate=True)
 
 
 def test_aggregate_encode_is_differentiable(tiny_corpus):
@@ -558,7 +537,6 @@ def _raw_input(ids, positions=None, types=None, item_pos=None):
         token_types=np.asarray(types if types is not None else [0] * n, dtype=np.int64),
         item_positions=np.asarray(item_pos if item_pos is not None else [0] * n,
                                   dtype=np.int64),
-        global_mask=np.asarray([True] + [False] * (n - 1)),
     )
 
 
@@ -577,7 +555,6 @@ def test_encoder_rejects_bad_inputs(tiny_corpus):
             token_positions=np.array([0], dtype=np.int64),
             token_types=np.array([0, 1], dtype=np.int64),
             item_positions=np.array([0, 1], dtype=np.int64),
-            global_mask=np.array([True, False]),
         ))
 
 

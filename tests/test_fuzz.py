@@ -29,7 +29,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from txrec.catalog import (Catalog, InputLimits, Item, ModelBatch, Vocabulary,
+from txrec.catalog import (CLS_ID, Catalog, InputLimits, Item, ModelBatch, Vocabulary,
                            build_model_input, flatten_item, load_interactions_jsonl,
                            load_items_jsonl, write_items_jsonl)
 from txrec.checkpoint import load_checkpoint, save_checkpoint
@@ -249,7 +249,7 @@ def test_build_model_input_keeps_its_layout(case):
     n = len(x)
     assert n <= limits.max_tokens + 1
     npt.assert_array_equal(x.token_positions, np.arange(n))
-    npt.assert_array_equal(np.flatnonzero(x.global_mask), [0])
+    assert x.token_ids[0] == CLS_ID  # the aggregate slot
     slots = x.item_positions
     assert slots[0] == 0 and (np.diff(slots) >= 0).all() and slots.max() <= limits.max_items
     newest = flatten_item(catalog.get(history[-1]), vocab, limits.tokens_per_field)
@@ -266,7 +266,6 @@ def test_pack_matches_a_per_row_copy(case, data):
     inputs = [build_model_input(h, catalog, vocab, limits) for h in [history, *more]]
     batch, want = ModelBatch.pack(inputs), ref.pack_ref(inputs)
     npt.assert_array_equal(batch.lengths, [len(x) for x in inputs])
-    assert batch.global_idx == (0,)
     past_end = np.arange(batch.token_ids.shape[1]) >= batch.lengths[:, None]
     for f in ("token_ids", "token_positions", "token_types", "item_positions"):
         got = getattr(batch, f)

@@ -400,7 +400,7 @@ def test_no_tape_records_nothing():
     assert T.active_tape() is None
 
 
-_IDX, _VALID = build_window_index(5, 2, (0,))
+_IDX, _VALID = build_window_index(5, 2)
 
 # every public op, called on inputs that `make(shape)` builds
 _OPS = {
@@ -421,12 +421,12 @@ _OPS = {
     "dropout": lambda make: T.dropout(make((3, 4)), 0.5, stream(0, "dropout")),
     "cross_entropy_mean": lambda make: T.cross_entropy_mean(make((3, 4)), [0, 3, 1]),
     "windowed_attention": lambda make: T.windowed_attention(
-        make((2, 5, 3)), make((2, 5, 3)), make((2, 5, 3)), _IDX, _VALID, np.array([0])),
+        make((1, 2, 5, 3)), make((1, 2, 5, 3)), make((1, 2, 5, 3)), _IDX, _VALID),
     "global_attention": lambda make: T.global_attention(
         make((2, 2, 1, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([5, 3])),
     "windowed_rows_attention": lambda make: T.windowed_rows_attention(
         make((3, 2, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([0, 0, 1]),
-        np.array([1, 4, 2]), 2, np.array([0]), np.array([5, 3])),
+        np.array([1, 4, 2]), 2, np.array([5, 3])),
 }
 
 
@@ -482,70 +482,86 @@ def test_only_the_result_helper_touches_the_tape():
 # windowed attention
 
 
-def _attention_setup(rng, n_heads, length, d_head, window, global_idx=(0,)):
-    q = _param("q", (n_heads, length, d_head), rng)
-    k = _param("k", (n_heads, length, d_head), rng)
-    v = _param("v", (n_heads, length, d_head), rng)
-    idx, valid = build_window_index(length, window, global_idx)
-    return q, k, v, idx, valid, np.asarray(global_idx, dtype=np.int64)
+def _attention_setup(rng, n_heads, length, d_head, window):
+    """One sequence of queries, keys and values, (1, heads, len, d_head)."""
+    q = _param("q", (1, n_heads, length, d_head), rng)
+    k = _param("k", (1, n_heads, length, d_head), rng)
+    v = _param("v", (1, n_heads, length, d_head), rng)
+    idx, valid = build_window_index(length, window)
+    return q, k, v, idx, valid
 
 
-@pytest.mark.parametrize("length,window,global_idx", [
-    (3, 4, (0,)),       # window covers everything
-    (5, 2, (0,)),       # len == 2w+1
-    (17, 3, (0,)),      # long, narrow window
-    (12, 2, ()),        # no global rows at all
-    (11, 2, (0, 5)),    # two global rows
-    (1, 3, (0,)),       # a single row: one chunk, nothing but the aggregate
-    (1, 2, ()),
-    (10, 4, (0,)),      # length not a multiple of the chunk size w
-    (10, 4, (0, 5)),
-    (11, 3, ()),
-    (6, 8, (0, 5)),     # window wider than the sequence
-    (5, 5, ()),
-])
-def test_windowed_attention_matches_masked_dense(length, window, global_idx):
+# (length, window) by id number. ids keep the names the cases had when each
+# also chose its global rows, so test reports stay comparable across versions;
+# cases 6 and 8 differed from 5 and 7 only in those rows.
+_ATTENTION_CASES = {
+    0: (3, 4),      # window covers everything
+    1: (5, 2),      # len == 2w+1
+    2: (17, 3),     # long, narrow window
+    3: (12, 2),
+    4: (11, 2),
+    5: (1, 3),      # a single row: one chunk, nothing but the aggregate
+    7: (10, 4),     # length not a multiple of the chunk size w
+    9: (11, 3),
+    10: (6, 8),     # window wider than the sequence
+    11: (5, 5),
+}
+
+
+@pytest.mark.parametrize("length,window", list(_ATTENTION_CASES.values()),
+                         ids=[f"{n}-{w}-global_idx{i}" for i, (n, w) in _ATTENTION_CASES.items()])
+def test_windowed_attention_matches_masked_dense(length, window):
     rng = np.random.default_rng(17 + length)
-    q, k, v, idx, valid, g = _attention_setup(rng, 2, length, 4, window, global_idx)
-    out = T.windowed_attention(q, k, v, idx, valid, g).data
-    allowed = ref.allowed_pairs_ref(length, window, global_idx)
-    expected = ref.dense_attention_ref(q.data, k.data, v.data, allowed)
-    npt.assert_allclose(out, expected, atol=1e-12)
+    q, k, v, idx, valid = _attention_setup(rng, 2, length, 4, window)
+    out = T.windowed_attention(q, k, v, idx, valid).data
+    allowed = ref.allowed_pairs_ref(length, window)
+    expected = ref.dense_attention_ref(q.data[0], k.data[0], v.data[0], allowed)
+    npt.assert_allclose(out[0], expected, atol=1e-12)
 
 
 def test_windowed_attention_gradcheck():
     rng = np.random.default_rng(18)
-    q, k, v, idx, valid, g = _attention_setup(rng, 2, 7, 3, 2)
+    q, k, v, idx, valid = _attention_setup(rng, 2, 7, 3, 2)
     w = rng.normal(size=2 * 7 * 3)
-    fd_gradcheck(lambda: scalarize(T.windowed_attention(q, k, v, idx, valid, g), w),
+    fd_gradcheck(lambda: scalarize(T.windowed_attention(q, k, v, idx, valid), w),
                  [q, k, v], rng, coords_per_tensor=14)
 
 
 def test_windowed_attention_pair_count_is_exact():
     rng = np.random.default_rng(19)
-    for length, window, gidx in [(9, 2, (0,)), (30, 4, (0,)), (16, 3, ())]:
+    for length, window in [(9, 2), (30, 4), (16, 3)]:
         T.attention_pairs.reset()
-        q, k, v, idx, valid, g = _attention_setup(rng, 3, length, 4, window, gidx)
-        T.windowed_attention(q, k, v, idx, valid, g)
-        expected = 3 * int(ref.allowed_pairs_ref(length, window, gidx).sum())
+        q, k, v, idx, valid = _attention_setup(rng, 3, length, 4, window)
+        T.windowed_attention(q, k, v, idx, valid)
+        expected = 3 * int(ref.allowed_pairs_ref(length, window).sum())
         assert T.attention_pairs.pairs == expected
 
 
-def _padded_setup(rng, lengths, n_heads, d_head, window, global_idx):
+def test_windowed_attention_rejects_bad_shapes():
+    rng = np.random.default_rng(20)
+    q, k, v, idx, valid = _attention_setup(rng, 2, 7, 3, 2)
+    T.windowed_attention(q, k, v, idx, valid)
+    with pytest.raises(ValueError, match="4-D"):  # one sequence needs its batch axis
+        T.windowed_attention(T.Tensor(q.data[0]), T.Tensor(k.data[0]), T.Tensor(v.data[0]),
+                             idx, valid)
+    with pytest.raises(ValueError, match="window index"):
+        T.windowed_attention(q, k, v, *build_window_index(8, 2))
+
+
+def _padded_setup(rng, lengths, n_heads, d_head, window):
     shape = (len(lengths), n_heads, max(lengths), d_head)
     q, k, v = (_param(name, shape, rng) for name in "qkv")
-    idx, valid = build_window_index(max(lengths), window, global_idx)
-    return q, k, v, idx, valid, np.asarray(global_idx, dtype=np.int64), np.asarray(lengths)
+    idx, valid = build_window_index(max(lengths), window)
+    return q, k, v, idx, valid, np.asarray(lengths)
 
 
-@pytest.mark.parametrize("global_idx", [(0, 5), ()])
-def test_padded_batch_matches_dense_per_sequence(global_idx):
+def test_padded_batch_matches_dense_per_sequence():
     rng = np.random.default_rng(41)
     lengths = [13, 6, 9, 13, 7]
-    q, k, v, idx, valid, g, lens = _padded_setup(rng, lengths, 2, 3, 3, global_idx)
-    out = T.windowed_attention(q, k, v, idx, valid, g, lens).data
+    q, k, v, idx, valid, lens = _padded_setup(rng, lengths, 2, 3, 3)
+    out = T.windowed_attention(q, k, v, idx, valid, lens).data
     for b, n in enumerate(lengths):
-        allowed = ref.allowed_pairs_ref(n, 3, global_idx)
+        allowed = ref.allowed_pairs_ref(n, 3)
         expected = ref.dense_attention_ref(q.data[b, :, :n], k.data[b, :, :n],
                                            v.data[b, :, :n], allowed)
         npt.assert_allclose(out[b, :, :n], expected, atol=1e-12)
@@ -554,14 +570,14 @@ def test_padded_batch_matches_dense_per_sequence(global_idx):
 
 def test_padded_batch_gradcheck():
     rng = np.random.default_rng(42)
-    q, k, v, idx, valid, g, lens = _padded_setup(rng, [9, 4, 7], 2, 3, 2, (0,))
+    q, k, v, idx, valid, lens = _padded_setup(rng, [9, 4, 7], 2, 3, 2)
     w = rng.normal(size=q.data.size)
-    fd_gradcheck(lambda: scalarize(T.windowed_attention(q, k, v, idx, valid, g, lens), w),
+    fd_gradcheck(lambda: scalarize(T.windowed_attention(q, k, v, idx, valid, lens), w),
                  [q, k, v], rng, coords_per_tensor=30)
     # nothing flows into the padding
     zero_grads([q, k, v])
     with T.GradTape() as tape:
-        loss = scalarize(T.windowed_attention(q, k, v, idx, valid, g, lens), w)
+        loss = scalarize(T.windowed_attention(q, k, v, idx, valid, lens), w)
     tape.backward(loss)
     for p in (q, k, v):
         assert not p.grad[1, :, 4:].any() and not p.grad[2, :, 7:].any()
@@ -570,18 +586,18 @@ def test_padded_batch_gradcheck():
 def test_padded_batch_pair_count_excludes_padding():
     rng = np.random.default_rng(43)
     lengths = [30, 11, 1, 17]
-    q, k, v, idx, valid, g, lens = _padded_setup(rng, lengths, 3, 2, 4, (0,))
-    T.windowed_attention(q, k, v, idx, valid, g, lens)
-    expected = 3 * sum(int(ref.allowed_pairs_ref(n, 4, (0,)).sum()) for n in lengths)
+    q, k, v, idx, valid, lens = _padded_setup(rng, lengths, 3, 2, 4)
+    T.windowed_attention(q, k, v, idx, valid, lens)
+    expected = 3 * sum(int(ref.allowed_pairs_ref(n, 4).sum()) for n in lengths)
     assert T.attention_pairs.pairs == expected
 
 
 def test_padded_batch_rejects_lengths_that_do_not_fit():
     rng = np.random.default_rng(44)
-    q, k, v, idx, valid, g, _ = _padded_setup(rng, [8, 8], 1, 2, 2, (0, 5))
-    for bad in ([8, 5], [9, 8], [8]):
+    q, k, v, idx, valid, _ = _padded_setup(rng, [8, 8], 1, 2, 2)
+    for bad in ([8, 0], [9, 8], [8]):
         with pytest.raises(ValueError, match="lengths"):
-            T.windowed_attention(q, k, v, idx, valid, g, np.asarray(bad))
+            T.windowed_attention(q, k, v, idx, valid, np.asarray(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -632,14 +648,14 @@ def test_global_attention_rejects_bad_shapes_and_lengths():
         T.global_attention(q, k, _param("v2", (2, 1, 5, 3), rng))
 
 
-def _global_rows_at_parent(qd, kd, vd, global_idx, lengths, g):
-    """The global rows of `windowed_attention` and their gradients, spelled
-    out as the kernel computed them before `global_attention` shared them."""
+def _global_row_by_formula(qd, kd, vd, lengths, g):
+    """Row 0 of `windowed_attention` and its gradients, spelled out as dense
+    attention over each sequence's real keys."""
     alpha = 1.0 / math.sqrt(qd.shape[-1])
     keys = (np.arange(kd.shape[2]) < lengths[:, None])[:, None, None]
-    q_gl = qd[:, :, global_idx]
+    q_gl = qd[:, :, [0]]
     p_gl = T._softmax_masked((q_gl @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
-    g_gl = g[:, :, global_idx]
+    g_gl = g[:, :, [0]]
     dp_gl = g_gl @ vd.swapaxes(-1, -2)
     ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
     return p_gl @ vd, ds_gl @ kd, ds_gl.swapaxes(-1, -2) @ q_gl, p_gl.swapaxes(-1, -2) @ g_gl
@@ -647,25 +663,23 @@ def _global_rows_at_parent(qd, kd, vd, global_idx, lengths, g):
 
 @pytest.mark.parametrize("dtype", [np.float32, F64])
 def test_windowed_attention_global_rows_are_unchanged_bit_for_bit(dtype):
-    """Forward global rows equal the formula bit for bit; so do the gradients
-    of a loss that reads only the global rows, whose other terms are zero."""
+    """The forward global row 0 equals the formula bit for bit; so do the
+    gradients of a loss that reads only that row, whose other terms are zero."""
     rng = np.random.default_rng(48)
     lengths = np.array([13, 6, 9])
-    global_idx = np.array([0, 5])
     shape = (3, 2, 13, 4)
     q, k, v = (T.Parameter(name, rng.normal(size=shape), dtype=dtype) for name in "qkv")
-    idx, valid = build_window_index(13, 3, (0, 5))
+    idx, valid = build_window_index(13, 3)
     g = np.zeros(shape, dtype=dtype)
-    g[:, :, global_idx] = rng.normal(size=(3, 2, 2, 4))
-    out_ref, dq_gl, dk_ref, dv_ref = _global_rows_at_parent(q.data, k.data, v.data,
-                                                            global_idx, lengths, g)
+    g[:, :, 0] = rng.normal(size=(3, 2, 4))
+    out_ref, dq_gl, dk_ref, dv_ref = _global_row_by_formula(q.data, k.data, v.data, lengths, g)
     with T.GradTape() as tape:
-        out = T.windowed_attention(q, k, v, idx, valid, global_idx, lengths)
+        out = T.windowed_attention(q, k, v, idx, valid, lengths)
         loss = scalarize(out, g.reshape(-1))
     tape.backward(loss)
     alpha = dtype(1.0 / math.sqrt(4))
-    assert out.data[:, :, global_idx].tobytes() == out_ref.tobytes()
-    assert q.grad[:, :, global_idx].tobytes() == (dq_gl * alpha).tobytes()
+    assert out.data[:, :, [0]].tobytes() == out_ref.tobytes()
+    assert q.grad[:, :, [0]].tobytes() == (dq_gl * alpha).tobytes()
     assert k.grad.tobytes() == (dk_ref * alpha).tobytes()
     assert v.grad.tobytes() == dv_ref.tobytes()
 
@@ -674,7 +688,7 @@ def test_windowed_attention_global_rows_are_unchanged_bit_for_bit(dtype):
 # windowed rows attention
 
 
-def _rows_setup(rng, lengths, window, global_idx, rows, n_heads=2, d_head=3):
+def _rows_setup(rng, lengths, window, rows, n_heads=2, d_head=3):
     """Keys and values of a right-padded batch, and queries at `rows`, one
     list of positions per sequence."""
     shape = (len(lengths), n_heads, max(lengths), d_head)
@@ -682,33 +696,37 @@ def _rows_setup(rng, lengths, window, global_idx, rows, n_heads=2, d_head=3):
     seq = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     pos = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
     q = _param("q", (seq.size, n_heads, d_head), rng)
-    return q, k, v, seq, pos, np.asarray(global_idx, dtype=np.int64), np.asarray(lengths)
+    return q, k, v, seq, pos, np.asarray(lengths)
 
 
 _ROWS_CASES = [
     # rows at both ends of each sequence
-    ([12, 12], 3, (0,), [[1, 2, 11], [1, 6, 10, 11]]),
-    # rows within w of a global key at 5: it sits in their window, counted once
-    ([13], 2, (0, 5), [[1, 2, 3, 4, 6, 7, 8, 12]]),
+    ([12, 12], 3, [[1, 2, 11], [1, 6, 10, 11]]),
+    # rows 1 and 2 have key 0 in their window, counted once; the rest reach
+    # it through its own slot
+    ([13], 2, [[1, 2, 3, 4, 6, 7, 8, 12]]),
     # a right-padded batch, rows near each sequence's own end
-    ([13, 6, 9], 3, (0,), [[4, 12], [3, 5], [1, 8]]),
+    ([13, 6, 9], 3, [[4, 12], [3, 5], [1, 8]]),
     # sequences no longer than w
-    ([4, 2, 3], 5, (0,), [[1, 2, 3], [1], [2]]),
-    # a sequence without rows, and no global keys at all
-    ([9, 7], 2, (), [[], [0, 3, 6]]),
+    ([4, 2, 3], 5, [[1, 2, 3], [1], [2]]),
+    # a sequence without rows
+    ([9, 7], 2, [[], [1, 3, 6]]),
 ]
 
 
-@pytest.mark.parametrize("lengths,window,global_idx,rows", _ROWS_CASES)
-def test_windowed_rows_attention_matches_dense_at_the_rows(lengths, window, global_idx, rows):
+# ids keep the names the cases had when each also chose its global rows
+@pytest.mark.parametrize("lengths,window,rows", _ROWS_CASES,
+                         ids=[f"lengths{i}-{w}-global_idx{i}-rows{i}"
+                              for i, (_, w, _) in enumerate(_ROWS_CASES)])
+def test_windowed_rows_attention_matches_dense_at_the_rows(lengths, window, rows):
     rng = np.random.default_rng(50)
-    q, k, v, seq, pos, g, lens = _rows_setup(rng, lengths, window, global_idx, rows)
-    out = T.windowed_rows_attention(q, k, v, seq, pos, window, g, lens).data
+    q, k, v, seq, pos, lens = _rows_setup(rng, lengths, window, rows)
+    out = T.windowed_rows_attention(q, k, v, seq, pos, window, lens).data
     assert out.shape == q.data.shape
     pairs = 0
     for m, (b, r) in enumerate(zip(seq, pos)):
         n = lengths[b]
-        allowed = ref.allowed_pairs_ref(n, window, global_idx)
+        allowed = ref.allowed_pairs_ref(n, window)
         q_full = np.zeros((2, n, 3))
         q_full[:, r] = q.data[m]
         expected = ref.dense_attention_ref(q_full, k.data[b, :, :n], v.data[b, :, :n], allowed)
@@ -719,12 +737,11 @@ def test_windowed_rows_attention_matches_dense_at_the_rows(lengths, window, glob
 
 def test_windowed_rows_attention_gradcheck_with_padding():
     rng = np.random.default_rng(51)
-    q, k, v, seq, pos, g, lens = _rows_setup(rng, [9, 4, 7], 2, (0,),
-                                             [[1, 2, 5, 8], [3], [1, 4, 6]])
+    q, k, v, seq, pos, lens = _rows_setup(rng, [9, 4, 7], 2, [[1, 2, 5, 8], [3], [1, 4, 6]])
     w = rng.normal(size=q.data.size)
 
     def build():
-        return scalarize(T.windowed_rows_attention(q, k, v, seq, pos, 2, g, lens), w)
+        return scalarize(T.windowed_rows_attention(q, k, v, seq, pos, 2, lens), w)
 
     fd_gradcheck(build, [q, k, v], rng, coords_per_tensor=30)
     zero_grads([q, k, v])
@@ -737,16 +754,16 @@ def test_windowed_rows_attention_gradcheck_with_padding():
 
 def test_windowed_rows_attention_rejects_rows_it_cannot_serve():
     rng = np.random.default_rng(52)
-    q, k, v, seq, pos, g, lens = _rows_setup(rng, [6, 4], 2, (0,), [[1, 3], [2]])
-    T.windowed_rows_attention(q, k, v, seq, pos, 2, g, lens)
+    q, k, v, seq, pos, lens = _rows_setup(rng, [6, 4], 2, [[1, 3], [2]])
+    T.windowed_rows_attention(q, k, v, seq, pos, 2, lens)
     for bad_seq, bad_pos in (([0, 0, 1], [1, 1, 2]),   # a row twice
-                             ([0, 0, 1], [0, 3, 2]),   # a global row
+                             ([0, 0, 1], [0, 3, 2]),   # the aggregate row
                              ([0, 0, 1], [1, 3, 4]),   # past its sequence's length
                              ([0, 0, 2], [1, 3, 2])):  # no such sequence
         with pytest.raises(ValueError, match="query rows"):
-            T.windowed_rows_attention(q, k, v, np.array(bad_seq), np.array(bad_pos), 2, g, lens)
+            T.windowed_rows_attention(q, k, v, np.array(bad_seq), np.array(bad_pos), 2, lens)
     with pytest.raises(ValueError, match="shapes"):
-        T.windowed_rows_attention(k, k, v, seq, pos, 2, g, lens)
+        T.windowed_rows_attention(k, k, v, seq, pos, 2, lens)
 
 
 # ---------------------------------------------------------------------------

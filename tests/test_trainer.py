@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import fd_gradcheck
+from conftest import fd_gradcheck, kept_rows
 from txrec import tensor as T
 from txrec.catalog import InteractionSequence, build_model_input, item_input
 from txrec.encoder import (Encoder, EncoderConfig, aggregate_rows, encode_batches,
@@ -367,23 +367,15 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
 def _encode_batches_spy(calls, full_last_layer=False):
     """`encode_batches` recording each call's (train, aggregate), plus "rows"
     when it keeps more rows; with `full_last_layer`, every call runs the full
-    last layer instead, and kept rows are gathered from its output."""
+    last layer instead, and the aggregate and kept rows are gathered from its
+    output."""
     def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False, rows=None):
         calls.append((train, aggregate) if rows is None else (train, aggregate, "rows"))
         if not full_last_layer:
             return encode_batches(encoder, inputs, train, dropout_rng, aggregate, rows)
-        if rows is None:
-            return encode_batches(encoder, inputs, train, dropout_rng)
-        return [(members, _kept_rows(h, [rows[i] for i in members]))
+        return [(members, kept_rows(h, None if rows is None else [rows[i] for i in members]))
                 for members, h in encode_batches(encoder, inputs, train, dropout_rng)]
     return spy
-
-
-def _kept_rows(h, rows):
-    """Row 0 of each sequence of (b, len, d) hidden states, then its `rows`."""
-    n_seq, length, d = h.data.shape
-    at = [np.arange(n_seq) * length] + [b * length + np.asarray(r) for b, r in enumerate(rows)]
-    return T.gather_rows(T.reshape(h, (n_seq * length, d)), np.concatenate(at))
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -399,12 +391,13 @@ def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers
     pos = np.array([catalog.ids.index(p) for _, p in examples])
     rows = np.random.default_rng(5).normal(size=(len(catalog), 8)).astype(np.float32)
 
-    def build(aggregate):
-        return lambda: finetune_loss(aggregate_rows(encode_batches(
-            enc, xs, True, stream(17, "dropout"), aggregate=aggregate)), pos, rows, 0.1)
+    def build(full_last_layer):
+        encode = _encode_batches_spy([], full_last_layer)
+        return lambda: finetune_loss(aggregate_rows(encode(
+            enc, xs, True, stream(17, "dropout"), aggregate=True)), pos, rows, 0.1)
 
-    loss, grads = _loss_and_grads(build(False), enc.parameters())
-    loss_agg, grads_agg = _loss_and_grads(build(True), enc.parameters())
+    loss, grads = _loss_and_grads(build(True), enc.parameters())
+    loss_agg, grads_agg = _loss_and_grads(build(False), enc.parameters())
     assert abs(loss_agg - loss) <= 1e-6
     for p, g, g_agg in zip(enc.parameters(), grads, grads_agg):
         assert g_agg.dtype == np.float32

@@ -6,11 +6,16 @@ module. Forwards are plain numpy; every op builds its output through
 GradTape when one of its inputs needs a gradient.
 Default precision is float32; passing float64 arrays through the same ops
 gives the widened pathway used by gradient checks.
+Importing the module raises glibc's trim and mmap thresholds once, so that
+freed activations stay in the process (see `_keep_freed_memory`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import platform
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -18,6 +23,35 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
+
+
+def _keep_freed_memory() -> None:
+    """On glibc, keep freed blocks of up to 32 MiB for reuse, not for the kernel.
+
+    Every encoder call allocates and frees activations of a few hundred KB to
+    a few MB. By default glibc unmaps them or trims them off the heap, and the
+    next call faults the same memory back in page by page. Both thresholds are
+    set, or neither: an explicit threshold turns off glibc's dynamic mmap
+    threshold, so either one alone faults more than the default. 32 MiB is the
+    largest mmap threshold every 64-bit glibc accepts. A host that set glibc's
+    own malloc variables or tunables keeps its setting.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    env = os.environ
+    if ("MALLOC_TRIM_THRESHOLD_" in env or "MALLOC_MMAP_THRESHOLD_" in env
+            or "glibc.malloc." in env.get("GLIBC_TUNABLES", "")):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):  # 0: refused, the defaults stay
+        mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_keep_freed_memory()
 
 
 class Tensor:

@@ -11,6 +11,7 @@ best-validation snapshot wins, never the last epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -185,8 +186,10 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
     """Contrastive + masked-token pretraining over raw histories.
 
     Returns the per-epoch history of logged records: mean losses, the largest
-    pre-clip gradient norm and the number of clipped batches. Identical seeds
-    and data give identical curves: every random choice comes from named streams.
+    pre-clip gradient norm, the number of clipped batches, the learning rate
+    `lr` and the epoch's wall time `wall_s`. Identical seeds and data give
+    identical curves, wall time aside: every random choice comes from named
+    streams.
     """
     examples = pretrain_examples(sequences, catalog)
     if not examples:
@@ -203,15 +206,17 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
                                     loss_cfg, limits, mask_rng, drop_rng, train=True)
 
     for epoch in range(1, train_cfg.n_epochs + 1):
+        start = perf_counter()
         stats = _train_epoch(_batches(data_rng.permutation(len(examples)), train_cfg.pretrain_batch),
                              batch_loss, adam, train_cfg.grad_clip,
                              f"pretrain epoch {epoch} batch {{batch}}")
-        record = {"stage": "pretrain", "epoch": epoch, **stats,
+        record = {"stage": "pretrain", "epoch": epoch, **stats, "lr": adam.lr,
                   "valid_metric": None, "snapshot_taken": False}
         if valid_examples:
             record["valid_metric"] = _pretrain_valid_loss(
                 valid_examples, catalog, vocab, encoder, head, loss_cfg, limits,
                 stream(train_cfg.seed, "valid-mask"))
+        record["wall_s"] = perf_counter() - start
         history.append(record)
         if log_fn:
             log_fn(dict(record))
@@ -294,7 +299,9 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
     stops early once `patience` epochs pass without a new best.
 
     Each epoch's record carries `train_fn`'s `train_loss`, `grad_norm` and
-    `clipped`, None where it returns no such key.
+    `clipped`, None where it returns no such key, the learning rate `lr`, the
+    time of the epoch's catalog encode `encode_s` (0.0 when it reused the kept
+    matrix) and the epoch's wall time `wall_s`.
     """
     examples = finetune_examples(split)
     if not examples:
@@ -331,8 +338,12 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
         adam = Adam(params, lr=train_cfg.lr)  # fresh moments for each stage
         scores = [best_metric]
         for epoch in range(1, train_cfg.n_epochs + 1):
-            matrix = (best_matrix if stage == 2 or epoch == 1
-                      else encode_all_items(encoder, catalog, vocab, limits))
+            start = perf_counter()
+            if stage == 2 or epoch == 1:
+                matrix, encode_s = best_matrix, 0.0
+            else:
+                matrix = encode_all_items(encoder, catalog, vocab, limits)
+                encode_s = perf_counter() - start
             stats = train_fn(stage, epoch, encoder, matrix) or {}
             metric = evaluate_fn(stage, epoch, encoder, matrix)
             took = metric > best_metric
@@ -340,7 +351,8 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
                 best_metric, best_state, best_matrix = metric, save_state(params), matrix
             record = {"stage": stage, "epoch": epoch,
                       **{key: stats.get(key) for key in ("train_loss", "grad_norm", "clipped")},
-                      "valid_metric": metric, "snapshot_taken": took}
+                      "lr": adam.lr, "valid_metric": metric, "snapshot_taken": took,
+                      "encode_s": encode_s, "wall_s": perf_counter() - start}
             history.append(record)
             if log_fn:
                 log_fn(dict(record))

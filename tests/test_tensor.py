@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import ast
+import ctypes
 import inspect
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -836,3 +839,101 @@ def test_rng_streams_are_independent():
     npt.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+# ---------------------------------------------------------------------------
+# allocator
+
+_GLIBC = platform.libc_ver()[0] == "glibc"
+
+# One warm-up cycle, then 20 measured. Each cycle holds two 2 MiB and two 8 MiB
+# float32 arrays at once and frees them together, as a tape frees its
+# activations: with glibc's defaults the freed top of the heap is trimmed and
+# the next cycle faults it back in, about 1,500 minor faults a cycle.
+_FAULTS_PER_CYCLE = """
+import resource
+import numpy as np
+import txrec
+
+def cycle():
+    arrays = [np.ones(n, dtype=np.float32) for n in (2 << 18, 2 << 20, 2 << 18, 2 << 20)]
+    del arrays
+
+cycle()
+faults = []
+for _ in range(20):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    cycle()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults), min(faults))
+"""
+
+
+def _faults_per_cycle(**malloc_env) -> tuple[int, int]:
+    """(most, fewest) minor faults per cycle in a fresh `import txrec` process."""
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    src = str(Path(T.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _FAULTS_PER_CYCLE], capture_output=True,
+                          text=True, timeout=60, env={**env, **malloc_env}, check=True)
+    most, fewest = map(int, done.stdout.split())
+    return most, fewest
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the thresholds are glibc's")
+def test_import_keeps_freed_activation_memory_in_the_process():
+    most, _ = _faults_per_cycle()
+    assert most < 50
+
+
+@pytest.mark.skipif(not _GLIBC, reason="the thresholds are glibc's")
+def test_a_hosts_own_glibc_malloc_setting_wins():
+    _, fewest = _faults_per_cycle(MALLOC_MMAP_THRESHOLD_="131072")
+    assert fewest > 1000  # every array is mapped afresh, every cycle
+
+
+def _fake_libc(monkeypatch, libc, accepts=True) -> list:
+    """Fake the libc probe and `ctypes.CDLL`, and clear glibc's malloc
+    variables. Returns the log of each library lookup and `mallopt` call."""
+    log = []
+
+    def mallopt(param, value):
+        log.append((param, value))
+        return int(accepts)
+
+    def cdll(name):
+        log.append(("CDLL", name))
+        return SimpleNamespace(mallopt=mallopt)
+
+    monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: libc)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    for key in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES"):
+        monkeypatch.delenv(key, raising=False)
+    return log
+
+
+@pytest.mark.parametrize("libc, env", [
+    (("musl", "1.2.4"), {}),
+    (("", ""), {}),
+    (("glibc", "2.36"), {"MALLOC_TRIM_THRESHOLD_": "131072"}),
+    (("glibc", "2.36"), {"MALLOC_MMAP_THRESHOLD_": "131072"}),
+    (("glibc", "2.36"), {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}),
+], ids=["musl", "unknown-libc", "trim-env", "mmap-env", "malloc-tunable"])
+def test_allocator_is_left_alone_off_glibc_or_when_the_host_set_it(monkeypatch, libc, env):
+    log = _fake_libc(monkeypatch, libc)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    T._keep_freed_memory()
+    assert log == []
+
+
+@pytest.mark.parametrize("accepts", [True, False])
+def test_allocator_sets_both_thresholds_or_neither(monkeypatch, accepts):
+    """The mmap threshold goes first; if glibc refuses it, the trim threshold is
+    not set alone. A tunable outside `glibc.malloc` does not count as a setting."""
+    log = _fake_libc(monkeypatch, ("glibc", "2.36"), accepts)
+    monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.optional_static_tls=512")
+    T._keep_freed_memory()
+    mmap = (-3, 32 << 20)
+    assert log == [("CDLL", None), mmap] + ([(-1, 256 << 20)] if accepts else [])

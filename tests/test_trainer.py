@@ -23,6 +23,7 @@ from txrec.trainer import (
     TrainConfig,
     _pretrain_batch_loss,
     _pretrain_valid_loss,
+    _train_epoch,
     early_stop,
     encode_all_items,
     finetune_examples,
@@ -39,6 +40,11 @@ def _encoder(vocab, seed=0, **kw):
                 vocab_size=vocab.size, max_tokens=64, max_items=6, dropout=0.0)
     base.update(kw)
     return Encoder(EncoderConfig(**base), stream(seed, "init"))
+
+
+def _untimed(history):
+    """Epoch records without their timings, which differ from run to run."""
+    return [{k: v for k, v in r.items() if k not in ("wall_s", "encode_s")} for r in history]
 
 
 def _sequences():
@@ -158,7 +164,7 @@ def test_pretrain_loss_decreases(tiny_corpus):
     for r in history:
         assert r["stage"] == "pretrain"
         assert set(r) == {"stage", "epoch", "loss", "iic", "mlm", "grad_norm", "clipped",
-                          "valid_metric", "snapshot_taken"}
+                          "lr", "valid_metric", "snapshot_taken", "wall_s"}
         assert r["mlm"] > 0.0
         assert r["grad_norm"] > 0.0 and 0 <= r["clipped"] <= 2  # 16 examples, batches of 8
 
@@ -173,7 +179,7 @@ def test_pretrain_identical_seeds_identical_curves(tiny_corpus):
         runs.append((pretrain(_sequences(), catalog, vocab, enc, head, cfg,
                               LossConfig(), limits),
                      params_fingerprint(enc.parameters() + head.parameters())))
-    assert runs[0][0] == runs[1][0]      # float-for-float identical records
+    assert _untimed(runs[0][0]) == _untimed(runs[1][0])  # float-for-float identical records
     assert runs[0][1] == runs[1][1]      # bit-identical final parameters
 
 
@@ -519,7 +525,7 @@ def test_epoch_records_report_the_pre_clip_norm_and_clipped_batches(tiny_corpus,
         assert r["clipped"] == sum(norm > clip for norm in epoch_norms) == (n if clip < 1 else 0)
     for r in fine:
         assert set(r) == {"stage", "epoch", "train_loss", "grad_norm", "clipped",
-                          "valid_metric", "snapshot_taken"}
+                          "lr", "valid_metric", "snapshot_taken", "encode_s", "wall_s"}
         assert isinstance(r["train_loss"], float) and r["train_loss"] > 0.0
 
 
@@ -620,6 +626,42 @@ def test_finetune_encodes_the_catalog_once_per_stage_one_epoch(tiny_corpus, monk
         assert seen[(1, epoch)] is encodes[epoch - 1]
 
 
+def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
+    """`wall_s` spans the whole epoch, validation included, and a finetune
+    record's `encode_s` is that epoch's catalog encode: 0.0 where it reused
+    the kept matrix. A fake clock moves 1 s per catalog encode, 10 s per
+    training epoch and 100 s per validation."""
+    catalog, vocab, limits = tiny_corpus
+    now = [0.0]
+    monkeypatch.setattr("txrec.trainer.perf_counter", lambda: now[0])
+
+    def ticking(fn, seconds):
+        def run(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            now[0] += seconds
+            return out
+        return run
+
+    monkeypatch.setattr("txrec.trainer.encode_all_items", ticking(encode_all_items, 1.0))
+    monkeypatch.setattr("txrec.trainer._train_epoch", ticking(_train_epoch, 10.0))
+    monkeypatch.setattr("txrec.trainer._pretrain_valid_loss",
+                        ticking(_pretrain_valid_loss, 100.0))
+    seqs = _sequences()
+    cfg = TrainConfig(n_epochs=2, pretrain_batch=8, lr=3e-3, patience=3, seed=0)
+    enc = _encoder(vocab, seed=4)
+    head = MLMHead(8, vocab.size, stream(4, "init"))
+    pre = pretrain(seqs, catalog, vocab, enc, head, cfg, LossConfig(), limits,
+                   valid_sequences=seqs[:4])
+    assert [(r["lr"], r["wall_s"]) for r in pre] == [(3e-3, 110.0)] * 2
+
+    result = two_stage_finetune(
+        leave_one_out(seqs), catalog, vocab, enc, cfg, LossConfig(), limits,
+        evaluate_fn=ticking(lambda *_: 0.5, 100.0), train_fn=ticking(lambda *_: None, 10.0))
+    assert [(r["stage"], r["epoch"], r["lr"], r["encode_s"], r["wall_s"])
+            for r in result.history] == [(1, 1, 3e-3, 0.0, 110.0), (1, 2, 3e-3, 1.0, 111.0),
+                                         (2, 1, 3e-3, 0.0, 110.0), (2, 2, 3e-3, 0.0, 110.0)]
+
+
 def test_finetune_records_of_a_silent_train_fn_carry_none(tiny_corpus):
     result, _, _ = _scripted_run(tiny_corpus, stage1=[0.1, 0.3], stage2=[0.2, 0.4])
     for r in result.history:
@@ -669,7 +711,7 @@ def test_finetune_determinism(tiny_corpus):
         results.append(two_stage_finetune(split, catalog, vocab, enc, cfg,
                                           LossConfig(), limits))
     a, b = results
-    assert a.history == b.history
+    assert _untimed(a.history) == _untimed(b.history)
     assert a.best_metric == b.best_metric
     npt.assert_array_equal(a.item_matrix.rows, b.item_matrix.rows)
     for name in a.best_state:

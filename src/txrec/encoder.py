@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, asdict
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -160,20 +160,20 @@ class Encoder:
         )
         return T.layer_norm(e, self.emb_ln_g, self.emb_ln_b)
 
-    def encode(self, x: ModelInput | ModelBatch, train: bool = False,
-               dropout_rng: np.random.Generator | None = None, aggregate: bool = False,
-               rows: Sequence[np.ndarray] | None = None) -> Tensor:
+    def encode(self, x: ModelInput | ModelBatch, dropout_rng: np.random.Generator | None = None,
+               aggregate: bool = False, rows: Sequence[np.ndarray] | None = None) -> Tensor:
         """Hidden states, (len, d) for one input or (B, len, d) for a padded batch.
 
         Row 0 of a sequence aggregates it. Padded keys are masked, so a
         sequence's real rows match its unpadded encoding up to float roundoff.
+        Dropout runs exactly when a `dropout_rng` is given.
 
-        With `aggregate`, only row 0 is returned, (d,) or (B, d): the last
-        layer then projects queries and runs its output projection, norms and
-        FFN at that row alone, which attends every real key (`global_attention`).
-        Its dropouts still draw masks for all B·len rows and keep row 0's, so
-        with `train` the random stream and each aggregate row's mask are those
-        of the full encode.
+        With `aggregate`, only row 0 of each sequence is returned, (B, d), one
+        input counting as B = 1: the last layer then projects queries and runs
+        its output projection, norms and FFN at that row alone, which attends
+        every real key (`global_attention`). Its dropouts still draw masks for
+        all B·len rows and keep row 0's, so the random stream and each
+        aggregate row's mask are those of the full encode.
 
         `rows` (with `aggregate`) names more rows to keep, one array of
         positions per input, none of them 0: the result is then the B
@@ -196,9 +196,7 @@ class Encoder:
             keep = np.concatenate([first_rows, seq * length + pos])
         h = T.reshape(self.embed(batch), (n_seq * length, cfg.d))
         idx, valid = build_window_index(length, cfg.window)
-        rate = cfg.dropout if train else 0.0
-        if rate > 0.0 and dropout_rng is None:
-            raise ValueError("training with dropout needs a dropout rng")
+        rate = cfg.dropout if dropout_rng is not None else 0.0
         heads = (n_seq, -1, cfg.n_heads, cfg.d // cfg.n_heads)
         for i, layer in enumerate(self.layers):
             last = aggregate and i == len(self.layers) - 1
@@ -228,55 +226,43 @@ class Encoder:
                 f = T.dropout(f, rate, dropout_rng, drop_rows)
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
         if aggregate:
-            if not self.layers:
-                h = T.gather_rows(h, keep)
-            return h if x is batch or rows is not None else T.reshape(h, (cfg.d,))
+            return h if self.layers else T.gather_rows(h, keep)
         return T.reshape(h, (n_seq, length, cfg.d) if x is batch else (length, cfg.d))
 
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
-        """Inference-time representation of a history: the aggregate row."""
-        return self.encode(x, aggregate=True).data
+        """Inference-time representation of a history: its aggregate row, (d,)."""
+        return self.encode(x, aggregate=True).data[0]
 
 
-# Padded tokens per encoder call in `encode_batches`: bounds one call's
+# Padded tokens per encoder call in `encode_rows`: bounds one call's
 # activations while keeping each matmul wide enough to amortize per-op overhead.
 ENCODE_BATCH_TOKENS = 1024
 
 
-def encode_batches(encoder: Encoder, inputs: Sequence[ModelInput], train: bool = False,
-                   dropout_rng: np.random.Generator | None = None, aggregate: bool = False,
-                   rows: Sequence[np.ndarray] | None = None
-                   ) -> Iterator[tuple[np.ndarray, Tensor]]:
-    """Yield (members, hidden) per length-sorted sub-batch of at most
-    ENCODE_BATCH_TOKENS padded tokens (one input at least): the indices into
-    `inputs` in row order, and their (b, len, d) hidden states, or (b, d)
-    aggregate rows with `aggregate`, followed by the members' `rows` when
-    given (see `Encoder.encode`). Lazily, so only one sub-batch's
-    activations are alive outside a tape."""
+def encode_rows(encoder: Encoder, inputs: Sequence[ModelInput],
+                dropout_rng: np.random.Generator | None = None,
+                rows: Sequence[np.ndarray] | None = None) -> Tensor:
+    """The aggregate rows of `inputs`, in input order, then each input's
+    `rows`, input by input: (N + M, d), the layout of `Encoder.encode(...,
+    aggregate=True, rows=rows)` for one batch. Inputs are encoded in
+    length-sorted sub-batches of at most ENCODE_BATCH_TOKENS padded tokens
+    (one input at least)."""
     order = np.argsort([len(x) for x in inputs], kind="stable")
+    blocks, owners = [], []
     start = 0
     while start < len(order):
         end = start + 1
         while end < len(order) and (end + 1 - start) * len(inputs[order[end]]) <= ENCODE_BATCH_TOKENS:
             end += 1
         members = order[start:end]
-        yield members, encoder.encode(ModelBatch.pack([inputs[i] for i in members]),
-                                      train, dropout_rng, aggregate,
-                                      None if rows is None else [rows[i] for i in members])
+        kept = None if rows is None else [rows[i] for i in members]
+        blocks.append(encoder.encode(ModelBatch.pack([inputs[i] for i in members]),
+                                     dropout_rng, aggregate=True, rows=kept))
+        owners.append(members)
+        if kept is not None:  # kept rows sort after every aggregate row, by input
+            owners.append(len(inputs) + np.repeat(members, [len(r) for r in kept]))
         start = end
-
-
-def aggregate_rows(batches: Iterable[tuple[np.ndarray, Tensor]]) -> Tensor:
-    """Row 0 of every sequence in the output of `encode_batches(...,
-    aggregate=True)`, (N, d) in input order. A block's (b, d) aggregate rows
-    may be followed by more kept rows, which are dropped."""
-    blocks, members = [], []
-    for idx, h in batches:
-        if len(h.data) > len(idx):
-            h = T.gather_rows(h, np.arange(len(idx)))
-        blocks.append(h)
-        members.append(idx)
-    return T.gather_rows(T.concat_rows(blocks), np.argsort(np.concatenate(members)))
+    return T.gather_rows(T.concat_rows(blocks), np.argsort(np.concatenate(owners), kind="stable"))
 
 
 def params_fingerprint(params: Iterable[Parameter]) -> str:

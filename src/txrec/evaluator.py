@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .catalog import Catalog, InputLimits, InteractionSequence, Vocabulary, build_model_input
-from .encoder import Encoder, aggregate_rows, encode_batches
+from .encoder import Encoder, encode_rows
 from .errors import CatalogError
 from .objectives import cosine_scores
 
@@ -146,7 +146,7 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
     if unknown is not None:
         raise CatalogError(f"unknown item id '{unknown}'")
     inputs = [build_model_input(c.context, catalog, vocab, limits) for c in cases]
-    users = aggregate_rows(encode_batches(encoder, inputs, aggregate=True)).data
+    users = encode_rows(encoder, inputs).data
     sums = {k: 0.0 for k in METRIC_KEYS}
     for h, case in zip(users, cases):
         rank = rank_of_target(h, item_rows, item_index[case.target])

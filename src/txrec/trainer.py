@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .catalog import (Catalog, InputLimits, InteractionSequence, Vocabulary,
                       build_model_input, item_input)
-from .encoder import Encoder, aggregate_rows, encode_batches, params_fingerprint
+from .encoder import Encoder, encode_rows, params_fingerprint
 from .errors import CatalogError, NonFiniteLossError
 from .evaluator import EvalCase, EvalSplit, evaluate_cases
 from .objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
@@ -90,13 +90,13 @@ class ItemFeatureMatrix:
 
 def encode_all_items(encoder: Encoder, catalog: Catalog, vocab: Vocabulary,
                      limits: InputLimits = InputLimits()) -> ItemFeatureMatrix:
-    """Encode every catalog item, in `encode_batches` sub-batches; rows land in
-    catalog order."""
+    """Encode every catalog item's aggregate row with `encode_rows`; rows land
+    in catalog order."""
     if len(catalog) == 0:
         raise ValueError("catalog is empty")
     ids = catalog.ids
     inputs = [item_input(iid, catalog, vocab, limits) for iid in ids]
-    rows = aggregate_rows(encode_batches(encoder, inputs, aggregate=True)).data
+    rows = encode_rows(encoder, inputs).data
     return ItemFeatureMatrix(ids, rows, params_fingerprint(encoder.parameters()), catalog.digest)
 
 
@@ -203,7 +203,7 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
 
     def batch_loss(batch):
         return _pretrain_batch_loss([examples[i] for i in batch], catalog, vocab, encoder, head,
-                                    loss_cfg, limits, mask_rng, drop_rng, train=True)
+                                    loss_cfg, limits, mask_rng, drop_rng)
 
     for epoch in range(1, train_cfg.n_epochs + 1):
         start = perf_counter()
@@ -224,27 +224,24 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
 
 
 def _pretrain_batch_loss(batch, catalog, vocab, encoder, head, loss_cfg, limits,
-                         mask_rng, drop_rng, train):
-    """Loss for one batch of (prefix, positive) pairs, plus float components.
+                         mask_rng, drop_rng):
+    """Loss for one batch of (prefix, positive) pairs, plus float components;
+    dropout runs when `drop_rng` is given.
 
     The masked prefixes keep their aggregate rows and, for the masked-token
-    loss, their masked rows: the only rows either loss reads."""
+    loss, their masked rows, input by input: the only rows either loss reads."""
     xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in batch]
     plans = [make_masking_plan(x, vocab.size, mask_rng) for x in xs]
     use_mlm = loss_cfg.mlm_weight > 0.0
-    masked = list(encode_batches(encoder, [apply_masking_plan(x, p) for x, p in zip(xs, plans)],
-                                 train, drop_rng, aggregate=True,
-                                 rows=[p.positions for p in plans] if use_mlm else None))
-    positives = encode_batches(encoder, [item_input(pos_id, catalog, vocab, limits)
-                                         for _, pos_id in batch], train, drop_rng, aggregate=True)
-    iic = iic_inbatch_loss(aggregate_rows(masked), aggregate_rows(positives),
-                           loss_cfg.temperature)
+    masked = encode_rows(encoder, [apply_masking_plan(x, p) for x, p in zip(xs, plans)], drop_rng,
+                         rows=[p.positions for p in plans] if use_mlm else None)
+    positives = encode_rows(encoder, [item_input(pos_id, catalog, vocab, limits)
+                                      for _, pos_id in batch], drop_rng)
+    n = len(batch)
+    iic = iic_inbatch_loss(T.gather_rows(masked, np.arange(n)), positives, loss_cfg.temperature)
     mlm = None
     if use_mlm:
-        mlm = pooled_mlm_loss(
-            T.concat_rows([T.gather_rows(h, np.arange(len(members), len(h.data)))
-                           for members, h in masked]),
-            [plans[i] for members, _ in masked for i in members], head)
+        mlm = pooled_mlm_loss(T.gather_rows(masked, np.arange(n, len(masked.data))), plans, head)
     loss = pretrain_loss(iic, mlm, loss_cfg.mlm_weight)
     return loss, {"loss": float(loss.data), "iic": float(iic.data),
                   "mlm": float(mlm.data) if mlm is not None else 0.0}
@@ -258,7 +255,7 @@ def _pretrain_valid_loss(examples, catalog, vocab, encoder, head, loss_cfg, limi
     for batch in _batches(np.arange(len(examples)), 64):
         loss, _ = _pretrain_batch_loss(
             [examples[i] for i in batch], catalog, vocab, encoder, head,
-            loss_cfg, limits, mask_rng, None, train=False)
+            loss_cfg, limits, mask_rng, None)
         total += float(loss.data) * len(batch)
         n += len(batch)
     return total / n
@@ -291,17 +288,17 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
 
     Stage one: each epoch re-encodes the catalog with the current encoder,
     trains one epoch against that matrix, and scores validation; the matrix
-    paired with a new best score is kept as the frozen candidate. The first
-    epoch uses the catalog encoded for the incoming snapshot, since no weight
-    has changed since. Stage two rewinds the encoder to the best snapshot and
+    paired with a new best score is kept as the frozen candidate, and the
+    first epoch's matrix, encoded for the incoming snapshot, is the candidate
+    until then. Stage two rewinds the encoder to the best snapshot and
     trains against the frozen matrix only. Validation never improving past the
     incoming best means the stage contributes no new snapshot. Either stage
     stops early once `patience` epochs pass without a new best.
 
     Each epoch's record carries `train_fn`'s `train_loss`, `grad_norm` and
     `clipped`, None where it returns no such key, the learning rate `lr`, the
-    time of the epoch's catalog encode `encode_s` (0.0 when it reused the kept
-    matrix) and the epoch's wall time `wall_s`.
+    time of the epoch's catalog encode `encode_s` (0.0 in stage two, which
+    reuses the frozen matrix) and the epoch's wall time `wall_s`.
     """
     examples = finetune_examples(split)
     if not examples:
@@ -331,7 +328,7 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
 
     best_metric = 0.0
     best_state = save_state(params)
-    best_matrix = encode_all_items(encoder, catalog, vocab, limits)
+    best_matrix = None
     for stage in (1, 2):
         if stage == 2:
             load_state(params, best_state)
@@ -339,11 +336,12 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
         scores = [best_metric]
         for epoch in range(1, train_cfg.n_epochs + 1):
             start = perf_counter()
-            if stage == 2 or epoch == 1:
+            if stage == 2:
                 matrix, encode_s = best_matrix, 0.0
             else:
                 matrix = encode_all_items(encoder, catalog, vocab, limits)
                 encode_s = perf_counter() - start
+                best_matrix = best_matrix or matrix
             stats = train_fn(stage, epoch, encoder, matrix) or {}
             metric = evaluate_fn(stage, epoch, encoder, matrix)
             took = metric > best_metric
@@ -375,7 +373,7 @@ def _finetune_epoch(encoder: Encoder, matrix: ItemFeatureMatrix, examples,
 
     def batch_loss(batch):
         xs = [build_model_input(examples[i][0], catalog, vocab, limits) for i in batch]
-        rows = aggregate_rows(encode_batches(encoder, xs, True, drop_rng, aggregate=True))
+        rows = encode_rows(encoder, xs, drop_rng)
         loss = finetune_loss(rows, positives[batch], matrix.rows, loss_cfg.temperature)
         return loss, {"train_loss": float(loss.data)}
 

@@ -7,6 +7,7 @@ import pytest
 
 from txrec import Catalog, InputLimits, Item, Vocabulary
 from txrec import tensor as T
+from txrec.encoder import Encoder
 
 
 def scalarize(out: T.Tensor, weights: np.ndarray) -> T.Tensor:
@@ -24,6 +25,25 @@ def kept_rows(h: T.Tensor, rows=None) -> T.Tensor:
     at = [np.arange(n_seq) * length] + [b * length + np.asarray(r, dtype=np.int64)
                                         for b, r in enumerate(rows)]
     return T.gather_rows(T.reshape(h, (n_seq * length, d)), np.concatenate(at))
+
+
+def spy_encode(monkeypatch, full_last_layer=False) -> list[tuple[bool, bool, bool]]:
+    """Patch `Encoder.encode` to record each call's (aggregate, rows given,
+    dropout rng given). With `full_last_layer`, an aggregate call on a
+    `ModelBatch`, as `encode_rows` makes, runs the full last layer instead
+    and gathers its aggregate and kept rows with `kept_rows`: a reference
+    that sees the real sub-batches and dropout draws."""
+    calls = []
+    encode = Encoder.encode
+
+    def spy(self, x, dropout_rng=None, aggregate=False, rows=None):
+        calls.append((aggregate, rows is not None, dropout_rng is not None))
+        if not (full_last_layer and aggregate):
+            return encode(self, x, dropout_rng, aggregate, rows)
+        return kept_rows(encode(self, x, dropout_rng), rows)
+
+    monkeypatch.setattr(Encoder, "encode", spy)
+    return calls
 
 
 def zero_grads(params) -> None:

@@ -7,15 +7,14 @@ import numpy.testing as npt
 import pytest
 
 import reference as ref
-from conftest import fd_gradcheck, kept_rows, scalarize
+from conftest import fd_gradcheck, scalarize
 from txrec import tensor as T
 from txrec.catalog import ModelBatch, ModelInput, build_model_input, item_input
 from txrec.encoder import (
     Encoder,
     EncoderConfig,
-    aggregate_rows,
     build_window_index,
-    encode_batches,
+    encode_rows,
     params_fingerprint,
 )
 from txrec.errors import DataError
@@ -173,14 +172,13 @@ def test_encode_is_deterministic_in_eval_mode(tiny_corpus):
     npt.assert_array_equal(enc.encode(x).data, enc.encode(x).data)
 
 
-def test_train_mode_dropout_needs_rng_and_perturbs(tiny_corpus):
+def test_dropout_runs_exactly_when_an_rng_is_given(tiny_corpus):
     _, vocab, _ = tiny_corpus
     enc = Encoder(_cfg(vocab.size, dropout=0.3), stream(7, "init"))
     x = _history(tiny_corpus)
-    with pytest.raises(ValueError, match="rng"):
-        enc.encode(x, train=True)
-    noisy = enc.encode(x, train=True, dropout_rng=stream(7, "dropout")).data
     clean = enc.encode(x).data
+    npt.assert_array_equal(enc.encode(x).data, clean)
+    noisy = enc.encode(x, dropout_rng=stream(7, "dropout")).data
     assert np.abs(noisy - clean).max() > 1e-4
 
 
@@ -260,41 +258,38 @@ def _mixed_lengths(tiny_corpus):
     return [_history(tiny_corpus, h) for h in ids]
 
 
-def test_encode_batches_keeps_to_the_token_budget(tiny_corpus, monkeypatch):
+@pytest.mark.parametrize("keep", [False, True], ids=["aggregate", "kept-rows"])
+@pytest.mark.parametrize("budget,n_calls", [(1, 5), (60, 3), (1024, 1)])
+def test_encode_rows_keeps_to_the_budget_and_the_row_layout(tiny_corpus, monkeypatch, budget,
+                                                            n_calls, keep):
+    """Float32, dropout 0: each encode call is a length-sorted sub-batch within
+    the token budget (one input at least), and the result is the aggregate
+    rows in input order, then the kept rows input by input, each equal to
+    that row of its own input's full encode."""
     _, vocab, _ = tiny_corpus
     enc = Encoder(_cfg(vocab.size), stream(23, "init"))
     xs = _mixed_lengths(tiny_corpus)
-    lengths = [len(x) for x in xs]
-    for budget, n_calls in ((1, 5), (60, 3), (1024, 1)):
-        monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", budget)
-        batches = list(encode_batches(enc, xs))
-        assert len(batches) == n_calls
-        members = np.concatenate([m for m, _ in batches])
-        assert sorted(members.tolist()) == list(range(len(xs)))  # each input once
-        assert [lengths[i] for i in members] == sorted(lengths)  # stable, shortest first
-        for m, h in batches:
-            assert h.data.shape == (len(m), max(lengths[i] for i in m), enc.config.d)
-            assert len(m) == 1 or h.data.shape[0] * h.data.shape[1] <= budget
+    full = [enc.encode(x).data for x in xs]
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", budget)
+    batches = []
+    encode = Encoder.encode
 
+    def recording(self, x, *args, **kwargs):
+        batches.append(x)
+        return encode(self, x, *args, **kwargs)
 
-def test_aggregate_rows_do_not_depend_on_batch_mates_or_budget(tiny_corpus, monkeypatch):
-    """Float32, dropout 0: each input's row is row 0 of its own single encode,
-    whether it shares one call with every other input (the default budget)
-    or sits alone (a budget of one token)."""
-    _, vocab, _ = tiny_corpus
-    enc = Encoder(_cfg(vocab.size), stream(24, "init"))
-    xs = _mixed_lengths(tiny_corpus)
-    alone = np.stack([enc.encode(x).data[0] for x in xs])
-
-    def row_zero():
-        return aggregate_rows((m, kept_rows(h)) for m, h in encode_batches(enc, xs)).data
-
-    together = row_zero()
-    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 1)
-    one_per_call = row_zero()
-    assert together.dtype == np.float32
-    npt.assert_allclose(together, alone, rtol=0.0, atol=1e-6)
-    npt.assert_allclose(one_per_call, alone, rtol=0.0, atol=1e-6)
+    monkeypatch.setattr(Encoder, "encode", recording)
+    rows = _some_rows(xs) if keep else None
+    got = encode_rows(enc, xs, rows=rows).data
+    assert len(batches) == n_calls
+    lengths = np.concatenate([b.lengths for b in batches])
+    assert lengths.tolist() == sorted(len(x) for x in xs)  # stable, shortest first
+    assert all(len(b.lengths) == 1 or b.token_ids.size <= budget for b in batches)
+    want = [np.stack([f[0] for f in full])]
+    if keep:
+        want += [f[r] for f, r in zip(full, rows)]
+    assert got.dtype == np.float32
+    npt.assert_allclose(got, np.concatenate(want), rtol=0.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -309,24 +304,12 @@ def test_aggregate_encode_is_row_zero_of_the_full_encode(tiny_corpus, n_layers, 
     xs = _mixed_lengths(tiny_corpus) + [_raw_input([1])]  # one input of length 1
     for x in xs:
         got = enc.encode(x, aggregate=True).data
-        assert got.shape == (enc.config.d,) and got.dtype == dtype
-        npt.assert_allclose(got, enc.encode(x).data[0], rtol=0.0, atol=atol)
+        assert got.shape == (1, enc.config.d) and got.dtype == dtype
+        npt.assert_allclose(got, enc.encode(x).data[:1], rtol=0.0, atol=atol)
     batch = ModelBatch.pack(xs)
     got = enc.encode(batch, aggregate=True).data
     assert got.shape == (len(xs), enc.config.d)
     npt.assert_allclose(got, enc.encode(batch).data[:, 0], rtol=0.0, atol=atol)
-
-
-def test_aggregate_row_does_not_depend_on_batch_mates_or_budget(tiny_corpus, monkeypatch):
-    _, vocab, _ = tiny_corpus
-    enc = Encoder(_cfg(vocab.size), stream(26, "init"))
-    xs = _mixed_lengths(tiny_corpus)
-    alone = np.stack([enc.encode(x, aggregate=True).data for x in xs])
-    for budget in (1024, 60, 1):
-        monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", budget)
-        batches = list(encode_batches(enc, xs, aggregate=True))
-        assert all(h.data.shape == (len(m), enc.config.d) for m, h in batches)
-        npt.assert_allclose(aggregate_rows(batches).data, alone, rtol=0.0, atol=1e-6)
 
 
 def test_aggregate_encode_is_differentiable(tiny_corpus):
@@ -352,9 +335,9 @@ def test_aggregate_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, 
     xs = _mixed_lengths(tiny_corpus)
     for x in (xs[0], ModelBatch.pack(xs)):
         rng_full, rng_agg = stream(32, "dropout"), stream(32, "dropout")
-        full = enc.encode(x, train=True, dropout_rng=rng_full).data
-        got = enc.encode(x, train=True, dropout_rng=rng_agg, aggregate=True).data
-        want = full[..., 0, :]
+        full = enc.encode(x, dropout_rng=rng_full).data
+        got = enc.encode(x, dropout_rng=rng_agg, aggregate=True).data
+        want = full[..., 0, :].reshape(-1, enc.config.d)
         assert got.shape == want.shape and got.dtype == dtype
         npt.assert_allclose(got, want, rtol=0.0, atol=atol)
         assert np.abs(got - enc.encode(x, aggregate=True).data).max() > 1e-4  # dropout acted
@@ -371,7 +354,7 @@ def test_aggregate_train_encode_gradcheck(tiny_corpus):
                              _history(tiny_corpus, ids=("i0", "i3"))])
     rng = np.random.default_rng(34)
     w = rng.normal(size=2 * cfg.d)
-    fd_gradcheck(lambda: scalarize(enc.encode(batch, train=True, dropout_rng=stream(35, "dropout"),
+    fd_gradcheck(lambda: scalarize(enc.encode(batch, dropout_rng=stream(35, "dropout"),
                                               aggregate=True), w),
                  enc.parameters(), rng, coords_per_tensor=4)
 
@@ -428,8 +411,8 @@ def test_kept_rows_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, 
     rows = _some_rows(xs)
     batch = ModelBatch.pack(xs)
     rng_full, rng_kept = stream(38, "dropout"), stream(38, "dropout")
-    full = enc.encode(batch, train=True, dropout_rng=rng_full).data
-    got = enc.encode(batch, train=True, dropout_rng=rng_kept, aggregate=True, rows=rows).data
+    full = enc.encode(batch, dropout_rng=rng_full).data
+    got = enc.encode(batch, dropout_rng=rng_kept, aggregate=True, rows=rows).data
     npt.assert_allclose(got, _kept(full, rows), rtol=0.0, atol=atol)
     assert np.abs(got - enc.encode(batch, aggregate=True, rows=rows).data).max() > 1e-4
     assert rng_full.random() == rng_kept.random()
@@ -446,7 +429,7 @@ def test_kept_rows_train_encode_gradcheck(tiny_corpus):
     batch = ModelBatch.pack(xs)
     rng = np.random.default_rng(40)
     w = rng.normal(size=(2 + 5) * cfg.d)
-    fd_gradcheck(lambda: scalarize(enc.encode(batch, train=True, dropout_rng=stream(41, "dropout"),
+    fd_gradcheck(lambda: scalarize(enc.encode(batch, dropout_rng=stream(41, "dropout"),
                                               aggregate=True, rows=rows), w),
                  enc.parameters(), rng, coords_per_tensor=4)
 
@@ -460,24 +443,6 @@ def test_kept_rows_encode_scores_only_their_pairs(tiny_corpus):
     enc.encode(x, aggregate=True, rows=rows)
     allowed = ref.allowed_pairs_ref(len(x), enc.config.window)
     assert T.attention_pairs.pairs == enc.config.n_heads * (len(x) + int(allowed[rows[0]].sum()))
-
-
-def test_kept_rows_follow_their_inputs_through_encode_batches(tiny_corpus, monkeypatch):
-    _, vocab, _ = tiny_corpus
-    enc = Encoder(_cfg(vocab.size), stream(43, "init"))
-    xs = _mixed_lengths(tiny_corpus)
-    rows = _some_rows(xs)
-    want = [enc.encode(x, aggregate=True, rows=[r]).data for x, r in zip(xs, rows)]
-    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 60)
-    batches = list(encode_batches(enc, xs, aggregate=True, rows=rows))
-    assert len(batches) > 1
-    for members, h in batches:
-        assert h.data.shape == (len(members) + sum(len(rows[i]) for i in members), enc.config.d)
-        npt.assert_allclose(h.data[: len(members)], [want[i][0] for i in members],
-                            rtol=0.0, atol=1e-6)
-        npt.assert_allclose(h.data[len(members):], np.concatenate([want[i][1:] for i in members]),
-                            rtol=0.0, atol=1e-6)
-    npt.assert_allclose(aggregate_rows(batches).data, [r[0] for r in want], rtol=0.0, atol=1e-6)
 
 
 def test_kept_rows_encode_rejects_rows_it_cannot_keep(tiny_corpus):

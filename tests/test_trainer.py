@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import fd_gradcheck, kept_rows
+from conftest import fd_gradcheck, spy_encode
 from txrec import tensor as T
 from txrec.catalog import InteractionSequence, build_model_input, item_input
-from txrec.encoder import (Encoder, EncoderConfig, aggregate_rows, encode_batches,
-                           params_fingerprint)
+from txrec.encoder import Encoder, EncoderConfig, encode_rows, params_fingerprint
 from txrec.errors import CatalogError, NonFiniteLossError
 from txrec.evaluator import leave_one_out
 from txrec.objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
@@ -282,16 +283,13 @@ def _batch_loss(objective, tiny_corpus, enc, head):
     if objective == "pretrain":
         loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
         return (lambda: _pretrain_batch_loss(examples, catalog, vocab, enc, head, loss_cfg,
-                                             limits, stream(4, "mask"), None, train=True)[0],
+                                             limits, stream(4, "mask"), None)[0],
                 enc.parameters() + head.parameters())
     xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
     pos = np.array([catalog.ids.index(p) for _, p in examples])
     rows = np.random.default_rng(5).normal(size=(len(catalog), enc.config.d)).astype(
         enc.token_emb.data.dtype)
-    return (lambda: finetune_loss(aggregate_rows(encode_batches(enc, xs, train=True,
-                                                                aggregate=True)),
-                                  pos, rows, 0.1),
-            enc.parameters())
+    return lambda: finetune_loss(encode_rows(enc, xs), pos, rows, 0.1), enc.parameters()
 
 
 def _loss_and_grads(build, params):
@@ -370,22 +368,8 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
     assert abs(float(build().data) - want) < 1e-10
 
 
-def _encode_batches_spy(calls, full_last_layer=False):
-    """`encode_batches` recording each call's (train, aggregate), plus "rows"
-    when it keeps more rows; with `full_last_layer`, every call runs the full
-    last layer instead, and the aggregate and kept rows are gathered from its
-    output."""
-    def spy(encoder, inputs, train=False, dropout_rng=None, aggregate=False, rows=None):
-        calls.append((train, aggregate) if rows is None else (train, aggregate, "rows"))
-        if not full_last_layer:
-            return encode_batches(encoder, inputs, train, dropout_rng, aggregate, rows)
-        return [(members, kept_rows(h, None if rows is None else [rows[i] for i in members]))
-                for members, h in encode_batches(encoder, inputs, train, dropout_rng)]
-    return spy
-
-
 @pytest.mark.parametrize("n_layers", [1, 2])
-def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers):
+def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypatch, n_layers):
     """Float32, dropout on, same dropout seed: a finetuning batch encoded with
     the aggregate-only last layer, as `_finetune_epoch` encodes it, gives the
     loss and gradients of the full last layer, to 1e-6 of each tensor's
@@ -397,13 +381,12 @@ def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers
     pos = np.array([catalog.ids.index(p) for _, p in examples])
     rows = np.random.default_rng(5).normal(size=(len(catalog), 8)).astype(np.float32)
 
-    def build(full_last_layer):
-        encode = _encode_batches_spy([], full_last_layer)
-        return lambda: finetune_loss(aggregate_rows(encode(
-            enc, xs, True, stream(17, "dropout"), aggregate=True)), pos, rows, 0.1)
+    def build():
+        return finetune_loss(encode_rows(enc, xs, stream(17, "dropout")), pos, rows, 0.1)
 
-    loss, grads = _loss_and_grads(build(True), enc.parameters())
-    loss_agg, grads_agg = _loss_and_grads(build(False), enc.parameters())
+    loss_agg, grads_agg = _loss_and_grads(build, enc.parameters())
+    spy_encode(monkeypatch, full_last_layer=True)
+    loss, grads = _loss_and_grads(build, enc.parameters())
     assert abs(loss_agg - loss) <= 1e-6
     for p, g, g_agg in zip(enc.parameters(), grads, grads_agg):
         assert g_agg.dtype == np.float32
@@ -413,12 +396,13 @@ def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, n_layers
 
 def test_finetune_trains_through_the_aggregate_only_last_layer(tiny_corpus, monkeypatch):
     catalog, vocab, limits = tiny_corpus
-    calls = []
-    monkeypatch.setattr("txrec.trainer.encode_batches", _encode_batches_spy(calls))
+    calls = spy_encode(monkeypatch)
     cfg = TrainConfig(n_epochs=1, finetune_batch=8, lr=1e-3, patience=2, seed=0)
     two_stage_finetune(leave_one_out(_sequences()), catalog, vocab,
                        _encoder(vocab, seed=18, dropout=0.1), cfg, LossConfig(), limits)
-    assert (True, True) in calls and (True, False) not in calls
+    # training encodes with the dropout rng, catalog and validation without;
+    # every call is aggregate-only and keeps no other row
+    assert set(calls) == {(True, False, True), (True, False, False)}
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -436,17 +420,16 @@ def test_pretrain_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypa
     loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
     rngs = []
 
-    def run(full_last_layer):
-        monkeypatch.setattr("txrec.trainer.encode_batches",
-                            _encode_batches_spy([], full_last_layer))
+    def run():
         rngs.append(stream(20, "dropout"))
         return _loss_and_grads(
             lambda: _pretrain_batch_loss(_mixed_examples(), catalog, vocab, enc, head, loss_cfg,
-                                         limits, stream(4, "mask"), rngs[-1], train=True)[0],
+                                         limits, stream(4, "mask"), rngs[-1])[0],
             params)
 
-    loss, grads = run(full_last_layer=True)
-    loss_agg, grads_agg = run(full_last_layer=False)
+    loss_agg, grads_agg = run()
+    spy_encode(monkeypatch, full_last_layer=True)
+    loss, grads = run()
     assert abs(loss_agg - loss) <= 1e-6
     for p, g, g_agg in zip(params, grads, grads_agg):
         assert g_agg.dtype == np.float32
@@ -466,27 +449,27 @@ def test_pretrain_valid_loss_matches_the_full_last_layer(tiny_corpus, monkeypatc
             p.data *= 25.0
     head = MLMHead(8, vocab.size, stream(21, "init"))
     examples = _mixed_examples() * 3
-    values = []
-    for full_last_layer in (True, False):
-        monkeypatch.setattr("txrec.trainer.encode_batches",
-                            _encode_batches_spy([], full_last_layer))
-        values.append(_pretrain_valid_loss(examples, catalog, vocab, enc, head,
-                                           LossConfig(temperature=0.1, mlm_weight=0.5),
-                                           limits, stream(22, "valid-mask")))
-    assert abs(values[1] - values[0]) <= 1e-6
+
+    def valid_loss():
+        return _pretrain_valid_loss(examples, catalog, vocab, enc, head,
+                                    LossConfig(temperature=0.1, mlm_weight=0.5),
+                                    limits, stream(22, "valid-mask"))
+
+    got = valid_loss()
+    spy_encode(monkeypatch, full_last_layer=True)
+    assert abs(got - valid_loss()) <= 1e-6
 
 
 def test_pretrain_positives_go_through_the_aggregate_only_last_layer(tiny_corpus, monkeypatch):
     catalog, vocab, limits = tiny_corpus
-    calls = []
-    monkeypatch.setattr("txrec.trainer.encode_batches", _encode_batches_spy(calls))
+    calls = spy_encode(monkeypatch)
     cfg = TrainConfig(n_epochs=2, pretrain_batch=6, lr=1e-3, seed=0)
     pretrain(_sequences(), catalog, vocab, _encoder(vocab, seed=18, dropout=0.1),
              MLMHead(8, vocab.size, stream(18, "init")), cfg, LossConfig(), limits)
     # 16 sequences in batches of 6: three batches an epoch, masked prefixes
     # keeping their masked rows, then positives, both through the
-    # aggregate-only last layer
-    assert calls == [(True, True, "rows"), (True, True)] * 6
+    # aggregate-only last layer with dropout, in as many sub-batches as needed
+    assert [call for call, _ in groupby(calls)] == [(True, True, True), (True, False, True)] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +578,16 @@ def test_finetune_stage2_below_best_changes_nothing(tiny_corpus):
     assert float(enc.emb_ln_b.data[0]) == 102.0  # stage-1 epoch-2 state wins
 
 
+def test_finetune_without_a_validation_gain_keeps_the_first_epochs_matrix(tiny_corpus):
+    """Validation never above 0: no snapshot is taken, the incoming weights
+    come back, and the frozen matrix is stage one's first, encoded for them."""
+    result, enc, seen = _scripted_run(tiny_corpus, stage1=[0.0, 0.0], stage2=[0.0, 0.0])
+    assert not any(r["snapshot_taken"] for r in result.history)
+    assert result.item_matrix is seen[(1, 1)]
+    assert seen[(2, 1)] is seen[(2, 2)] is seen[(1, 1)]
+    assert float(enc.emb_ln_b.data[0]) == 0.0
+
+
 def test_finetune_early_stop_counts_from_incoming_best(tiny_corpus):
     # stage 1 peaks at 0.6; stage 2 never reaches it, so its running max never
     # moves and patience bites after exactly `patience` epochs
@@ -608,8 +601,8 @@ def test_finetune_early_stop_counts_from_incoming_best(tiny_corpus):
 
 
 def test_finetune_encodes_the_catalog_once_per_stage_one_epoch(tiny_corpus, monkeypatch):
-    """The catalog encoded for the incoming snapshot serves stage one's first
-    epoch; each later stage-one epoch re-encodes, and stage two never does."""
+    """Each stage-one epoch encodes the catalog, the first one for the
+    incoming snapshot, and stage two never does."""
     encodes = []
 
     def counting(*args, **kwargs):
@@ -628,9 +621,9 @@ def test_finetune_encodes_the_catalog_once_per_stage_one_epoch(tiny_corpus, monk
 
 def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
     """`wall_s` spans the whole epoch, validation included, and a finetune
-    record's `encode_s` is that epoch's catalog encode: 0.0 where it reused
-    the kept matrix. A fake clock moves 1 s per catalog encode, 10 s per
-    training epoch and 100 s per validation."""
+    record's `encode_s` is that epoch's catalog encode: 0.0 in stage two,
+    which reuses the frozen matrix. A fake clock moves 1 s per catalog
+    encode, 10 s per training epoch and 100 s per validation."""
     catalog, vocab, limits = tiny_corpus
     now = [0.0]
     monkeypatch.setattr("txrec.trainer.perf_counter", lambda: now[0])
@@ -658,7 +651,7 @@ def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
         leave_one_out(seqs), catalog, vocab, enc, cfg, LossConfig(), limits,
         evaluate_fn=ticking(lambda *_: 0.5, 100.0), train_fn=ticking(lambda *_: None, 10.0))
     assert [(r["stage"], r["epoch"], r["lr"], r["encode_s"], r["wall_s"])
-            for r in result.history] == [(1, 1, 3e-3, 0.0, 110.0), (1, 2, 3e-3, 1.0, 111.0),
+            for r in result.history] == [(1, 1, 3e-3, 1.0, 111.0), (1, 2, 3e-3, 1.0, 111.0),
                                          (2, 1, 3e-3, 0.0, 110.0), (2, 2, 3e-3, 0.0, 110.0)]
 
 

@@ -227,20 +227,24 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
-    """out[i] = x[ids[i]]; backward scatter-adds, so repeated ids accumulate.
+    """out[...] = x[ids[...]]; backward scatter-adds, so repeated ids accumulate.
 
-    Strictly increasing non-negative ids name each row once, so their
-    backward is a plain fancy add, which equals `np.add.at` bit for bit there.
+    The backward sorts the ids stably, sums each id's gradient rows with one
+    `np.add.reduceat` and adds each sum into its row once. Repeated ids sum
+    in another order than `np.add.at`, so they match it at rounding level;
+    unique ids match it bit for bit.
     """
     ids = np.asarray(ids, dtype=np.int64)
 
     def bwd(g: np.ndarray) -> None:
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        if ids.ndim == 1 and (ids[:1] >= 0).all() and (ids[1:] > ids[:-1]).all():
-            x.grad[ids] += g
-        else:
-            np.add.at(x.grad, ids, g)
+        flat = np.where(ids < 0, ids + x.data.shape[0], ids).reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        flat = flat[order]
+        starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        rows = g.reshape((flat.size,) + x.data.shape[1:])[order]
+        x.grad[flat[starts]] += np.add.reduceat(rows, starts, axis=0)
 
     return _result(x.data[ids], (x,), bwd)
 
@@ -395,25 +399,32 @@ def gelu(x: Tensor) -> Tensor:
         out_data = xd * cdf
 
     def bwd(g: np.ndarray) -> None:
-        pdf = np.exp(-0.5 * xd * xd) / math.sqrt(2.0 * math.pi)
-        _accum(x, g * (cdf + xd * pdf))
+        gx = np.square(xd)           # g * (Phi(x) + x * phi(x)), on one buffer
+        np.exp(np.multiply(gx, -0.5, out=gx), out=gx)
+        gx /= math.sqrt(2.0 * math.pi)
+        gx *= xd
+        gx += cdf
+        gx *= g
+        _accum(x, gx)
 
     return _result(out_data, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
                eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine if given."""
+    """Normalize the last axis to zero mean / unit variance, then affine if given.
+
+    Row sums go through `np.einsum`, which reduces each row on its own, so a
+    row gets the same bits in any block, at any offset in memory.
+    """
     xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    centered = xd - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
-    if gamma is not None:
-        out_data = y * gamma.data + (beta.data if beta is not None else 0.0)
-    else:
-        out_data = y
+    d = xd.shape[-1]
+    y = xd - np.einsum("...i->...", xd)[..., None] / d
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / d + eps)
+    y *= inv
+    out_data = y if gamma is None else y * gamma.data
+    if gamma is not None and beta is not None:
+        out_data += beta.data
 
     def bwd(g: np.ndarray) -> None:
         if gamma is not None:
@@ -426,8 +437,10 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
             gy = g
         if x.needs_grad:
             # dx = inv * (gy - mean(gy) - y * mean(gy * y)) per row
-            gx = inv * (gy - gy.mean(axis=-1, keepdims=True)
-                        - y * (gy * y).mean(axis=-1, keepdims=True))
+            gx = y * (np.einsum("...i,...i->...", gy, y)[..., None] / d)
+            np.subtract(gy, gx, out=gx)
+            gx -= np.einsum("...i->...", gy)[..., None] / d
+            gx *= inv
             _accum(x, gx)
 
     return _result(out_data.astype(xd.dtype, copy=False),
@@ -466,7 +479,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator,
         keep = (rng.random((rows[0],) + x.data.shape[1:]) >= rate)[rows[1]]
         if keep.shape != x.data.shape:
             raise ValueError(f"dropout rows {keep.shape} do not match the input {x.data.shape}")
-    keep = keep.astype(x.data.dtype) / (1.0 - rate)
+    keep = keep.astype(x.data.dtype)
+    keep /= 1.0 - rate
 
     def bwd(g: np.ndarray) -> None:
         _accum(x, g * keep)

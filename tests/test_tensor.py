@@ -131,6 +131,35 @@ def test_layer_norm_gradcheck_affine_and_plain():
     fd_gradcheck(lambda: scalarize(T.layer_norm(x), w), [x], rng)
 
 
+@pytest.mark.parametrize("n", [1, 3, 7, 33, 257])
+def test_layer_norm_float32_rows_do_not_depend_on_their_block(n):
+    """Each row of an (n, 64) block gets the bits, forward and backward, that
+    it gets normalized alone, and from a block starting off the alignment."""
+    rng = np.random.default_rng(40 + n)
+    x = rng.normal(0.0, 2.0, size=(n, 64)).astype(np.float32)
+    g = rng.normal(size=(n, 64)).astype(np.float32)
+    gamma = T.Tensor(rng.normal(size=64).astype(np.float32))
+    beta = T.Tensor(rng.normal(size=64).astype(np.float32))
+
+    def run(block, w):
+        xt = T.Tensor(block, needs_grad=True)
+        with T.GradTape() as tape:
+            out = T.layer_norm(xt, gamma, beta)
+            loss = scalarize(out, w.reshape(-1))
+        tape.backward(loss)
+        return out.data, xt.grad
+
+    out, grad = run(x, g)
+    for i in range(n):
+        out_i, grad_i = run(x[i : i + 1], g[i : i + 1])
+        assert out_i.tobytes() == out[i].tobytes() and grad_i.tobytes() == grad[i].tobytes(), i
+    for offset in (1, 3):
+        moved = np.empty(x.size + offset, dtype=np.float32)[offset:].reshape(x.shape)
+        moved[...] = x
+        out_m, grad_m = run(moved, g)
+        assert out_m.tobytes() == out.tobytes() and grad_m.tobytes() == grad.tobytes(), offset
+
+
 # ---------------------------------------------------------------------------
 # gelu
 
@@ -241,24 +270,51 @@ def test_gather_take_stack_concat_gradchecks():
         w3), [x], rng)
 
 
+def _gather_grad(x, start, ids, w):
+    """x.grad after one gather of `ids` from x, weighted by w, onto `start`."""
+    x.grad[...] = start
+    with T.GradTape() as tape:
+        loss = scalarize(T.gather_rows(x, ids), w)
+    tape.backward(loss)
+    return x.grad.copy()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, F64])
-def test_gather_rows_backward_equals_add_at_bit_for_bit(dtype):
-    """Increasing ids take the plain fancy add; repeated, unsorted or wrapping
-    negative ids still accumulate. Either way the gradient is `np.add.at`'s,
-    added onto what the row gradients already held."""
+def test_gather_rows_backward_matches_add_at(dtype):
+    """Unique ids, in any order, add exactly what `np.add.at` adds. Repeated
+    ids, 1-d or (B, len) as in a ModelBatch, and negative ids wrapping onto
+    a row, sum in their own fixed order: within rounding of a float64
+    `np.add.at`, and the same bits on every run. Empty ids add nothing."""
+    rtol = 1e-6 if dtype == np.float32 else 1e-12
     rng = np.random.default_rng(12)
     x = T.Parameter("x", rng.normal(size=(7, 5)), dtype=dtype)
     start = rng.normal(size=(7, 5)).astype(dtype)
-    for ids in ([0, 2, 3, 6], [4], [1, 1, 2], [3, 0], [-7, 0]):
+    for ids in ([0, 2, 3, 6], [6, 0, 3, 2], [4]):
         ids = np.array(ids)
         w = rng.normal(size=len(ids) * 5).astype(dtype)
-        x.grad[...] = start
-        with T.GradTape() as tape:
-            loss = scalarize(T.gather_rows(x, ids), w)
-        tape.backward(loss)
         want = start.copy()
         np.add.at(want, ids, w.reshape(len(ids), 5))
-        assert x.grad.tobytes() == want.tobytes(), ids
+        assert _gather_grad(x, start, ids, w).tobytes() == want.tobytes(), ids
+    for ids in ([1, 1, 2], [3, 0, 3, 3, 1, 0], [[5, 1, 5], [1, 1, 0]], [-7, 0]):
+        ids = np.array(ids)
+        w = rng.normal(size=ids.size * 5).astype(dtype)
+        want = start.astype(F64)
+        np.add.at(want, ids, w.astype(F64).reshape(ids.shape + (5,)))
+        got = _gather_grad(x, start, ids, w)
+        npt.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max(), err_msg=str(ids))
+        assert _gather_grad(x, start, ids, w).tobytes() == got.tobytes(), ids
+    empty = np.zeros(0, dtype=np.int64)
+    assert _gather_grad(x, start, empty, np.zeros(0, dtype=dtype)).tobytes() == start.tobytes()
+
+
+def test_package_has_no_ufunc_at_scatter():
+    """Scatter-adds go through sorted segment sums (`gather_rows`), not the
+    slow unbuffered `ufunc.at`."""
+    package = Path(T.__file__).parent
+    hits = [f"{path.name}:{i}" for path in sorted(package.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if ".at(" in line]
+    assert not hits
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ class Vocabulary:
 
     def __init__(self, tokens: Sequence[str]):
         self._tokens = list(tokens)
+        if isinstance(tokens, str) or not set(map(type, self._tokens)) <= {str}:
+            raise DataError("vocabulary tokens must be a list of strings")
         self._ids: dict[str, int] = {t: i for i, t in enumerate(RESERVED_TOKENS)}
         for j, tok in enumerate(self._tokens):
             if tok in self._ids:

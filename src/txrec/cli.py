@@ -221,7 +221,9 @@ def _load_model_ckpt(path: str, check_finite: bool = True):
     typed = {name: _section(config, name, keys, errors) for name, keys in _CKPT_SECTIONS.items()}
     if config.get("min_count") is not None:
         _typed(config["min_count"], int, "min_count", errors)
-    digest = _item_digest(path, config)
+    digest = _config_str(path, config, "item_digest")
+    for key in ("fingerprint", "item_fingerprint"):
+        _config_str(path, config, key)
     if errors:
         raise CheckpointError(f"{path}: malformed model config ({'; '.join(errors)})")
     try:
@@ -239,8 +241,11 @@ def _load_model_ckpt(path: str, check_finite: bool = True):
                               f"{limits.max_items} items exceed the encoder's "
                               f"{enc_cfg.max_tokens} and {enc_cfg.max_items}")
     # no rng: zeros for load_state_dict to fill, not a random draw it would overwrite
-    encoder = Encoder(enc_cfg, rng=None)
-    head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=None) if "mlm.w_h" in tensors else None
+    try:
+        encoder = Encoder(enc_cfg, rng=None)
+        head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=None) if "mlm.w_h" in tensors else None
+    except (MemoryError, ValueError) as e:
+        raise CheckpointError(f"{path}: {_too_large(enc_cfg, e)}") from None
     try:
         encoder.load_state_dict(tensors)
         if head is not None:
@@ -266,16 +271,24 @@ def _load_item_matrix(path: str) -> ItemFeatureMatrix:
         raise CheckpointError(f"{path} is not an item-matrix file (kind={config.get('kind')!r})")
     try:
         return ItemFeatureMatrix(config["item_ids"], tensors["rows"],
-                                 config.get("fingerprint", ""), _item_digest(path, config))
+                                 _config_str(path, config, "fingerprint") or "",
+                                 _config_str(path, config, "item_digest"))
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
 
 
-def _item_digest(path: str, config: dict) -> str | None:
-    digest = config.get("item_digest")
-    if digest is not None and not isinstance(digest, str):
-        raise CheckpointError(f"{path}: item_digest must be a string, got {digest!r}")
-    return digest
+def _config_str(path: str, config: dict, key: str) -> str | None:
+    """`config[key]`, which must be a string or absent (None)."""
+    value = config.get(key)
+    if value is not None and not isinstance(value, str):
+        raise CheckpointError(f"{path}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _too_large(cfg: EncoderConfig, e: Exception) -> str:
+    return (f"an encoder of d={cfg.d}, ffn_dim={cfg.ffn_dim}, vocab_size={cfg.vocab_size}, "
+            f"max_tokens={cfg.max_tokens} and max_items={cfg.max_items} cannot be "
+            f"allocated ({e})")
 
 
 def _load_items(paths: list[str]) -> list[Item]:
@@ -378,8 +391,11 @@ def cmd_pretrain(args) -> int:
     except ValueError as e:
         raise ConfigError(str(e)) from None
     init_rng = stream(cfg.seed, "init")
-    encoder = Encoder(enc_cfg, rng=init_rng)
-    head = MLMHead(enc_cfg.d, vocab.size, rng=init_rng)
+    try:
+        encoder = Encoder(enc_cfg, rng=init_rng)
+        head = MLMHead(enc_cfg.d, vocab.size, rng=init_rng)
+    except (MemoryError, ValueError) as e:
+        raise ConfigError(_too_large(enc_cfg, e)) from None
     log.info("pretraining on %d sequences over %d items (vocab %d)",
              len(seqs), len(catalog), vocab.size)
     try:

@@ -171,9 +171,8 @@ class Encoder:
         With `aggregate`, only row 0 of each sequence is returned, (B, d), one
         input counting as B = 1: the last layer then projects queries and runs
         its output projection, norms and FFN at that row alone, which attends
-        every real key (`global_attention`). Its dropouts still draw masks for
-        all B·len rows and keep row 0's, so the random stream and each
-        aggregate row's mask are those of the full encode.
+        every real key (`global_attention`). Its dropouts draw masks for the
+        rows it keeps, and for no others.
 
         `rows` (with `aggregate`) names more rows to keep, one array of
         positions per input, none of them 0: the result is then the B
@@ -217,13 +216,12 @@ class Encoder:
                 ctx = T.concat_rows([ctx, T.reshape(extra_ctx, extra.shape)])
             h = kept
             a = T.matmul(ctx, layer.wo)
-            drop_rows = (n_seq * length, keep) if last else None
             if rate > 0.0:
-                a = T.dropout(a, rate, dropout_rng, drop_rows)
+                a = T.dropout(a, rate, dropout_rng)
             h = T.layer_norm(T.add(h, a), layer.ln1_g, layer.ln1_b)
             f = T.matmul(T.gelu(T.matmul(h, layer.w1)), layer.w2)
             if rate > 0.0:
-                f = T.dropout(f, rate, dropout_rng, drop_rows)
+                f = T.dropout(f, rate, dropout_rng)
             h = T.layer_norm(T.add(h, f), layer.ln2_g, layer.ln2_b)
         if aggregate:
             return h if self.layers else T.gather_rows(h, keep)

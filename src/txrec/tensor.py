@@ -461,25 +461,14 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return _result(y, (x,), bwd)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator,
-            rows: tuple[int, np.ndarray] | None = None) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; scaling at train time keeps expectations unchanged.
-
-    With `rows=(n, ids)`, x holds rows `ids` of an (n, ...) input: the mask is
-    drawn for all n rows, so the stream advances as it would for the full
-    input, and each kept row gets the mask it would get there.
-    """
+    The mask draws one float64 uniform per element of x, and no more."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    if rows is None:
-        keep = rng.random(x.data.shape) >= rate
-    else:
-        keep = (rng.random((rows[0],) + x.data.shape[1:]) >= rate)[rows[1]]
-        if keep.shape != x.data.shape:
-            raise ValueError(f"dropout rows {keep.shape} do not match the input {x.data.shape}")
-    keep = keep.astype(x.data.dtype)
+    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
     keep /= 1.0 - rate
 
     def bwd(g: np.ndarray) -> None:

@@ -72,6 +72,8 @@ class ItemFeatureMatrix:
     def __post_init__(self):
         self.rows = np.require(self.rows, requirements="A")
         self._index = {iid: i for i, iid in enumerate(self.ids)}
+        if not isinstance(self.ids, list) or not set(map(type, self.ids)) <= {str}:
+            raise ValueError("item matrix ids must be a list of strings")
         if len(self._index) != len(self.ids):
             raise ValueError("item matrix ids are not unique")
         if self.rows.ndim != 2 or self.rows.shape[0] != len(self.ids):

@@ -32,7 +32,9 @@ def spy_encode(monkeypatch, full_last_layer=False) -> list[tuple[bool, bool, boo
     dropout rng given). With `full_last_layer`, an aggregate call on a
     `ModelBatch`, as `encode_rows` makes, runs the full last layer instead
     and gathers its aggregate and kept rows with `kept_rows`: a reference
-    that sees the real sub-batches and dropout draws."""
+    that sees the real sub-batches. With dropout on, its last layer draws
+    masks for all B·len rows, so it draws other masks than the call it
+    replaces, and moves the stream further."""
     calls = []
     encode = Encoder.encode
 

@@ -561,6 +561,27 @@ def test_empty_items_file_is_exit_3(workdir, tmp_path, capsys, command):
     assert capsys.readouterr().err.endswith(f"data error: {items}: no items\n")
 
 
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+@pytest.mark.parametrize("key,value,message", [
+    ("item_ids", list(range(12)), "malformed item matrix (item matrix ids must be a list of "
+                                  "strings)"),
+    ("item_ids", "abcdefghijkl", "malformed item matrix (item matrix ids must be a list of "
+                                 "strings)"),
+    ("fingerprint", 7, "fingerprint must be a string, got 7"),
+], ids=["ids-ints", "ids-one-string", "fingerprint-int"])
+def test_item_matrix_file_with_crafted_config_is_exit_4(workdir, tmp_path, capsys, command,
+                                                        key, value, message):
+    config, tensors = load_checkpoint(workdir["fine"])
+    crafted = tmp_path / "crafted.mat"
+    save_checkpoint(crafted, {"kind": "item_matrix", "item_ids": config["item_ids"],
+                              "fingerprint": "", key: value}, {"rows": tensors["item_matrix"]})
+    argv = {"recommend": ["--items", workdir["data"] / "items.jsonl", "--history", "d0_i000"],
+            "evaluate": ["--data", workdir["data"]]}[command]
+    capsys.readouterr()
+    assert run(command, "--ckpt", workdir["pre"], "--item-matrix", crafted, *argv) == 4
+    assert capsys.readouterr().err == f"checkpoint error: {crafted}: {message}\n"
+
+
 def test_model_ckpt_is_not_an_item_matrix(workdir):
     assert run("recommend", "--ckpt", workdir["pre"],
                "--items", workdir["data"] / "items.jsonl",
@@ -831,8 +852,20 @@ def test_checkpoint_config_that_is_not_an_object_is_exit_4(workdir, tmp_path, ca
      "limits of 1024 tokens and 6 items exceed the encoder's 96 and 6"),
     ("vocab_tokens", ["x"], "vocabulary of 5 ids but the encoder has vocab_size={vocab_size}"),
     ("min_count", "1", "malformed model config (min_count: expected int, got '1')"),
+    ("vocab_tokens", [1, 2], "malformed model config (vocabulary tokens must be a list of "
+                             "strings)"),
+    ("vocab_tokens", "abcdefghij", "malformed model config (vocabulary tokens must be a list "
+                                   "of strings)"),
+    ("item_ids", list(range(12)), "malformed item matrix (item matrix ids must be a list of "
+                                  "strings)"),
+    ("item_ids", "abcdefghijkl", "malformed item matrix (item matrix ids must be a list of "
+                                 "strings)"),
+    ("fingerprint", 7, "fingerprint must be a string, got 7"),
+    ("item_fingerprint", 7, "item_fingerprint must be a string, got 7"),
 ], ids=["ids-not-a-list", "ids-repeated", "ids-too-few", "vocab-repeated", "d-float",
-        "field-cap-float", "limits-too-long", "vocab-too-small", "min-count-string"])
+        "field-cap-float", "limits-too-long", "vocab-too-small", "min-count-string",
+        "vocab-ints", "vocab-one-string", "ids-ints", "ids-one-string", "fingerprint-int",
+        "item-fingerprint-int"])
 def test_model_checkpoint_with_crafted_config_is_exit_4(workdir, tmp_path, capsys, key,
                                                         value, message):
     config, tensors = load_checkpoint(workdir["fine"])
@@ -844,6 +877,44 @@ def test_model_checkpoint_with_crafted_config_is_exit_4(workdir, tmp_path, capsy
                "--history", "d0_i000") == 4
     message = message.format(**config["encoder"])
     assert capsys.readouterr().err == f"checkpoint error: {crafted}: {message}\n"
+
+
+@pytest.mark.parametrize("max_tokens,cause", [(10**17, "Unable to allocate 2.78 EiB"),
+                                              (10**18, "array is too big")],
+                         ids=["1e17", "1e18"])
+def test_model_checkpoint_of_an_encoder_too_large_to_allocate_is_exit_4(
+        workdir, tmp_path, capsys, max_tokens, cause):
+    config, tensors = load_checkpoint(workdir["fine"])
+    config["encoder"] = {**config["encoder"], "max_tokens": max_tokens}
+    crafted = tmp_path / "huge.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint error: {crafted}: an encoder of d=8, ffn_dim=16, "
+                          f"vocab_size={config['encoder']['vocab_size']}, max_tokens="
+                          f"{max_tokens} and max_items=6 cannot be allocated (")
+    assert cause in err
+
+
+@pytest.mark.parametrize("max_tokens,cause", [(10**17, "Unable to allocate 5.55 EiB"),
+                                              (10**18, "array is too big")],
+                         ids=["1e17", "1e18"])
+def test_pretrain_of_an_encoder_too_large_to_allocate_is_exit_2(workdir, tmp_path, capsys,
+                                                                max_tokens, cause):
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["encoder"]["max_tokens"] = max_tokens
+    cfg["log"] = str(tmp_path / "train.log")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("pretrain", "--config", cfg_path, "--out", tmp_path / "out.ckpt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: an encoder of d=8, ffn_dim=16, vocab_size=")
+    assert f"max_tokens={max_tokens} and max_items=6 cannot be allocated (" in err
+    assert cause in err
+    assert not (tmp_path / "out.ckpt").exists()
 
 
 def test_model_checkpoint_with_a_one_dimensional_item_matrix_is_exit_4(workdir, tmp_path,

@@ -2,7 +2,8 @@
 
 Every demo's `from txrec... import` names must resolve, which is cheap.
 The other demos train models and take seconds each, so only the
-encode-and-rank walk-through runs end to end here.
+encode-and-rank walk-through runs end to end here, with README's Python
+quickstart, which trains through `two_stage_finetune` with dropout.
 """
 
 from __future__ import annotations
@@ -39,3 +40,14 @@ def test_demo_imports_resolve(demo):
     missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
                if not hasattr(importlib.import_module(node.module), alias.name)]
     assert not missing, f"{demo.name} imports names txrec no longer has: {missing}"
+
+
+def test_readme_python_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quickstart (Python)\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    metrics = scope["report"].metrics
+    assert set(metrics) == {"ndcg@10", "recall@10", "mrr"}
+    assert all(0.0 < v <= 1.0 for v in metrics.values())

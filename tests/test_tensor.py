@@ -358,27 +358,6 @@ def test_dropout_backward_uses_same_mask():
     assert (x.grad[~dropped] != 0.0).any()
 
 
-def test_dropout_of_some_rows_draws_for_all_and_keeps_their_masks():
-    """`rows=(n, ids)` applies rows `ids` of the (n, d) mask, and the stream
-    moves on exactly as after dropout over all n rows."""
-    rng = np.random.default_rng(14)
-    full = _param("full", (6, 5), rng)
-    ids = np.array([0, 3, 4])
-    part = _param("part", (3, 5), rng)
-    part.data[...] = full.data[ids]
-    rng_full, rng_part = stream(4, "dropout"), stream(4, "dropout")
-    with T.GradTape() as tape:
-        want = T.dropout(full, 0.5, rng_full)
-        got = T.dropout(part, 0.5, rng_part, rows=(6, ids))
-        loss = T.add(scalarize(want, np.ones(30)), scalarize(got, np.ones(15)))
-    tape.backward(loss)
-    npt.assert_array_equal(got.data, want.data[ids])
-    npt.assert_array_equal(part.grad, full.grad[ids])
-    assert rng_full.random() == rng_part.random()
-    with pytest.raises(ValueError, match="do not match"):
-        T.dropout(part, 0.5, stream(4, "dropout"), rows=(6, ids[:2]))
-
-
 # ---------------------------------------------------------------------------
 # cross entropy
 

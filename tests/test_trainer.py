@@ -370,12 +370,12 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
 
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypatch, n_layers):
-    """Float32, dropout on, same dropout seed: a finetuning batch encoded with
-    the aggregate-only last layer, as `_finetune_epoch` encodes it, gives the
-    loss and gradients of the full last layer, to 1e-6 of each tensor's
-    largest gradient."""
+    """Float32, dropout off: a finetuning batch encoded with the aggregate-only
+    last layer, as `_finetune_epoch` encodes it, gives the loss and gradients
+    of the full last layer, to 1e-6 of each tensor's largest gradient. (With
+    dropout on, the two draw different masks.)"""
     catalog, vocab, limits = tiny_corpus
-    enc = _encoder(vocab, seed=16, n_layers=n_layers, dropout=0.3)
+    enc = _encoder(vocab, seed=16, n_layers=n_layers)
     examples = _mixed_examples()
     xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
     pos = np.array([catalog.ids.index(p) for _, p in examples])
@@ -385,8 +385,9 @@ def test_finetune_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypa
         return finetune_loss(encode_rows(enc, xs, stream(17, "dropout")), pos, rows, 0.1)
 
     loss_agg, grads_agg = _loss_and_grads(build, enc.parameters())
-    spy_encode(monkeypatch, full_last_layer=True)
+    calls = spy_encode(monkeypatch, full_last_layer=True)
     loss, grads = _loss_and_grads(build, enc.parameters())
+    assert {call[:2] for call in calls} == {(True, False)}  # the reference ran
     assert abs(loss_agg - loss) <= 1e-6
     for p, g, g_agg in zip(enc.parameters(), grads, grads_agg):
         assert g_agg.dtype == np.float32
@@ -407,35 +408,32 @@ def test_finetune_trains_through_the_aggregate_only_last_layer(tiny_corpus, monk
 
 @pytest.mark.parametrize("n_layers", [1, 2])
 def test_pretrain_loss_gradients_match_the_full_last_layer(tiny_corpus, monkeypatch, n_layers):
-    """Float32, dropout 0.3, same dropout seed: a pretraining batch whose
-    positives go through the aggregate-only last layer, and whose masked
-    prefixes keep only their aggregate and masked rows there, gives the loss
-    and gradients of one that runs the full last layer throughout, to 1e-6 of
-    each tensor's largest gradient, and leaves the dropout stream where it
-    does."""
+    """Float32, dropout off: a pretraining batch whose positives go through
+    the aggregate-only last layer, and whose masked prefixes keep only their
+    aggregate and masked rows there, gives the loss and gradients of one that
+    runs the full last layer throughout, to 1e-6 of each tensor's largest
+    gradient. (With dropout on, the two draw different masks.)"""
     catalog, vocab, limits = tiny_corpus
-    enc = _encoder(vocab, seed=19, n_layers=n_layers, dropout=0.3)
+    enc = _encoder(vocab, seed=19, n_layers=n_layers)
     head = MLMHead(8, vocab.size, stream(19, "init"))
     params = enc.parameters() + head.parameters()
     loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
-    rngs = []
 
     def run():
-        rngs.append(stream(20, "dropout"))
         return _loss_and_grads(
             lambda: _pretrain_batch_loss(_mixed_examples(), catalog, vocab, enc, head, loss_cfg,
-                                         limits, stream(4, "mask"), rngs[-1])[0],
+                                         limits, stream(4, "mask"), stream(20, "dropout"))[0],
             params)
 
     loss_agg, grads_agg = run()
-    spy_encode(monkeypatch, full_last_layer=True)
+    calls = spy_encode(monkeypatch, full_last_layer=True)
     loss, grads = run()
+    assert {call[:2] for call in calls} == {(True, True), (True, False)}  # the reference ran
     assert abs(loss_agg - loss) <= 1e-6
     for p, g, g_agg in zip(params, grads, grads_agg):
         assert g_agg.dtype == np.float32
         npt.assert_allclose(g_agg, g, rtol=0.0, atol=1e-6 * max(np.abs(g).max(), 1.0),
                             err_msg=p.name)
-    assert rngs[0].random() == rngs[1].random()
 
 
 def test_pretrain_valid_loss_matches_the_full_last_layer(tiny_corpus, monkeypatch):

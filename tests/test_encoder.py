@@ -324,6 +324,48 @@ def test_aggregate_encode_is_differentiable(tiny_corpus):
                  rng, coords_per_tensor=4)
 
 
+class _LastLayerReplay:
+    """The dropout rng of a full encode, drawing what an aggregate encode
+    draws: the layers before the last draw from `rng` for every row, as both
+    encodes do; the last layer's two masks draw for the flat `keep` rows
+    alone, in that order, and keep every element of the other rows."""
+
+    def __init__(self, rng, n_layers, keep):
+        self.rng, self.keep, self.full_draws = rng, keep, 2 * (n_layers - 1)
+
+    def random(self, shape):
+        if self.full_draws > 0:
+            self.full_draws -= 1
+            return self.rng.random(shape)
+        u = np.ones(shape)
+        u[self.keep] = self.rng.random((len(self.keep),) + shape[1:])
+        return u
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_aggregate_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, dtype, atol):
+    """With dropout, the aggregate rows are row 0 of the full encode when the
+    full encode's last layer is handed the masks drawn for row 0, and both
+    rngs end in the same state: the aggregate encode draws one uniform per
+    element it drops out, and no more."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers, dropout=0.3), stream(31, "init"),
+                  dtype=dtype)
+    xs = _mixed_lengths(tiny_corpus)
+    for x in (xs[0], ModelBatch.pack(xs)):
+        n_seq, length = np.atleast_2d(x.token_ids).shape
+        rng_full = _LastLayerReplay(stream(32, "dropout"), n_layers, np.arange(n_seq) * length)
+        rng_agg = stream(32, "dropout")
+        full = enc.encode(x, dropout_rng=rng_full).data
+        got = enc.encode(x, dropout_rng=rng_agg, aggregate=True).data
+        want = full[..., 0, :].reshape(-1, enc.config.d)
+        assert got.shape == want.shape and got.dtype == dtype
+        npt.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert np.abs(got - enc.encode(x, aggregate=True).data).max() > 1e-4  # dropout acted
+        assert rng_full.rng.random() == rng_agg.random()
+
+
 def test_aggregate_train_encode_gradcheck(tiny_corpus):
     """Float64 with dropout on: every evaluation reseeds the rng, so the masks
     are fixed and the finite differences see the same function."""
@@ -379,26 +421,27 @@ def test_kept_rows_encode_is_those_rows_of_the_full_encode(tiny_corpus, n_layers
     npt.assert_allclose(one, _kept(enc.encode(xs[0]).data[None], rows[:1]), rtol=0.0, atol=atol)
 
 
-@pytest.mark.parametrize("keep", [False, True], ids=["aggregate", "kept_rows"])
 @pytest.mark.parametrize("n_layers", [1, 2])
-def test_train_encode_draws_one_uniform_per_dropped_element(tiny_corpus, n_layers, keep):
-    """With dropout, the layers before the last draw masks for all B·len rows
-    and the last for its B + M kept rows alone: 2·(n_layers-1)·B·len·d +
-    2·(B+M)·d uniforms, so a twin rng that draws that many is in step."""
+@pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
+def test_kept_rows_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, dtype, atol):
+    """With dropout, the kept rows are those rows of the full encode when the
+    full encode's last layer is handed the masks drawn for the kept rows, and
+    both rngs end in the same state."""
     _, vocab, _ = tiny_corpus
-    enc = Encoder(_cfg(vocab.size, n_layers=n_layers, dropout=0.3), stream(31, "init"))
-    d = enc.config.d
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers, dropout=0.3), stream(37, "init"),
+                  dtype=dtype)
     xs = _mixed_lengths(tiny_corpus)
     rows = _some_rows(xs)
-    for x, kept in ((xs[0], rows[:1]), (ModelBatch.pack(xs), rows)):
-        kept = kept if keep else None
-        n_seq, length = np.atleast_2d(x.token_ids).shape
-        n_rows = n_seq + (sum(map(len, kept)) if keep else 0)
-        rng, twin = stream(32, "dropout"), stream(32, "dropout")
-        got = enc.encode(x, dropout_rng=rng, aggregate=True, rows=kept).data
-        twin.random(2 * (n_layers - 1) * n_seq * length * d + 2 * n_rows * d)
-        assert rng.random() == twin.random()
-        assert np.abs(got - enc.encode(x, aggregate=True, rows=kept).data).max() > 1e-4
+    batch = ModelBatch.pack(xs)
+    n_seq, length = batch.token_ids.shape
+    keep = np.concatenate([np.arange(n_seq) * length] + [b * length + r for b, r in enumerate(rows)])
+    rng_full, rng_kept = _LastLayerReplay(stream(38, "dropout"), n_layers, keep), stream(38, "dropout")
+    full = enc.encode(batch, dropout_rng=rng_full).data
+    got = enc.encode(batch, dropout_rng=rng_kept, aggregate=True, rows=rows).data
+    assert got.dtype == dtype
+    npt.assert_allclose(got, _kept(full, rows), rtol=0.0, atol=atol)
+    assert np.abs(got - enc.encode(batch, aggregate=True, rows=rows).data).max() > 1e-4
+    assert rng_full.rng.random() == rng_kept.random()
 
 
 def test_kept_rows_train_encode_gradcheck(tiny_corpus):

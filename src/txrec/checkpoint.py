@@ -81,7 +81,7 @@ def load_checkpoint(path: str | Path, check_finite: bool = True
         raise CheckpointError(f"{path}: config blob of {json_len} bytes overruns the file")
     try:
         config = json.loads(raw[off : off + json_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # bad UTF-8 or JSON, or an int too long to convert
         raise CheckpointError(f"{path}: corrupt config blob ({e})") from None
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: config blob is not a JSON object")

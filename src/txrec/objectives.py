@@ -39,10 +39,13 @@ class LossConfig:
 
 
 def cosine_scores(h: np.ndarray, rows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Cosine of `h` against every row, clipped to [-1, 1]; zero vectors score 0."""
-    h_norm = h / max(float(np.linalg.norm(h)), eps)
+    """Cosine of a (d,) history or a (U, d) block against every row, clipped to [-1, 1]; zero
+    vectors score 0. Each history gets its own mat-vec (a gemm rounds otherwise), as alone."""
+    hs = np.atleast_2d(h)
+    unit = np.array([x / max(float(np.linalg.norm(x)), eps) for x in hs]).reshape(hs.shape)
     norms = np.maximum(np.linalg.norm(rows, axis=1), eps)
-    return np.clip((rows @ h_norm) / norms, -1.0, 1.0)
+    scores = np.matmul(rows, unit[:, :, None])[..., 0] / norms
+    return np.clip(scores if np.ndim(h) == 2 else scores[0], -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

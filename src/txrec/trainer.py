@@ -135,16 +135,19 @@ def _train_epoch(batches: Iterable[np.ndarray],
                  adam: Adam, grad_clip: float, where: str) -> dict:
     """One optimizer step per batch: `batch_loss(batch)` gives the loss and its
     float parts. Returns each part's mean over the batches, the largest
-    pre-clip gradient norm and the number of clipped batches.
+    pre-clip gradient norm, the number of clipped batches and the examples
+    trained per second of this call, `examples_per_s`.
 
     A NaN or infinite loss stops the run before clipping and the step, naming
     the batch through `where`, a template with a `{batch}` field.
     """
+    start = perf_counter()
     sums: dict[str, float] = {}
     grad_norm = 0.0
-    n_batches = clipped = 0
+    n_batches = n_examples = clipped = 0
     for batch in batches:
         n_batches += 1
+        n_examples += len(batch)
         with GradTape() as tape:
             loss, parts = batch_loss(batch)
         if not np.isfinite(loss.data):
@@ -158,7 +161,8 @@ def _train_epoch(batches: Iterable[np.ndarray],
         for key, value in parts.items():
             sums[key] = sums.get(key, 0.0) + value
     return {**{key: total / n_batches for key, total in sums.items()},
-            "grad_norm": grad_norm, "clipped": clipped}
+            "grad_norm": grad_norm, "clipped": clipped,
+            "examples_per_s": n_examples / (perf_counter() - start)}
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +192,10 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
     """Contrastive + masked-token pretraining over raw histories.
 
     Returns the per-epoch history of logged records: mean losses, the largest
-    pre-clip gradient norm, the number of clipped batches, the learning rate
-    `lr` and the epoch's wall time `wall_s`. Identical seeds and data give
-    identical curves, wall time aside: every random choice comes from named
+    pre-clip gradient norm, the number of clipped batches, the training
+    throughput `examples_per_s` (validation left out), the learning rate `lr`
+    and the epoch's wall time `wall_s`. Identical seeds and data give
+    identical curves, timings aside: every random choice comes from named
     streams.
     """
     examples = pretrain_examples(sequences, catalog)
@@ -297,10 +302,11 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
     incoming best means the stage contributes no new snapshot. Either stage
     stops early once `patience` epochs pass without a new best.
 
-    Each epoch's record carries `train_fn`'s `train_loss`, `grad_norm` and
-    `clipped`, None where it returns no such key, the learning rate `lr`, the
-    time of the epoch's catalog encode `encode_s` (0.0 in stage two, which
-    reuses the frozen matrix) and the epoch's wall time `wall_s`.
+    Each epoch's record carries `train_fn`'s `train_loss`, `grad_norm`,
+    `clipped` and `examples_per_s` (examples over the time training took),
+    None where it returns no such key, the learning rate `lr`, the time of
+    the epoch's catalog encode `encode_s` (0.0 in stage two, which reuses
+    the frozen matrix) and the epoch's wall time `wall_s`.
     """
     examples = finetune_examples(split)
     if not examples:
@@ -350,7 +356,8 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
             if took:
                 best_metric, best_state, best_matrix = metric, save_state(params), matrix
             record = {"stage": stage, "epoch": epoch,
-                      **{key: stats.get(key) for key in ("train_loss", "grad_norm", "clipped")},
+                      **{key: stats.get(key) for key in ("train_loss", "grad_norm", "clipped",
+                                                         "examples_per_s")},
                       "lr": adam.lr, "valid_metric": metric, "snapshot_taken": took,
                       "encode_s": encode_s, "wall_s": perf_counter() - start}
             history.append(record)

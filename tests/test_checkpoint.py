@@ -207,3 +207,14 @@ def test_rejects_a_config_blob_that_overruns_the_file(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="config blob of 6 bytes overruns the file"):
         load_checkpoint(path)
+
+
+def test_rejects_a_config_int_too_long_to_convert(tmp_path):
+    """json.loads raises a plain ValueError, not a JSONDecodeError, for an int of
+    more digits than Python converts (4,300 by default)."""
+    blob = b'{"kind": "model", "n_layers": ' + b"9" * 5000 + b"}"
+    raw = MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + struct.pack("<I", 0)
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="corrupt config blob .*Exceeds the limit"):
+        load_checkpoint(path)

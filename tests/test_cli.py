@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -876,6 +877,48 @@ def test_model_checkpoint_with_crafted_config_is_exit_4(workdir, tmp_path, capsy
     assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
                "--history", "d0_i000") == 4
     message = message.format(**config["encoder"])
+    assert capsys.readouterr().err == f"checkpoint error: {crafted}: {message}\n"
+
+
+def _two_layer(workdir) -> tuple[dict, dict]:
+    """The finetuned one-layer checkpoint grown to two layers: layer1 repeats layer0."""
+    config, tensors = load_checkpoint(workdir["fine"])
+    config["encoder"] = {**config["encoder"], "n_layers": 2}
+    return config, {**tensors, **{"layer1." + n.removeprefix("layer0."): t
+                                  for n, t in tensors.items() if n.startswith("layer0.")}}
+
+
+def test_a_grown_two_layer_checkpoint_loads(workdir, tmp_path, capsys):
+    crafted = tmp_path / "two.ckpt"
+    save_checkpoint(crafted, *_two_layer(workdir))
+    capsys.readouterr()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 0
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c, t: c["encoder"].update(n_layers=1), "unexpected tensor 'layer1.attn.wq'"),
+    (lambda c, t: t.update({"bogus.tensor": np.zeros(3, np.float32)}),
+     "unexpected tensor 'bogus.tensor'"),
+    (lambda c, t: t.update({"layer01.attn.wq": t["layer0.attn.wq"]}),
+     "unexpected tensor 'layer01.attn.wq'"),
+    (lambda c, t: c["encoder"].update(n_layers=3), "missing parameter 'layer2.attn.wq'"),
+    (lambda c, t: [t.pop(n) for n in list(t) if n.startswith("layer0.")],
+     "missing parameter 'layer0.attn.wq'"),
+    (lambda c, t: c["encoder"].update(n_layers=10**9), "missing parameter 'layer2.attn.wq'"),
+], ids=["n-layers-1", "extra-tensor", "layer-index-zero-padded", "n-layers-3", "layer-0-gone",
+        "n-layers-1e9"])
+def test_model_checkpoint_whose_tensors_are_not_its_layers_is_exit_4(workdir, tmp_path,
+                                                                     capsys, edit, message):
+    config, tensors = _two_layer(workdir)
+    edit(config, tensors)
+    crafted = tmp_path / "crafted.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run("recommend", "--ckpt", crafted, "--items", workdir["data"] / "items.jsonl",
+               "--history", "d0_i000") == 4
+    assert time.perf_counter() - start < 5.0  # no layer of n_layers is built before the check
     assert capsys.readouterr().err == f"checkpoint error: {crafted}: {message}\n"
 
 

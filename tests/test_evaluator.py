@@ -10,8 +10,9 @@ import numpy.testing as npt
 import pytest
 
 import reference as ref
-from txrec.catalog import InteractionSequence, item_input
-from txrec.encoder import Encoder, EncoderConfig
+from txrec import evaluator
+from txrec.catalog import InteractionSequence, build_model_input, item_input
+from txrec.encoder import Encoder, EncoderConfig, encode_rows
 from txrec.errors import CatalogError
 from txrec.evaluator import (
     CSV_HEADER,
@@ -27,6 +28,7 @@ from txrec.evaluator import (
     recall_at_k,
     zero_shot_evaluate,
 )
+from txrec.objectives import cosine_scores
 from txrec.rng import stream
 
 
@@ -148,6 +150,58 @@ def test_rank_matches_stable_sort_oracle_on_random_scores():
 
 
 # ---------------------------------------------------------------------------
+# block ranking: a (U, d) block of histories against one-row calls
+
+BLOCK_SIZES = (1, 2, 7, 15)
+
+
+def _assert_block_ranks_like_rows(hs, rows, targets):
+    """Each leading block of `hs` scores bit for bit, and ranks, as its rows do alone."""
+    for u in BLOCK_SIZES:
+        alone = np.stack([cosine_scores(h, rows) for h in hs[:u]])
+        assert cosine_scores(hs[:u], rows).tobytes() == alone.tobytes(), u
+        ranks = rank_of_target(hs[:u], rows, targets[:u])
+        one_by_one = [rank_of_target(h, rows, int(t)) for h, t in zip(hs[:u], targets[:u])]
+        assert all(type(r) is int for r in one_by_one)
+        assert ranks.shape == (u,) and ranks.tolist() == one_by_one, u
+
+
+def test_block_ranks_match_one_row_calls_with_planted_ties():
+    rng = np.random.default_rng(18)
+    rows = rng.normal(size=(600, 64)).astype(np.float32)
+    rows[300:] = rows[:300]  # every item has an identical twin
+    targets = rng.integers(0, 600, size=15)
+    # histories near their targets, so the twins tie at the top of each ranking
+    hs = (rows[targets] + 0.05 * rng.normal(size=(15, 64))).astype(np.float32)
+    _assert_block_ranks_like_rows(hs, rows, targets)
+
+
+def test_block_ranks_match_one_row_calls_on_collapsed_untrained_representations(tiny_corpus):
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder_for(vocab)
+    rows = encode_rows(enc, [item_input(i, catalog, vocab, limits) for i in catalog.ids]).data
+    contexts = [catalog.ids[k % 8: k % 8 + 1 + k % 3] for k in range(15)]
+    hs = encode_rows(enc, [build_model_input(c, catalog, vocab, limits) for c in contexts]).data
+    scores = cosine_scores(hs, rows)
+    assert scores.min() > 0.9  # untrained: every history sits at a cosine near 1 to every item
+    _assert_block_ranks_like_rows(hs, rows, np.arange(15) % 8)
+
+
+def test_block_ranks_match_one_row_calls_with_a_zero_history_and_a_zero_item():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(50, 16)).astype(np.float32)
+    rows[7] = 0.0
+    hs = rng.normal(size=(15, 16)).astype(np.float32)
+    hs[1] = 0.0
+    targets = rng.integers(0, 50, size=15)
+    targets[[1, 2, 6]] = 7
+    _assert_block_ranks_like_rows(hs, rows, targets)
+    assert not cosine_scores(hs[1], rows).any()  # a zero history scores 0 everywhere
+    assert rank_of_target(hs[:3], rows, targets[:3])[1] == 1
+    assert not cosine_scores(hs, rows)[:, 7].any()  # so does a zero item
+
+
+# ---------------------------------------------------------------------------
 # report object
 
 
@@ -192,6 +246,34 @@ def test_evaluate_cases_aggregates_per_case_metrics(tiny_corpus):
         sum(ndcg_at_k(r) for r in ranks) / 2)
     assert rep.metrics["recall@10"] == pytest.approx(
         sum(recall_at_k(r) for r in ranks) / 2)
+
+
+def test_evaluate_cases_ranks_every_case_with_one_call(tiny_corpus, monkeypatch):
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder_for(vocab, seed=2)
+    ids = catalog.ids
+    rows = encode_rows(enc, [item_input(i, catalog, vocab, limits) for i in ids]).data
+    index = {iid: k for k, iid in enumerate(ids)}
+    cases = [EvalCase(f"u{k}", tuple(ids[k:k + 2]), ids[(k + 3) % 8]) for k in range(7)]
+    calls = []
+
+    def spy(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(evaluator, "rank_of_target", spy("rank", rank_of_target))
+    monkeypatch.setattr(evaluator, "cosine_scores", spy("scores", cosine_scores))
+    rep = evaluate_cases(enc, rows, index, cases, catalog, vocab, limits)
+    assert calls == ["rank", "scores"]
+    # the same means, to the bit, as summing one-row ranks case by case
+    users = encode_rows(enc, [build_model_input(c.context, catalog, vocab, limits)
+                              for c in cases]).data
+    sums = {"ndcg@10": 0.0, "recall@10": 0.0, "mrr": 0.0}
+    for h, c in zip(users, cases):
+        rank = rank_of_target(h, rows, index[c.target])
+        sums["ndcg@10"] += ndcg_at_k(rank)
+        sums["recall@10"] += recall_at_k(rank)
+        sums["mrr"] += mrr(rank)
+    assert rep.metrics == {k: s / len(cases) for k, s in sums.items()}
 
 
 def test_evaluate_cases_requires_cases(tiny_corpus):

@@ -13,7 +13,7 @@ from txrec import tensor as T
 from txrec.catalog import InteractionSequence, build_model_input, item_input
 from txrec.encoder import Encoder, EncoderConfig, encode_rows, params_fingerprint
 from txrec.errors import CatalogError, NonFiniteLossError
-from txrec.evaluator import leave_one_out
+from txrec.evaluator import evaluate_cases, leave_one_out
 from txrec.objectives import (LossConfig, MLMHead, apply_masking_plan, finetune_loss,
                               iic_inbatch_loss, make_masking_plan, pooled_mlm_loss,
                               pretrain_loss)
@@ -45,7 +45,8 @@ def _encoder(vocab, seed=0, **kw):
 
 def _untimed(history):
     """Epoch records without their timings, which differ from run to run."""
-    return [{k: v for k, v in r.items() if k not in ("wall_s", "encode_s")} for r in history]
+    return [{k: v for k, v in r.items() if k not in ("wall_s", "encode_s", "examples_per_s")}
+            for r in history]
 
 
 def _sequences():
@@ -165,7 +166,8 @@ def test_pretrain_loss_decreases(tiny_corpus):
     for r in history:
         assert r["stage"] == "pretrain"
         assert set(r) == {"stage", "epoch", "loss", "iic", "mlm", "grad_norm", "clipped",
-                          "lr", "valid_metric", "snapshot_taken", "wall_s"}
+                          "examples_per_s", "lr", "valid_metric", "snapshot_taken", "wall_s"}
+        assert r["examples_per_s"] > 0.0
         assert r["mlm"] > 0.0
         assert r["grad_norm"] > 0.0 and 0 <= r["clipped"] <= 2  # 16 examples, batches of 8
 
@@ -320,6 +322,55 @@ def test_batch_loss_gradients_do_not_depend_on_the_token_budget(tiny_corpus, mon
         assert g.dtype == np.float32
         npt.assert_allclose(g_alone, g, rtol=0.0, atol=1e-6 * max(np.abs(g).max(), 1.0),
                             err_msg=p.name)
+
+
+@pytest.mark.parametrize("objective", ["pretrain", "finetune"])
+def test_gradient_buffers_handed_to_accum_change_no_gradient_bit(tiny_corpus, monkeypatch,
+                                                                 objective):
+    """Two layers with dropout on, so every op of a training step runs its backward:
+    the float32 loss and gradients of one batch are byte-identical whether
+    `_accum` keeps the buffers ops hand it or copies every first gradient."""
+    catalog, vocab, limits = tiny_corpus
+    enc = _encoder(vocab, seed=21, n_layers=2, dropout=0.1)
+    head = MLMHead(8, vocab.size, stream(21, "init"))
+    examples = _mixed_examples()
+    if objective == "pretrain":
+        loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
+        params = enc.parameters() + head.parameters()
+
+        def build():
+            return _pretrain_batch_loss(examples, catalog, vocab, enc, head, loss_cfg, limits,
+                                        stream(4, "mask"), stream(4, "dropout"))[0]
+    else:
+        xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
+        pos = np.array([catalog.ids.index(p) for _, p in examples])
+        rows = np.random.default_rng(5).normal(size=(len(catalog), 8)).astype(np.float32)
+        params = enc.parameters()
+
+        def build():
+            return finetune_loss(encode_rows(enc, xs, stream(4, "dropout")), pos, rows, 0.1)
+
+    kept = []
+    real_accum = T._accum
+
+    def counting(t, g, own=False):
+        kept.append(own and t.grad is None)
+        real_accum(t, g, own)
+
+    def copying(t, g, own=False):
+        if t.grad is None:
+            t.grad = np.array(g, dtype=t.data.dtype)
+        else:
+            t.grad += g
+
+    monkeypatch.setattr(T, "_accum", counting)
+    loss, grads = _loss_and_grads(build, params)
+    assert sum(kept) > 0  # some first gradients were kept, not copied
+    monkeypatch.setattr(T, "_accum", copying)
+    loss_copied, grads_copied = _loss_and_grads(build, params)
+    assert loss == loss_copied
+    for p, g, g_copied in zip(params, grads, grads_copied):
+        assert g.dtype == np.float32 and g.tobytes() == g_copied.tobytes(), p.name
 
 
 def test_pretrain_batch_loss_gradcheck(tiny_corpus, monkeypatch):
@@ -506,7 +557,9 @@ def test_epoch_records_report_the_pre_clip_norm_and_clipped_batches(tiny_corpus,
         assert r["clipped"] == sum(norm > clip for norm in epoch_norms) == (n if clip < 1 else 0)
     for r in fine:
         assert set(r) == {"stage", "epoch", "train_loss", "grad_norm", "clipped",
-                          "lr", "valid_metric", "snapshot_taken", "encode_s", "wall_s"}
+                          "examples_per_s", "lr", "valid_metric", "snapshot_taken",
+                          "encode_s", "wall_s"}
+        assert r["examples_per_s"] > 0.0
         assert isinstance(r["train_loss"], float) and r["train_loss"] > 0.0
 
 
@@ -618,10 +671,11 @@ def test_finetune_encodes_the_catalog_once_per_stage_one_epoch(tiny_corpus, monk
 
 
 def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
-    """`wall_s` spans the whole epoch, validation included, and a finetune
-    record's `encode_s` is that epoch's catalog encode: 0.0 in stage two,
-    which reuses the frozen matrix. A fake clock moves 1 s per catalog
-    encode, 10 s per training epoch and 100 s per validation."""
+    """`wall_s` spans the whole epoch, validation included, a finetune record's
+    `encode_s` is that epoch's catalog encode (0.0 in stage two, which reuses
+    the frozen matrix), and `examples_per_s` counts training time alone. A fake
+    clock moves 1 s per catalog encode, 5 s per optimizer step and 100 s per
+    validation; every epoch trains 16 examples in two batches."""
     catalog, vocab, limits = tiny_corpus
     now = [0.0]
     monkeypatch.setattr("txrec.trainer.perf_counter", lambda: now[0])
@@ -634,29 +688,34 @@ def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
         return run
 
     monkeypatch.setattr("txrec.trainer.encode_all_items", ticking(encode_all_items, 1.0))
-    monkeypatch.setattr("txrec.trainer._train_epoch", ticking(_train_epoch, 10.0))
+    monkeypatch.setattr("txrec.trainer.clip_global_norm", ticking(T.clip_global_norm, 5.0))
     monkeypatch.setattr("txrec.trainer._pretrain_valid_loss",
                         ticking(_pretrain_valid_loss, 100.0))
+    monkeypatch.setattr("txrec.trainer.evaluate_cases", ticking(evaluate_cases, 100.0))
     seqs = _sequences()
-    cfg = TrainConfig(n_epochs=2, pretrain_batch=8, lr=3e-3, patience=3, seed=0)
+    cfg = TrainConfig(n_epochs=2, pretrain_batch=8, finetune_batch=8, lr=3e-3, patience=3,
+                      seed=0)
     enc = _encoder(vocab, seed=4)
     head = MLMHead(8, vocab.size, stream(4, "init"))
     pre = pretrain(seqs, catalog, vocab, enc, head, cfg, LossConfig(), limits,
                    valid_sequences=seqs[:4])
-    assert [(r["lr"], r["wall_s"]) for r in pre] == [(3e-3, 110.0)] * 2
+    assert [(r["lr"], r["examples_per_s"], r["wall_s"]) for r in pre] == [(3e-3, 1.6, 110.0)] * 2
 
-    result = two_stage_finetune(
-        leave_one_out(seqs), catalog, vocab, enc, cfg, LossConfig(), limits,
-        evaluate_fn=ticking(lambda *_: 0.5, 100.0), train_fn=ticking(lambda *_: None, 10.0))
-    assert [(r["stage"], r["epoch"], r["lr"], r["encode_s"], r["wall_s"])
-            for r in result.history] == [(1, 1, 3e-3, 1.0, 111.0), (1, 2, 3e-3, 1.0, 111.0),
-                                         (2, 1, 3e-3, 0.0, 110.0), (2, 2, 3e-3, 0.0, 110.0)]
+    split = leave_one_out(seqs)
+    assert len(finetune_examples(split)) == 16
+    result = two_stage_finetune(split, catalog, vocab, enc, cfg, LossConfig(), limits)
+    assert [(r["stage"], r["epoch"], r["lr"], r["encode_s"], r["examples_per_s"], r["wall_s"])
+            for r in result.history] == [(1, 1, 3e-3, 1.0, 1.6, 111.0),
+                                         (1, 2, 3e-3, 1.0, 1.6, 111.0),
+                                         (2, 1, 3e-3, 0.0, 1.6, 110.0),
+                                         (2, 2, 3e-3, 0.0, 1.6, 110.0)]
 
 
 def test_finetune_records_of_a_silent_train_fn_carry_none(tiny_corpus):
     result, _, _ = _scripted_run(tiny_corpus, stage1=[0.1, 0.3], stage2=[0.2, 0.4])
     for r in result.history:
-        assert (r["train_loss"], r["grad_norm"], r["clipped"]) == (None, None, None)
+        assert (r["train_loss"], r["grad_norm"], r["clipped"], r["examples_per_s"]) == \
+            (None, None, None, None)
 
 
 def test_finetune_validation_requirements(tiny_corpus):

@@ -25,7 +25,7 @@ import numpy as np
 from .catalog import (Catalog, InputLimits, Item, Vocabulary, build_model_input,
                       load_interactions_jsonl, load_items_jsonl)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .encoder import Encoder, EncoderConfig, check_state_names, params_fingerprint
+from .encoder import Encoder, EncoderConfig, params_fingerprint
 from .errors import CheckpointError, ConfigError, DataError
 from .evaluator import (CSV_HEADER, EvalReport, cold_start_split, evaluate_cases,
                         leave_one_out)
@@ -240,18 +240,23 @@ def _load_model_ckpt(path: str, check_finite: bool = True):
         raise CheckpointError(f"{path}: limits of {limits.max_tokens} tokens and "
                               f"{limits.max_items} items exceed the encoder's "
                               f"{enc_cfg.max_tokens} and {enc_cfg.max_items}")
-    head_names = {p.name for p in MLMHead(1, 1, rng=None).parameters()}
-    try:
-        check_state_names(tensors, enc_cfg.n_layers, head_names | {"item_matrix"})
-    except KeyError as e:
-        raise CheckpointError(f"{path}: {e.args[0]}") from None
+    # the file's layers must be exactly n_layers before any layer is built
+    n = enc_cfg.n_layers
+    if n > 0 and f"layer{n - 1}.attn.wq" not in tensors:
+        raise CheckpointError(f"{path}: missing parameter 'layer{n - 1}.attn.wq'")
+    if f"layer{n}.attn.wq" in tensors:
+        raise CheckpointError(f"{path}: unexpected tensor 'layer{n}.attn.wq'")
     # no rng: zeros for load_state_dict to fill, not a random draw it would overwrite
     try:
         encoder = Encoder(enc_cfg, rng=None)
-        head = (MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=None)
-                if head_names & tensors.keys() else None)
+        head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=None) if "mlm.w_h" in tensors else None
     except (MemoryError, ValueError) as e:
         raise CheckpointError(f"{path}: {_too_large(enc_cfg, e)}") from None
+    known = {p.name for p in encoder.parameters() + (head.parameters() if head else [])}
+    known.add("item_matrix")
+    unexpected = next((name for name in tensors if name not in known), None)
+    if unexpected is not None:
+        raise CheckpointError(f"{path}: unexpected tensor '{unexpected}'")
     try:
         encoder.load_state_dict(tensors)
         if head is not None:

@@ -11,10 +11,9 @@ the whole input, whether that input is a user history or a single item.
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, asdict
 from functools import lru_cache
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -231,39 +230,6 @@ class Encoder:
     def sequence_repr(self, x: ModelInput) -> np.ndarray:
         """Inference-time representation of a history: its aggregate row, (d,)."""
         return self.encode(x, aggregate=True).data[0]
-
-
-@lru_cache(maxsize=1)
-def _param_names() -> tuple[frozenset[str], tuple[str, ...]]:
-    """The embedding's parameter names, and a layer's after its "layer<i>." prefix,
-    in order, read off a one-layer encoder of width 1."""
-    cfg = EncoderConfig(d=1, n_layers=1, n_heads=1, ffn_dim=1, max_tokens=1, max_items=1)
-    names = [p.name for p in Encoder(cfg, rng=None).parameters()]
-    return (frozenset(n for n in names if not n.startswith("layer0.")),
-            tuple(n.removeprefix("layer0.") for n in names if n.startswith("layer0.")))
-
-
-# an index of at most 18 digits, which int() always converts: no file holds 10**18 layers
-_LAYER_PREFIX = re.compile(r"layer(0|[1-9][0-9]{0,17})\.")
-
-
-def check_state_names(names: Iterable[str], n_layers: int, others: Collection[str] = ()) -> None:
-    """Raise a KeyError naming the first of `names` that is neither a parameter of an
-    encoder of `n_layers` layers nor one of `others`, or else the first parameter of
-    the lowest layer no name is of. The layer indices are read off the names, so no
-    layer is built and a crafted `n_layers` costs nothing. A layer's or the
-    embedding's other missing parameters are left to `load_state_dict`."""
-    embed, layer = _param_names()
-    seen = set()
-    for name in names:
-        m = _LAYER_PREFIX.match(name)
-        if m and name[m.end():] in layer and int(m.group(1)) < n_layers:
-            seen.add(int(m.group(1)))
-        elif name not in embed and name not in others:
-            raise KeyError(f"unexpected tensor '{name}'")
-    missing = next((i for i, j in enumerate(sorted(seen)) if i != j), len(seen))
-    if missing < n_layers:
-        raise KeyError(f"missing parameter 'layer{missing}.{layer[0]}'")
 
 
 # Padded tokens per encoder call in `encode_rows`: bounds one call's

@@ -81,12 +81,24 @@ def cold_start_split(sequences: Sequence[InteractionSequence]) -> ColdStartSplit
 # metrics
 
 
+# Scores per `cosine_scores` call in `rank_of_target`: bounds a block's (users,
+# items) arrays at a few MB while one call's item norms serve many histories.
+RANK_BLOCK_SCORES = 1 << 18
+
+
 def rank_of_target(h: np.ndarray, item_rows: np.ndarray, target_index):
-    """1-based rank of each target (an int for a (d,) history); ties do not push it down."""
-    scores = cosine_scores(h, item_rows)
-    target = np.reshape(target_index, scores.shape[:-1] + (1,))
-    ranks = 1 + (scores > np.take_along_axis(scores, target, -1)).sum(-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
+    """1-based rank of each target (an int for a (d,) history); ties do not push it down.
+    A (U, d) block is scored RANK_BLOCK_SCORES // len(item_rows) histories per call
+    (one at least)."""
+    hs = np.atleast_2d(h)
+    targets = np.reshape(target_index, (len(hs), 1))
+    step = max(1, RANK_BLOCK_SCORES // max(len(item_rows), 1))
+    ranks = np.empty(len(hs), dtype=np.int64)
+    for start in range(0, len(hs), step):
+        scores = cosine_scores(hs[start:start + step], item_rows)
+        ranks[start:start + step] = 1 + (
+            scores > np.take_along_axis(scores, targets[start:start + step], 1)).sum(1)
+    return int(ranks[0]) if np.ndim(h) == 1 else ranks
 
 
 def ndcg_at_k(rank: int, k: int = 10) -> float:
@@ -139,7 +151,8 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
                    cases: Sequence[EvalCase], catalog: Catalog, vocab: Vocabulary,
                    limits: InputLimits = InputLimits(), fingerprint: str = "",
                    protocol: str = "leave-one-out") -> EvalReport:
-    """Rank every case's target against the full matrix, as one block; mean the metrics."""
+    """Rank every case's target against the full matrix with one `rank_of_target`
+    call, which scores the cases in blocks; mean the metrics."""
     if not cases:
         raise ValueError("no evaluation cases")
     unknown = next((c.target for c in cases if c.target not in item_index), None)

@@ -155,12 +155,9 @@ class GradTape:
         self._records.clear()
 
 
-def _accum(t: Tensor, g: np.ndarray, own: bool = False) -> None:
-    """Add g into t.grad. An op passes `own` for a buffer it just allocated and
-    does not read again: a first gradient of t's dtype keeps it without a copy.
-    Views, such as reshapes or slices of the op's output gradient, are copied."""
+def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = g if own and g.dtype == t.data.dtype else np.array(g, dtype=t.data.dtype)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 
@@ -206,7 +203,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, c: float) -> Tensor:
     def bwd(g: np.ndarray) -> None:
-        _accum(x, g * c, own=True)
+        _accum(x, g * c)
 
     return _result(x.data * c, (x,), bwd)
 
@@ -311,9 +308,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if a.needs_grad:
-            _accum(a, g @ bd.T, own=True)
+            _accum(a, g @ bd.T)
         if b.needs_grad:
-            _accum(b, ad.T @ g, own=True)
+            _accum(b, ad.T @ g)
 
     return _result(ad @ bd, (a, b), bwd)
 
@@ -326,9 +323,9 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         if a.needs_grad:
-            _accum(a, g @ bd, own=True)
+            _accum(a, g @ bd)
         if b.needs_grad:
-            _accum(b, g.T @ ad, own=True)
+            _accum(b, g.T @ ad)
 
     return _result(ad @ bd.T, (a, b), bwd)
 
@@ -408,7 +405,7 @@ def gelu(x: Tensor) -> Tensor:
         gx *= xd
         gx += cdf
         gx *= g
-        _accum(x, gx, own=True)
+        _accum(x, gx)
 
     return _result(out_data, (x,), bwd)
 
@@ -444,7 +441,7 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
             np.subtract(gy, gx, out=gx)
             gx -= np.einsum("...i->...", gy)[..., None] / d
             gx *= inv
-            _accum(x, gx, own=True)
+            _accum(x, gx)
 
     return _result(out_data.astype(xd.dtype, copy=False),
                    [t for t in (x, gamma, beta) if t is not None], bwd)
@@ -459,7 +456,7 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
 
     def bwd(g: np.ndarray) -> None:
         # d(x/||x||) applied to g: (g - y (y.g)) / ||x||
-        _accum(x, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff, own=True)
+        _accum(x, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff)
 
     return _result(y, (x,), bwd)
 
@@ -475,7 +472,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep /= 1.0 - rate
 
     def bwd(g: np.ndarray) -> None:
-        _accum(x, g * keep, own=True)
+        _accum(x, g * keep)
 
     return _result(x.data * keep, (x,), bwd)
 
@@ -500,7 +497,7 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
     def bwd(g: np.ndarray) -> None:
         dl = e / z                   # softmax(logits)
         dl[rows, t] -= 1.0
-        _accum(logits, dl * (g / n), own=True)
+        _accum(logits, dl * (g / n))
 
     return _result(np.asarray(losses.mean(), dtype=ld.dtype), (logits,), bwd)
 
@@ -605,11 +602,11 @@ def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None
     def bwd(g: np.ndarray) -> None:
         dq, dk, dv = _dense_rows_grad(g, p, qd, kd, vd)
         if q.needs_grad:
-            _accum(q, dq * alpha, own=True)
+            _accum(q, dq * alpha)
         if k.needs_grad:
-            _accum(k, dk * alpha, own=True)
+            _accum(k, dk * alpha)
         if v.needs_grad:
-            _accum(v, dv, own=True)
+            _accum(v, dv)
 
     return _result(out_data, (q, k, v), bwd)
 

@@ -201,6 +201,18 @@ def test_block_ranks_match_one_row_calls_with_a_zero_history_and_a_zero_item():
     assert not cosine_scores(hs, rows)[:, 7].any()  # so does a zero item
 
 
+def test_block_ranks_do_not_depend_on_the_block_bound(monkeypatch):
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(40, 16)).astype(np.float32)
+    rows[20:] = rows[:20]
+    hs = rng.normal(size=(15, 16)).astype(np.float32)
+    targets = rng.integers(0, 40, size=15)
+    whole = rank_of_target(hs, rows, targets)
+    for bound in (1, 2 * 40, 7 * 40 + 39):
+        monkeypatch.setattr(evaluator, "RANK_BLOCK_SCORES", bound)
+        assert rank_of_target(hs, rows, targets).tolist() == whole.tolist(), bound
+
+
 # ---------------------------------------------------------------------------
 # report object
 
@@ -248,7 +260,14 @@ def test_evaluate_cases_aggregates_per_case_metrics(tiny_corpus):
         sum(recall_at_k(r) for r in ranks) / 2)
 
 
-def test_evaluate_cases_ranks_every_case_with_one_call(tiny_corpus, monkeypatch):
+@pytest.mark.parametrize("block_scores,blocks", [(1 << 18, [7]), (3 * 8, [3, 3, 1]),
+                                                 (1, [1] * 7)],
+                         ids=["default", "3-per-block", "1-per-block"])
+def test_evaluate_cases_ranks_every_case_with_one_call(tiny_corpus, monkeypatch,
+                                                       block_scores, blocks):
+    """One `rank_of_target` call per `evaluate_cases` call, and one `cosine_scores`
+    call per block of at most RANK_BLOCK_SCORES scores (one history at least)
+    against the 8 items."""
     catalog, vocab, limits = tiny_corpus
     enc = _encoder_for(vocab, seed=2)
     ids = catalog.ids
@@ -258,12 +277,13 @@ def test_evaluate_cases_ranks_every_case_with_one_call(tiny_corpus, monkeypatch)
     calls = []
 
     def spy(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
+        return lambda *args: calls.append((name, len(np.atleast_2d(args[0])))) or fn(*args)
 
+    monkeypatch.setattr(evaluator, "RANK_BLOCK_SCORES", block_scores)
     monkeypatch.setattr(evaluator, "rank_of_target", spy("rank", rank_of_target))
     monkeypatch.setattr(evaluator, "cosine_scores", spy("scores", cosine_scores))
     rep = evaluate_cases(enc, rows, index, cases, catalog, vocab, limits)
-    assert calls == ["rank", "scores"]
+    assert calls == [("rank", 7)] + [("scores", u) for u in blocks]
     # the same means, to the bit, as summing one-row ranks case by case
     users = encode_rows(enc, [build_model_input(c.context, catalog, vocab, limits)
                               for c in cases]).data

@@ -324,55 +324,6 @@ def test_batch_loss_gradients_do_not_depend_on_the_token_budget(tiny_corpus, mon
                             err_msg=p.name)
 
 
-@pytest.mark.parametrize("objective", ["pretrain", "finetune"])
-def test_gradient_buffers_handed_to_accum_change_no_gradient_bit(tiny_corpus, monkeypatch,
-                                                                 objective):
-    """Two layers with dropout on, so every op of a training step runs its backward:
-    the float32 loss and gradients of one batch are byte-identical whether
-    `_accum` keeps the buffers ops hand it or copies every first gradient."""
-    catalog, vocab, limits = tiny_corpus
-    enc = _encoder(vocab, seed=21, n_layers=2, dropout=0.1)
-    head = MLMHead(8, vocab.size, stream(21, "init"))
-    examples = _mixed_examples()
-    if objective == "pretrain":
-        loss_cfg = LossConfig(temperature=0.1, mlm_weight=0.5)
-        params = enc.parameters() + head.parameters()
-
-        def build():
-            return _pretrain_batch_loss(examples, catalog, vocab, enc, head, loss_cfg, limits,
-                                        stream(4, "mask"), stream(4, "dropout"))[0]
-    else:
-        xs = [build_model_input(prefix, catalog, vocab, limits) for prefix, _ in examples]
-        pos = np.array([catalog.ids.index(p) for _, p in examples])
-        rows = np.random.default_rng(5).normal(size=(len(catalog), 8)).astype(np.float32)
-        params = enc.parameters()
-
-        def build():
-            return finetune_loss(encode_rows(enc, xs, stream(4, "dropout")), pos, rows, 0.1)
-
-    kept = []
-    real_accum = T._accum
-
-    def counting(t, g, own=False):
-        kept.append(own and t.grad is None)
-        real_accum(t, g, own)
-
-    def copying(t, g, own=False):
-        if t.grad is None:
-            t.grad = np.array(g, dtype=t.data.dtype)
-        else:
-            t.grad += g
-
-    monkeypatch.setattr(T, "_accum", counting)
-    loss, grads = _loss_and_grads(build, params)
-    assert sum(kept) > 0  # some first gradients were kept, not copied
-    monkeypatch.setattr(T, "_accum", copying)
-    loss_copied, grads_copied = _loss_and_grads(build, params)
-    assert loss == loss_copied
-    for p, g, g_copied in zip(params, grads, grads_copied):
-        assert g.dtype == np.float32 and g.tobytes() == g_copied.tobytes(), p.name
-
-
 def test_pretrain_batch_loss_gradcheck(tiny_corpus, monkeypatch):
     """Float64 over three sub-batches: the gathers that put aggregate rows and
     hidden states back in input order carry the right gradient."""

@@ -56,10 +56,12 @@ class Item:
 class Catalog:
     """Item store with stable ingestion order and id lookup.
 
-    Item sentences are memoized per (vocabulary, tokens_per_field), so an
-    item is tokenized once however often its catalog is encoded, and so is
-    the `digest`. Neither catalogs nor vocabularies change after
-    construction, so the memos never go stale.
+    Item sentences are memoized per (vocabulary, tokens_per_field) and
+    single-item inputs per (vocabulary, tokens_per_field, max_tokens), so an
+    item is tokenized once, and its input assembled once, however often its
+    catalog is encoded; so is the `digest`. A sentence is the tail of its
+    input's arrays, so no item's tokens are held twice. Neither catalogs nor
+    vocabularies change after construction, so the memos never go stale.
     """
 
     def __init__(self, items: Iterable[Item]):
@@ -69,6 +71,9 @@ class Catalog:
                 raise DataError(f"duplicate item id '{it.item_id}'")
             self._items[it.item_id] = it
         self._sentences: dict[tuple[Vocabulary, int], dict[str, ItemSentence]] = {}
+        self._inputs: dict[tuple[Vocabulary, int, int], dict[str, ModelInput]] = {}
+        self._positions = self._slots = np.zeros(0, dtype=np.int64)  # see _input_ranges
+        self._ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def get(self, item_id: str) -> Item:
         try:
@@ -83,6 +88,33 @@ class Catalog:
         if sent is None:
             sent = memo[item_id] = flatten_item(self.get(item_id), vocab, tokens_per_field)
         return sent
+
+    def item_input(self, item_id: str, vocab: Vocabulary, limits: InputLimits) -> ModelInput:
+        """`build_model_input([item_id], ...)`, built on first use from the
+        sentence's arrays and then remembered; read-only, like the sentence."""
+        memo = self._inputs.setdefault((vocab, limits.tokens_per_field, limits.max_tokens), {})
+        x = memo.get(item_id)
+        if x is None:
+            sent = self.sentence(item_id, vocab, limits.tokens_per_field)
+            ids, types = sent.token_ids.base, sent.token_types.base  # see flatten_item
+            cap = limits.max_tokens + 1  # plus the aggregate slot
+            if len(ids) > cap:  # cut only then, as build_model_input does
+                ids, types = ids[:cap], types[:cap]
+            positions, slots = self._input_ranges(len(ids))
+            x = memo[item_id] = ModelInput(ids, positions, types, slots)
+        return x
+
+    def _input_ranges(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only token positions 0..n-1 and item positions [0, 1, 1, ...]:
+        views of one shared `arange`, one pair per length."""
+        got = self._ranges.get(n)
+        if got is None:
+            if n > len(self._positions):
+                self._positions = _freeze(np.arange(max(n, 2 * len(self._positions)),
+                                                    dtype=np.int64))
+                self._slots = _freeze(np.minimum(self._positions, 1))
+            got = self._ranges[n] = (self._positions[:n], self._slots[:n])
+        return got
 
     @property
     def ids(self) -> list[str]:
@@ -196,17 +228,21 @@ class InputLimits:
 
 
 def flatten_item(item: Item, vocab: Vocabulary, tokens_per_field: int = 16) -> ItemSentence:
-    """Interleave each attribute's key tokens and value tokens, in pair order."""
-    ids: list[int] = []
-    types: list[int] = []
+    """Interleave each attribute's key tokens and value tokens, in pair order.
+
+    The sentence's arrays are views past the first element of one read-only
+    array per field, whose first element is the aggregate slot's id or type:
+    whole, those arrays are the item's single-item input (`item_input`)."""
+    ids = [CLS_ID]
+    types = [TYPE_CLS]
     for key, value in item.attributes:
         keys, values = tokenize(key)[:tokens_per_field], tokenize(value)[:tokens_per_field]
         ids += vocab.ids(keys + values)
         types += [TYPE_KEY] * len(keys) + [TYPE_VALUE] * len(values)
-    if not ids:
+    if len(ids) == 1:
         log.warning("item '%s' flattens to an empty sentence", item.item_id)
-    return ItemSentence(_freeze(np.array(ids, dtype=np.int64)),
-                        _freeze(np.array(types, dtype=np.int64)))
+    return ItemSentence(_freeze(np.array(ids, dtype=np.int64))[1:],
+                        _freeze(np.array(types, dtype=np.int64))[1:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +327,9 @@ def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabula
 
 def item_input(item_id: str, catalog: Catalog, vocab: Vocabulary,
                limits: InputLimits = InputLimits()) -> ModelInput:
-    """Single-item input: how an item is encoded to get its own representation."""
-    return build_model_input([item_id], catalog, vocab, limits)
+    """Single-item input: how an item is encoded to get its own representation.
+    Served from the catalog's memo (`Catalog.item_input`)."""
+    return catalog.item_input(item_id, vocab, limits)
 
 
 # ---------------------------------------------------------------------------

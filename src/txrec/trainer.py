@@ -131,12 +131,13 @@ def _batches(order: np.ndarray, size: int):
 
 
 def _train_epoch(batches: Iterable[np.ndarray],
-                 batch_loss: Callable[[np.ndarray], tuple[T.Tensor, dict[str, float]]],
+                 batch_loss: Callable[[np.ndarray], tuple[T.Tensor, dict[str, float], int]],
                  adam: Adam, grad_clip: float, where: str) -> dict:
-    """One optimizer step per batch: `batch_loss(batch)` gives the loss and its
-    float parts. Returns each part's mean over the batches, the largest
-    pre-clip gradient norm, the number of clipped batches and the examples
-    trained per second of this call, `examples_per_s`.
+    """One optimizer step per batch: `batch_loss(batch)` gives the loss, its
+    float parts and the tokens its inputs hold. Returns each part's mean over
+    the batches, the largest pre-clip gradient norm, the number of clipped
+    batches, and the examples and the tokens trained per second of this call,
+    `examples_per_s` and `tokens_per_s`.
 
     A NaN or infinite loss stops the run before clipping and the step, naming
     the batch through `where`, a template with a `{batch}` field.
@@ -144,12 +145,13 @@ def _train_epoch(batches: Iterable[np.ndarray],
     start = perf_counter()
     sums: dict[str, float] = {}
     grad_norm = 0.0
-    n_batches = n_examples = clipped = 0
+    n_batches = n_examples = n_tokens = clipped = 0
     for batch in batches:
         n_batches += 1
         n_examples += len(batch)
         with GradTape() as tape:
-            loss, parts = batch_loss(batch)
+            loss, parts, tokens = batch_loss(batch)
+        n_tokens += tokens
         if not np.isfinite(loss.data):
             raise NonFiniteLossError(f"non-finite loss {float(loss.data)} at "
                                      f"{where.format(batch=n_batches)}")
@@ -160,9 +162,10 @@ def _train_epoch(batches: Iterable[np.ndarray],
         clipped += int(norm > grad_clip)
         for key, value in parts.items():
             sums[key] = sums.get(key, 0.0) + value
+    took = perf_counter() - start
     return {**{key: total / n_batches for key, total in sums.items()},
             "grad_norm": grad_norm, "clipped": clipped,
-            "examples_per_s": n_examples / (perf_counter() - start)}
+            "examples_per_s": n_examples / took, "tokens_per_s": n_tokens / took}
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,8 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
 
     Returns the per-epoch history of logged records: mean losses, the largest
     pre-clip gradient norm, the number of clipped batches, the training
-    throughput `examples_per_s` (validation left out), the learning rate `lr`
+    throughput `examples_per_s` and `tokens_per_s` (validation left out; the
+    tokens of the masked prefixes and the positives), the learning rate `lr`
     and the epoch's wall time `wall_s`. Identical seeds and data give
     identical curves, timings aside: every random choice comes from named
     streams.
@@ -232,8 +236,8 @@ def pretrain(sequences: Sequence[InteractionSequence], catalog: Catalog,
 
 def _pretrain_batch_loss(batch, catalog, vocab, encoder, head, loss_cfg, limits,
                          mask_rng, drop_rng):
-    """Loss for one batch of (prefix, positive) pairs, plus float components;
-    dropout runs when `drop_rng` is given.
+    """Loss for one batch of (prefix, positive) pairs, plus float components
+    and the tokens of the inputs encoded; dropout runs when `drop_rng` is given.
 
     The masked prefixes keep their aggregate rows and, for the masked-token
     loss, their masked rows, input by input: the only rows either loss reads."""
@@ -242,16 +246,17 @@ def _pretrain_batch_loss(batch, catalog, vocab, encoder, head, loss_cfg, limits,
     use_mlm = loss_cfg.mlm_weight > 0.0
     masked = encode_rows(encoder, [apply_masking_plan(x, p) for x, p in zip(xs, plans)], drop_rng,
                          rows=[p.positions for p in plans] if use_mlm else None)
-    positives = encode_rows(encoder, [item_input(pos_id, catalog, vocab, limits)
-                                      for _, pos_id in batch], drop_rng)
+    pos_xs = [item_input(pos_id, catalog, vocab, limits) for _, pos_id in batch]
+    positives = encode_rows(encoder, pos_xs, drop_rng)
     n = len(batch)
     iic = iic_inbatch_loss(T.gather_rows(masked, np.arange(n)), positives, loss_cfg.temperature)
     mlm = None
     if use_mlm:
         mlm = pooled_mlm_loss(T.gather_rows(masked, np.arange(n, len(masked.data))), plans, head)
     loss = pretrain_loss(iic, mlm, loss_cfg.mlm_weight)
-    return loss, {"loss": float(loss.data), "iic": float(iic.data),
-                  "mlm": float(mlm.data) if mlm is not None else 0.0}
+    parts = {"loss": float(loss.data), "iic": float(iic.data),
+             "mlm": float(mlm.data) if mlm is not None else 0.0}
+    return loss, parts, sum(map(len, xs)) + sum(map(len, pos_xs))
 
 
 def _pretrain_valid_loss(examples, catalog, vocab, encoder, head, loss_cfg, limits,
@@ -260,7 +265,7 @@ def _pretrain_valid_loss(examples, catalog, vocab, encoder, head, loss_cfg, limi
     total = 0.0
     n = 0
     for batch in _batches(np.arange(len(examples)), 64):
-        loss, _ = _pretrain_batch_loss(
+        loss, _, _ = _pretrain_batch_loss(
             [examples[i] for i in batch], catalog, vocab, encoder, head,
             loss_cfg, limits, mask_rng, None)
         total += float(loss.data) * len(batch)
@@ -303,8 +308,9 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
     stops early once `patience` epochs pass without a new best.
 
     Each epoch's record carries `train_fn`'s `train_loss`, `grad_norm`,
-    `clipped` and `examples_per_s` (examples over the time training took),
-    None where it returns no such key, the learning rate `lr`, the time of
+    `clipped`, `examples_per_s` (examples over the time training took) and
+    `tokens_per_s` (the histories' tokens over that time), None where it
+    returns no such key, the learning rate `lr`, the time of
     the epoch's catalog encode `encode_s` (0.0 in stage two, which reuses
     the frozen matrix) and the epoch's wall time `wall_s`.
     """
@@ -357,7 +363,7 @@ def two_stage_finetune(split: EvalSplit, catalog: Catalog, vocab: Vocabulary,
                 best_metric, best_state, best_matrix = metric, save_state(params), matrix
             record = {"stage": stage, "epoch": epoch,
                       **{key: stats.get(key) for key in ("train_loss", "grad_norm", "clipped",
-                                                         "examples_per_s")},
+                                                         "examples_per_s", "tokens_per_s")},
                       "lr": adam.lr, "valid_metric": metric, "snapshot_taken": took,
                       "encode_s": encode_s, "wall_s": perf_counter() - start}
             history.append(record)
@@ -377,14 +383,14 @@ def _finetune_epoch(encoder: Encoder, matrix: ItemFeatureMatrix, examples,
                     data_rng: np.random.Generator, drop_rng: np.random.Generator,
                     where: str) -> dict:
     """One pass over `examples` against `matrix`: the mean loss, the largest
-    pre-clip gradient norm and the number of clipped batches."""
+    pre-clip gradient norm, the number of clipped batches and the throughputs."""
     positives = np.array([matrix.index_of(pos_id) for _, pos_id in examples], dtype=np.int64)
 
     def batch_loss(batch):
         xs = [build_model_input(examples[i][0], catalog, vocab, limits) for i in batch]
         rows = encode_rows(encoder, xs, drop_rng)
         loss = finetune_loss(rows, positives[batch], matrix.rows, loss_cfg.temperature)
-        return loss, {"train_loss": float(loss.data)}
+        return loss, {"train_loss": float(loss.data)}, sum(map(len, xs))
 
     return _train_epoch(_batches(data_rng.permutation(len(examples)), train_cfg.finetune_batch),
                         batch_loss, adam, train_cfg.grad_clip, where)

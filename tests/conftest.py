@@ -27,9 +27,11 @@ def kept_rows(h: T.Tensor, rows=None) -> T.Tensor:
     return T.gather_rows(T.reshape(h, (n_seq * length, d)), np.concatenate(at))
 
 
-def spy_encode(monkeypatch, full_last_layer=False) -> list[tuple[bool, bool, bool]]:
+def spy_encode(monkeypatch, full_last_layer=False,
+               inputs: list | None = None) -> list[tuple[bool, bool, bool]]:
     """Patch `Encoder.encode` to record each call's (aggregate, rows given,
-    dropout rng given). With `full_last_layer`, an aggregate call on a
+    dropout rng given), and append its input to `inputs` when that list is
+    given. With `full_last_layer`, an aggregate call on a
     `ModelBatch`, as `encode_rows` makes, runs the full last layer instead
     and gathers its aggregate and kept rows with `kept_rows`: a reference
     that sees the real sub-batches. With dropout on, its last layer draws
@@ -40,6 +42,8 @@ def spy_encode(monkeypatch, full_last_layer=False) -> list[tuple[bool, bool, boo
 
     def spy(self, x, dropout_rng=None, aggregate=False, rows=None):
         calls.append((aggregate, rows is not None, dropout_rng is not None))
+        if inputs is not None:
+            inputs.append(x)
         if not (full_last_layer and aggregate):
             return encode(self, x, dropout_rng, aggregate, rows)
         return kept_rows(encode(self, x, dropout_rng), rows)

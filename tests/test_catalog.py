@@ -267,6 +267,46 @@ def test_item_input_is_single_item_history():
     npt.assert_array_equal(x.item_positions, [0, 1, 1])
 
 
+def test_item_inputs_are_memoized_per_vocab_field_cap_and_token_budget():
+    items = [Item("p", (("Title", "red blue deep sea"), ("Brand", "acme corp"))),
+             Item("e", ())]
+    cat = Catalog(items)
+    vocabs = [Vocabulary.build(items), Vocabulary.build(_color_items())]
+    settings = [(vocab, InputLimits(max_tokens=budget, tokens_per_field=cap))
+                for vocab in vocabs for cap in (1, 3) for budget in (2, 5, 64)]
+    for iid in ("p", "e"):
+        xs = [item_input(iid, cat, vocab, limits) for vocab, limits in settings]
+        assert len({id(x) for x in xs}) == len(settings)  # one entry per setting
+        for x, (vocab, limits) in zip(xs, settings):
+            # max_items plays no part in a one-item input
+            assert item_input(iid, cat, vocab, InputLimits(limits.max_tokens, 1,
+                                                           limits.tokens_per_field)) is x
+            want = build_model_input([iid], cat, vocab, limits)
+            for field in ("token_ids", "token_positions", "token_types", "item_positions"):
+                got = getattr(x, field)
+                assert got.dtype == np.int64, field
+                npt.assert_array_equal(got, getattr(want, field), err_msg=field)
+                with pytest.raises(ValueError, match="read-only"):
+                    got[0] = 0
+    assert len(item_input("p", cat, vocabs[0], InputLimits(max_tokens=2))) == 3  # cut
+
+
+def test_item_input_and_sentence_share_one_token_array():
+    cat, vocab = _setup()
+    sent = cat.sentence("b", vocab, 16)
+    x = item_input("b", cat, vocab)
+    assert cat.sentence("b", vocab, 16) is sent and item_input("b", cat, vocab) is x
+    assert (x.token_ids[0], x.token_types[0]) == (CLS_ID, TYPE_CLS)
+    for whole, tail in ((x.token_ids, sent.token_ids), (x.token_types, sent.token_types)):
+        npt.assert_array_equal(whole[1:], tail)
+        assert np.shares_memory(whole, tail)  # no item's tokens are held twice
+    # every input's positions are views of one array
+    y = item_input("a", cat, vocab)
+    assert (len(x), len(y)) == (4, 3)
+    assert np.shares_memory(x.token_positions, y.token_positions)
+    assert np.shares_memory(x.item_positions, y.item_positions)
+
+
 def test_input_limits_validate():
     with pytest.raises(ValueError):
         InputLimits(max_tokens=0)

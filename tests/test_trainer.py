@@ -10,7 +10,9 @@ import pytest
 
 from conftest import fd_gradcheck, spy_encode
 from txrec import tensor as T
-from txrec.catalog import InteractionSequence, build_model_input, item_input
+from txrec import catalog as catalog_mod
+from txrec.catalog import (Catalog, InputLimits, InteractionSequence, Item, ModelBatch,
+                           Vocabulary, build_model_input, item_input)
 from txrec.encoder import Encoder, EncoderConfig, encode_rows, params_fingerprint
 from txrec.errors import CatalogError, NonFiniteLossError
 from txrec.evaluator import evaluate_cases, leave_one_out
@@ -45,7 +47,8 @@ def _encoder(vocab, seed=0, **kw):
 
 def _untimed(history):
     """Epoch records without their timings, which differ from run to run."""
-    return [{k: v for k, v in r.items() if k not in ("wall_s", "encode_s", "examples_per_s")}
+    return [{k: v for k, v in r.items()
+             if k not in ("wall_s", "encode_s", "examples_per_s", "tokens_per_s")}
             for r in history]
 
 
@@ -130,8 +133,79 @@ def test_encode_all_items_matches_per_item_encoding(tiny_corpus):
     assert m.fingerprint == params_fingerprint(enc.parameters())
 
 
+def _ragged_catalog():
+    """Sentences of 0 to 7 tokens at the limits below: an empty one, one that
+    fills `max_tokens` exactly and one that is cut there."""
+    words = "red blue deep sea green grass warm sand".split()
+    items = [Item(f"r{k}", (("Title", " ".join(words[:k % 8])),)) for k in range(12)]
+    items += [Item("empty", ()),
+              Item("full", (("Title", "red blue deep"), ("Brand", "acme"))),
+              Item("long", (("Title", " ".join(words)), ("Brand", "acme")))]
+    catalog = Catalog(items)
+    return catalog, Vocabulary.build(items), InputLimits(max_tokens=6, max_items=6,
+                                                          tokens_per_field=4)
+
+
+def test_encode_all_items_packs_the_batches_of_fresh_inputs(monkeypatch):
+    """Served from the catalog's memo or not, the batches `encode_all_items`
+    encodes are `ModelBatch.pack` of fresh `build_model_input([iid])` inputs,
+    in `encode_rows`' stable length order, and every row is the item's own
+    `sequence_repr`, bit for bit."""
+    catalog, vocab, limits = _ragged_catalog()
+    enc = _encoder(vocab, seed=2)
+    monkeypatch.setattr("txrec.encoder.ENCODE_BATCH_TOKENS", 16)  # several sub-batches
+    fresh = {iid: build_model_input([iid], catalog, vocab, limits) for iid in catalog.ids}
+    assert [len(fresh[iid]) for iid in ("empty", "full", "long")] == [1, 7, 7]
+    assert {len(x) for x in fresh.values()} == {1, 2, 3, 4, 5, 6, 7}
+    order = sorted(catalog.ids, key=lambda iid: len(fresh[iid]))
+    seen = []
+    spy_encode(monkeypatch, inputs=seen)
+    for _ in range(2):  # the first call fills the memo, the second is served from it
+        seen.clear()
+        m = encode_all_items(enc, catalog, vocab, limits)
+        batches = list(seen)
+        assert len(batches) > 3
+        start = 0
+        for batch in batches:
+            members = order[start : start + len(batch.lengths)]
+            start += len(members)
+            want = ModelBatch.pack([fresh[iid] for iid in members])
+            for field in ("token_ids", "token_positions", "token_types", "item_positions",
+                          "lengths"):
+                got, expected = getattr(batch, field), getattr(want, field)
+                assert got.dtype == expected.dtype and got.shape == expected.shape, field
+                npt.assert_array_equal(got, expected, err_msg=field)
+        assert start == len(catalog)
+        for i, iid in enumerate(m.ids):
+            assert m.rows[i].tobytes() == enc.sequence_repr(fresh[iid]).tobytes(), iid
+
+
+def test_a_second_encode_all_items_builds_no_input(monkeypatch):
+    """The first encode flattens each item once and assembles its input from
+    the sentence; a second builds nothing and hands the encoder the same bits."""
+    catalog, vocab, limits = _ragged_catalog()
+    enc = _encoder(vocab, seed=3)
+    calls = []
+
+    def counted(name):
+        real = getattr(catalog_mod, name)
+
+        def run(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return run
+
+    for name in ("build_model_input", "flatten_item"):
+        monkeypatch.setattr(catalog_mod, name, counted(name))
+    first = encode_all_items(enc, catalog, vocab, limits)
+    assert sorted(calls) == ["flatten_item"] * len(catalog)
+    calls.clear()
+    second = encode_all_items(enc, catalog, vocab, limits)
+    assert calls == []
+    assert first.rows.tobytes() == second.rows.tobytes()
+
+
 def test_encode_all_items_rejects_empty_catalog(tiny_corpus):
-    from txrec.catalog import Catalog
     _, vocab, limits = tiny_corpus
     with pytest.raises(ValueError, match="empty"):
         encode_all_items(_encoder(vocab), Catalog([]), vocab, limits)
@@ -166,8 +240,9 @@ def test_pretrain_loss_decreases(tiny_corpus):
     for r in history:
         assert r["stage"] == "pretrain"
         assert set(r) == {"stage", "epoch", "loss", "iic", "mlm", "grad_norm", "clipped",
-                          "examples_per_s", "lr", "valid_metric", "snapshot_taken", "wall_s"}
-        assert r["examples_per_s"] > 0.0
+                          "examples_per_s", "tokens_per_s", "lr", "valid_metric",
+                          "snapshot_taken", "wall_s"}
+        assert r["tokens_per_s"] > r["examples_per_s"] > 0.0
         assert r["mlm"] > 0.0
         assert r["grad_norm"] > 0.0 and 0 <= r["clipped"] <= 2  # 16 examples, batches of 8
 
@@ -508,9 +583,9 @@ def test_epoch_records_report_the_pre_clip_norm_and_clipped_batches(tiny_corpus,
         assert r["clipped"] == sum(norm > clip for norm in epoch_norms) == (n if clip < 1 else 0)
     for r in fine:
         assert set(r) == {"stage", "epoch", "train_loss", "grad_norm", "clipped",
-                          "examples_per_s", "lr", "valid_metric", "snapshot_taken",
-                          "encode_s", "wall_s"}
-        assert r["examples_per_s"] > 0.0
+                          "examples_per_s", "tokens_per_s", "lr", "valid_metric",
+                          "snapshot_taken", "encode_s", "wall_s"}
+        assert r["tokens_per_s"] > r["examples_per_s"] > 0.0
         assert isinstance(r["train_loss"], float) and r["train_loss"] > 0.0
 
 
@@ -624,9 +699,11 @@ def test_finetune_encodes_the_catalog_once_per_stage_one_epoch(tiny_corpus, monk
 def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
     """`wall_s` spans the whole epoch, validation included, a finetune record's
     `encode_s` is that epoch's catalog encode (0.0 in stage two, which reuses
-    the frozen matrix), and `examples_per_s` counts training time alone. A fake
-    clock moves 1 s per catalog encode, 5 s per optimizer step and 100 s per
-    validation; every epoch trains 16 examples in two batches."""
+    the frozen matrix), and `examples_per_s` and `tokens_per_s` count training
+    time alone. A fake clock moves 1 s per catalog encode, 5 s per optimizer
+    step and 100 s per validation; every epoch trains 16 examples in two
+    batches, and `tokens_per_s` counts the unpadded tokens of every input
+    those batches encode."""
     catalog, vocab, limits = tiny_corpus
     now = [0.0]
     monkeypatch.setattr("txrec.trainer.perf_counter", lambda: now[0])
@@ -651,6 +728,11 @@ def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
     pre = pretrain(seqs, catalog, vocab, enc, head, cfg, LossConfig(), limits,
                    valid_sequences=seqs[:4])
     assert [(r["lr"], r["examples_per_s"], r["wall_s"]) for r in pre] == [(3e-3, 1.6, 110.0)] * 2
+    # a masked prefix holds as many tokens as its history; a positive, its own
+    pre_tokens = sum(len(build_model_input(prefix, catalog, vocab, limits))
+                     + len(build_model_input([pos], catalog, vocab, limits))
+                     for prefix, pos in pretrain_examples(seqs, catalog))
+    assert [r["tokens_per_s"] for r in pre] == [pre_tokens / 10.0] * 2
 
     split = leave_one_out(seqs)
     assert len(finetune_examples(split)) == 16
@@ -660,13 +742,16 @@ def test_epoch_records_say_where_the_time_went(tiny_corpus, monkeypatch):
                                          (1, 2, 3e-3, 1.0, 1.6, 111.0),
                                          (2, 1, 3e-3, 0.0, 1.6, 110.0),
                                          (2, 2, 3e-3, 0.0, 1.6, 110.0)]
+    fine_tokens = sum(len(build_model_input(context, catalog, vocab, limits))
+                      for context, _ in finetune_examples(split))
+    assert [r["tokens_per_s"] for r in result.history] == [fine_tokens / 10.0] * 4
 
 
 def test_finetune_records_of_a_silent_train_fn_carry_none(tiny_corpus):
     result, _, _ = _scripted_run(tiny_corpus, stage1=[0.1, 0.3], stage2=[0.2, 0.4])
     for r in result.history:
-        assert (r["train_loss"], r["grad_norm"], r["clipped"], r["examples_per_s"]) == \
-            (None, None, None, None)
+        assert (r["train_loss"], r["grad_norm"], r["clipped"], r["examples_per_s"],
+                r["tokens_per_s"]) == (None,) * 5
 
 
 def test_finetune_validation_requirements(tiny_corpus):

@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,7 @@ from .catalog import (Catalog, InputLimits, Item, Vocabulary, build_model_input,
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import Encoder, EncoderConfig, params_fingerprint
 from .errors import CheckpointError, ConfigError, DataError
-from .evaluator import (CSV_HEADER, EvalReport, cold_start_split, evaluate_cases,
-                        leave_one_out)
+from .evaluator import CSV_HEADER, cold_start_split, evaluate_cases, leave_one_out
 from .objectives import LossConfig, MLMHead, cosine_scores
 from .rng import stream
 from .trainer import (ItemFeatureMatrix, TrainConfig, encode_all_items,
@@ -71,6 +70,7 @@ _CATALOG_KEYS = {"tokens_per_field": int, "min_count": int}
 _DATA_KEYS = ("items", "interactions", "valid_interactions")
 # the sections a model checkpoint stores, typed like the run config's
 _CKPT_SECTIONS = {"encoder": _schema(EncoderConfig), "limits": _LIMIT_KEYS, "loss": _LOSS_KEYS}
+_UNRECORDED = object()  # min_count of a checkpoint older than that key; saved as null
 
 
 def _typed(value, want, where: str, errors: list[str]):
@@ -184,96 +184,114 @@ def load_run_config(path: str) -> RunConfig:
 # checkpoint plumbing
 
 
-def _save_model_ckpt(path: str, encoder: Encoder, vocab: Vocabulary,
-                     limits: InputLimits, loss_cfg: LossConfig, seed: int,
-                     head: MLMHead | None = None,
-                     matrix: ItemFeatureMatrix | None = None,
-                     min_count: int | None = None) -> None:
-    config = {
-        "kind": "model",
-        "encoder": encoder.config.to_dict(),
-        "limits": asdict(limits),
-        "loss": asdict(loss_cfg),
-        "seed": seed,
-        "vocab_tokens": vocab.token_list(),
-        # the catalog.min_count that built the vocabulary; None for a vocab file
-        "min_count": min_count,
-        "item_ids": matrix.ids if matrix is not None else None,
-        "fingerprint": params_fingerprint(encoder.parameters()),
-        # the matrix may come from an earlier snapshot than the final encoder
-        "item_fingerprint": matrix.fingerprint if matrix is not None else None,
-        # the items file the matrix was encoded from, for `recommend`'s partial parse
-        "item_digest": matrix.digest if matrix is not None else None,
-    }
-    tensors = dict(encoder.state_dict())
-    if head is not None:
-        tensors.update(head.state_dict())
-    if matrix is not None:
-        tensors["item_matrix"] = matrix.rows
-    save_checkpoint(path, config, tensors)
+@dataclass
+class Model:
+    """An encoder with the vocabulary and input limits it reads sentences with, plus an MLM
+    head after pretraining or an item matrix after finetuning. `save` and `load` hold the
+    checkpoint format. `min_count` built the vocabulary; None means a vocab file did."""
 
+    encoder: Encoder
+    vocab: Vocabulary
+    limits: InputLimits
+    loss: LossConfig
+    seed: int | None
+    head: MLMHead | None = None
+    matrix: ItemFeatureMatrix | None = None
+    min_count: int | None = None
 
-def _load_model_ckpt(path: str, check_finite: bool = True):
-    config, tensors = load_checkpoint(path, check_finite)
-    if config.get("kind") != "model":
-        raise CheckpointError(f"{path} is not a model checkpoint (kind={config.get('kind')!r})")
-    errors = [f"missing '{name}'" for name in _CKPT_SECTIONS if name not in config]
-    typed = {name: _section(config, name, keys, errors) for name, keys in _CKPT_SECTIONS.items()}
-    if config.get("min_count") is not None:
-        _typed(config["min_count"], int, "min_count", errors)
-    digest = _config_str(path, config, "item_digest")
-    for key in ("fingerprint", "item_fingerprint"):
-        _config_str(path, config, key)
-    if errors:
-        raise CheckpointError(f"{path}: malformed model config ({'; '.join(errors)})")
-    try:
-        enc_cfg = EncoderConfig(**typed["encoder"])
-        vocab = Vocabulary(config["vocab_tokens"])
-        limits = InputLimits(**typed["limits"])
-        loss_cfg = LossConfig(**typed["loss"])
-    except (KeyError, TypeError, ValueError, DataError) as e:
-        raise CheckpointError(f"{path}: malformed model config ({e})") from None
-    if vocab.size != enc_cfg.vocab_size:
-        raise CheckpointError(f"{path}: vocabulary of {vocab.size} ids but the encoder "
-                              f"has vocab_size={enc_cfg.vocab_size}")
-    if limits.max_tokens > enc_cfg.max_tokens or limits.max_items > enc_cfg.max_items:
-        raise CheckpointError(f"{path}: limits of {limits.max_tokens} tokens and "
-                              f"{limits.max_items} items exceed the encoder's "
-                              f"{enc_cfg.max_tokens} and {enc_cfg.max_items}")
-    # the file's layers must be exactly n_layers before any layer is built
-    n = enc_cfg.n_layers
-    if n > 0 and f"layer{n - 1}.attn.wq" not in tensors:
-        raise CheckpointError(f"{path}: missing parameter 'layer{n - 1}.attn.wq'")
-    if f"layer{n}.attn.wq" in tensors:
-        raise CheckpointError(f"{path}: unexpected tensor 'layer{n}.attn.wq'")
-    # no rng: zeros for load_state_dict to fill, not a random draw it would overwrite
-    try:
-        encoder = Encoder(enc_cfg, rng=None)
-        head = MLMHead(enc_cfg.d, enc_cfg.vocab_size, rng=None) if "mlm.w_h" in tensors else None
-    except (MemoryError, ValueError) as e:
-        raise CheckpointError(f"{path}: {_too_large(enc_cfg, e)}") from None
-    known = {p.name for p in encoder.parameters() + (head.parameters() if head else [])}
-    known.add("item_matrix")
-    unexpected = next((name for name in tensors if name not in known), None)
-    if unexpected is not None:
-        raise CheckpointError(f"{path}: unexpected tensor '{unexpected}'")
-    try:
-        encoder.load_state_dict(tensors)
-        if head is not None:
-            head.load_state_dict(tensors)
-    except (KeyError, ValueError) as e:
-        raise CheckpointError(f"{path}: {e.args[0]}") from None
-    matrix = None
-    if config.get("item_ids"):
-        if "item_matrix" not in tensors:
-            raise CheckpointError(f"{path}: item ids present but matrix tensor missing")
-        fingerprint = config.get("item_fingerprint", config.get("fingerprint", ""))
+    def save(self, path: str) -> None:
+        config = {
+            "kind": "model",
+            "encoder": self.encoder.config.to_dict(),
+            "limits": asdict(self.limits),
+            "loss": asdict(self.loss),
+            "seed": self.seed,
+            "vocab_tokens": self.vocab.token_list(),
+            "min_count": None if self.min_count is _UNRECORDED else self.min_count,
+            "item_ids": self.matrix.ids if self.matrix is not None else None,
+            "fingerprint": params_fingerprint(self.encoder.parameters()),
+            # the matrix may come from an earlier snapshot than the final encoder
+            "item_fingerprint": self.matrix.fingerprint if self.matrix is not None else None,
+            # the items file the matrix was encoded from, for `recommend`'s partial parse
+            "item_digest": self.matrix.digest if self.matrix is not None else None,
+        }
+        tensors = dict(self.encoder.state_dict())
+        if self.head is not None:
+            tensors.update(self.head.state_dict())
+        if self.matrix is not None:
+            tensors["item_matrix"] = self.matrix.rows
+        save_checkpoint(path, config, tensors)
+
+    @classmethod
+    def load(cls, path: str, check_finite: bool = True) -> Model:
+        config, tensors = load_checkpoint(path, check_finite)
+        if config.get("kind") != "model":
+            raise CheckpointError(f"{path} is not a model checkpoint "
+                                  f"(kind={config.get('kind')!r})")
+        errors = [f"missing '{name}'" for name in _CKPT_SECTIONS if name not in config]
+        typed = {n: _section(config, n, keys, errors) for n, keys in _CKPT_SECTIONS.items()}
+        for key in ("min_count", "seed"):
+            if config.get(key) is not None:
+                _typed(config[key], int, key, errors)
+        digest = _config_str(path, config, "item_digest")
+        for key in ("fingerprint", "item_fingerprint"):
+            _config_str(path, config, key)
+        if errors:
+            raise CheckpointError(f"{path}: malformed model config ({'; '.join(errors)})")
         try:
-            matrix = ItemFeatureMatrix(config["item_ids"], tensors["item_matrix"], fingerprint,
-                                       digest)
-        except (TypeError, ValueError) as e:
-            raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
-    return config, encoder, head, vocab, limits, loss_cfg, matrix
+            enc_cfg = EncoderConfig(**typed["encoder"])
+            vocab = Vocabulary(config["vocab_tokens"])
+            limits = InputLimits(**typed["limits"])
+            loss = LossConfig(**typed["loss"])
+        except (KeyError, TypeError, ValueError, DataError) as e:
+            raise CheckpointError(f"{path}: malformed model config ({e})") from None
+        if vocab.size != enc_cfg.vocab_size:
+            raise CheckpointError(f"{path}: vocabulary of {vocab.size} ids but the encoder "
+                                  f"has vocab_size={enc_cfg.vocab_size}")
+        if limits.max_tokens > enc_cfg.max_tokens or limits.max_items > enc_cfg.max_items:
+            raise CheckpointError(f"{path}: limits of {limits.max_tokens} tokens and "
+                                  f"{limits.max_items} items exceed the encoder's "
+                                  f"{enc_cfg.max_tokens} and {enc_cfg.max_items}")
+        # the file's layers must be exactly n_layers before any layer is built
+        n = enc_cfg.n_layers
+        if n > 0 and f"layer{n - 1}.attn.wq" not in tensors:
+            raise CheckpointError(f"{path}: missing parameter 'layer{n - 1}.attn.wq'")
+        if f"layer{n}.attn.wq" in tensors:
+            raise CheckpointError(f"{path}: unexpected tensor 'layer{n}.attn.wq'")
+        # no rng: zeros for load_state_dict to fill, not a random draw it would overwrite
+        try:
+            encoder = Encoder(enc_cfg, rng=None)
+            head = MLMHead(enc_cfg.d, vocab.size, rng=None) if "mlm.w_h" in tensors else None
+        except (MemoryError, ValueError) as e:
+            raise CheckpointError(f"{path}: {_too_large(enc_cfg, e)}") from None
+        known = {p.name for p in encoder.parameters() + (head.parameters() if head else [])}
+        known.add("item_matrix")
+        unexpected = next((name for name in tensors if name not in known), None)
+        if unexpected is not None:
+            raise CheckpointError(f"{path}: unexpected tensor '{unexpected}'")
+        try:
+            encoder.load_state_dict(tensors)
+            if head is not None:
+                head.load_state_dict(tensors)
+        except (KeyError, ValueError) as e:
+            raise CheckpointError(f"{path}: {e.args[0]}") from None
+        matrix = None
+        if config.get("item_ids"):
+            if "item_matrix" not in tensors:
+                raise CheckpointError(f"{path}: item ids present but matrix tensor missing")
+            fingerprint = config.get("item_fingerprint", config.get("fingerprint", ""))
+            try:
+                matrix = ItemFeatureMatrix(config["item_ids"], tensors["item_matrix"],
+                                           fingerprint, digest)
+            except (TypeError, ValueError) as e:
+                raise CheckpointError(f"{path}: malformed item matrix ({e})") from None
+        return cls(encoder, vocab, limits, loss, config.get("seed"), head, matrix,
+                   config.get("min_count", _UNRECORDED))
+
+
+def _save_model_ckpt(path: str, *fields, **named) -> None:
+    """`Model(*fields, **named).save(path)`, kept for its only caller, `bench/workloads.py:293`."""
+    Model(*fields, **named).save(path)
 
 
 def _load_item_matrix(path: str) -> ItemFeatureMatrix:
@@ -415,31 +433,30 @@ def cmd_pretrain(args) -> int:
                  log_fn=_epoch_logger(cfg.log_path))
     except ValueError as e:
         raise DataError(str(e)) from None
-    _save_model_ckpt(args.out, encoder, vocab, cfg.limits, cfg.loss, cfg.seed, head=head,
-                     min_count=min_count)
+    Model(encoder, vocab, cfg.limits, cfg.loss, cfg.seed, head=head,
+          min_count=min_count).save(args.out)
     log.info("saved %s", args.out)
     return 0
 
 
-def _check_against_checkpoint(cfg: RunConfig, path: str, ckpt_config: dict,
-                              enc_cfg: EncoderConfig, limits: InputLimits,
-                              vocab: Vocabulary) -> None:
+def _check_against_checkpoint(cfg: RunConfig, path: str, model: Model) -> None:
     """Finetuning keeps the checkpoint's encoder, limits and vocabulary.
 
     A config key that asks for a different one would be silently ignored,
     so it is an error instead. Checkpoints written before `min_count` was
     recorded cannot be checked against it.
     """
-    asked = {k: (v, getattr(enc_cfg, k)) for k, v in cfg.encoder.items()}
+    asked = {k: (v, getattr(model.encoder.config, k)) for k, v in cfg.encoder.items()}
     if "tokens_per_field" in cfg.catalog:
-        asked["tokens_per_field"] = (cfg.catalog["tokens_per_field"], limits.tokens_per_field)
-    if "min_count" in cfg.catalog and "min_count" in ckpt_config:
-        asked["min_count"] = (cfg.catalog["min_count"], ckpt_config["min_count"])
+        asked["tokens_per_field"] = (cfg.catalog["tokens_per_field"],
+                                     model.limits.tokens_per_field)
+    if "min_count" in cfg.catalog and model.min_count is not _UNRECORDED:
+        asked["min_count"] = (cfg.catalog["min_count"], model.min_count)
     for key, (want, have) in asked.items():
         if want != have:
             raise ConfigError(f"config asks for {key}={want} but checkpoint has {key}={have}")
     if cfg.vocab_path:
-        want, have = Vocabulary.load(cfg.vocab_path).token_list(), vocab.token_list()
+        want, have = Vocabulary.load(cfg.vocab_path).token_list(), model.vocab.token_list()
         if want != have:
             raise ConfigError(f"config vocab {cfg.vocab_path} ({len(want)} tokens) differs "
                               f"from the vocabulary in checkpoint {path} ({len(have)} tokens)")
@@ -451,37 +468,36 @@ def cmd_finetune(args) -> int:
         raise ConfigError("finetune needs data.items and data.interactions")
     _check_outputs(args.out, cfg.log_path)
     # non-finite weights are left to the loss guard, which names the batch (exit 3)
-    ckpt_config, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.init,
-                                                                    check_finite=False)
-    _check_against_checkpoint(cfg, args.init, ckpt_config, encoder.config, limits, vocab)
+    model = Model.load(args.init, check_finite=False)
+    _check_against_checkpoint(cfg, args.init, model)
     catalog, _, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
     split = leave_one_out(seqs)
     try:
-        result = two_stage_finetune(split, catalog, vocab, encoder, cfg.train,
-                                    cfg.loss, limits,
+        result = two_stage_finetune(split, catalog, model.vocab, model.encoder, cfg.train,
+                                    cfg.loss, model.limits,
                                     log_fn=_epoch_logger(cfg.log_path))
     except ValueError as e:
         raise DataError(str(e)) from None
-    _save_model_ckpt(args.out, encoder, vocab, limits, cfg.loss, cfg.seed,
-                     matrix=result.item_matrix, min_count=ckpt_config.get("min_count"))
+    replace(model, loss=cfg.loss, seed=cfg.seed, head=None,
+            matrix=result.item_matrix).save(args.out)
     log.info("best validation ndcg@10 %.4f; saved %s", result.best_metric, args.out)
     return 0
 
 
-def _pick_matrix(args, encoder, catalog, vocab, limits, stored: ItemFeatureMatrix | None,
+def _pick_matrix(args, model: Model, catalog: Catalog,
                  given: ItemFeatureMatrix | None = None) -> ItemFeatureMatrix:
     """The --item-matrix file (`given`, if already loaded), else the stored matrix if
     it covers the catalog, else a fresh encode."""
     source = args.ckpt
-    if getattr(args, "item_matrix", None):
+    if args.item_matrix:
         source, matrix = args.item_matrix, given or _load_item_matrix(args.item_matrix)
         if set(matrix.ids) != set(catalog.ids):
             raise DataError("item-matrix file does not cover the evaluation catalog")
-    elif stored is not None and set(stored.ids) == set(catalog.ids):
-        matrix = stored
+    elif model.matrix is not None and set(model.matrix.ids) == set(catalog.ids):
+        matrix = model.matrix
     else:
-        matrix = encode_all_items(encoder, catalog, vocab, limits)
-    return _check_width(source, matrix, encoder)
+        matrix = encode_all_items(model.encoder, catalog, model.vocab, model.limits)
+    return _check_width(source, matrix, model.encoder)
 
 
 def _check_width(source: str, matrix: ItemFeatureMatrix, encoder: Encoder) -> ItemFeatureMatrix:
@@ -496,7 +512,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--zero-shot encodes the catalog fresh and takes no --item-matrix; "
                           "pass one or the other")
     _check_outputs(args.csv)
-    _, encoder, _, vocab, limits, _, stored = _load_model_ckpt(args.ckpt)
+    model = Model.load(args.ckpt)
     data = Path(args.data)
     catalog, _, seqs = _load_corpus([str(data / "items.jsonl")],
                                     [str(data / "interactions.jsonl")])
@@ -505,49 +521,40 @@ def cmd_evaluate(args) -> int:
         raise DataError("no users with enough interactions to evaluate")
     if args.zero_shot:
         # fresh re-encode with the untouched checkpoint, never a stored matrix
-        matrix = encode_all_items(encoder, catalog, vocab, limits)
+        matrix = encode_all_items(model.encoder, catalog, model.vocab, model.limits)
     else:
-        matrix = _pick_matrix(args, encoder, catalog, vocab, limits, stored)
-    base_protocol = "zero-shot" if args.zero_shot else "leave-one-out"
-    reports: list[EvalReport] = []
-    if args.cold_start:
+        matrix = _pick_matrix(args, model, catalog)
+    protocol = "zero-shot" if args.zero_shot else "leave-one-out"
+    if args.cold_start:  # each non-empty bucket is scored; an empty one reports null
         buckets = cold_start_split(seqs)
-        payload = {}
-        for name, cases in (("in_set", buckets.in_set), ("cold", buckets.cold)):
-            if not cases:
-                payload[name] = None
-                continue
-            rep = evaluate_cases(encoder, matrix.rows, matrix.index, cases, catalog,
-                                 vocab, limits, fingerprint=matrix.fingerprint,
-                                 protocol=f"{base_protocol}/cold-start/{name}")
-            payload[name] = rep.to_dict()
-            reports.append(rep)
-        print(json.dumps(payload))
+        groups = {"in_set": buckets.in_set, "cold": buckets.cold}
     else:
-        rep = evaluate_cases(encoder, matrix.rows, matrix.index, split.test, catalog,
-                             vocab, limits, fingerprint=matrix.fingerprint,
-                             protocol=base_protocol)
-        reports.append(rep)
-        print(rep.to_json())
+        groups = {None: split.test}
+    reports = {name: evaluate_cases(model.encoder, matrix.rows, matrix.index, cases, catalog,
+                                    model.vocab, model.limits, fingerprint=matrix.fingerprint,
+                                    protocol=f"{protocol}/cold-start/{name}" if name else protocol)
+               for name, cases in groups.items() if cases}
+    payload = {name: rep.to_dict() if (rep := reports.get(name)) else None for name in groups}
+    print(json.dumps(payload if args.cold_start else payload[None]))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(CSV_HEADER + "\n")
-            for rep in reports:
+            for rep in reports.values():
                 fh.write(rep.csv_row() + "\n")
     return 0
 
 
 def cmd_encode_items(args) -> int:
     _check_outputs(args.out)
-    _, encoder, _, vocab, limits, _, _ = _load_model_ckpt(args.ckpt)
+    model = Model.load(args.ckpt)
     catalog, _, _ = _load_corpus([args.items], [])
-    matrix = encode_all_items(encoder, catalog, vocab, limits)
+    matrix = encode_all_items(model.encoder, catalog, model.vocab, model.limits)
     save_checkpoint(args.out, {
         "kind": "item_matrix",
         "item_ids": matrix.ids,
         "fingerprint": matrix.fingerprint,
         "item_digest": matrix.digest,
-        "d": encoder.config.d,
+        "d": model.encoder.config.d,
     }, {"rows": matrix.rows})
     log.info("encoded %d items -> %s", len(matrix.ids), args.out)
     return 0
@@ -571,9 +578,9 @@ def cmd_recommend(args) -> int:
     other file is parsed whole, and the matrix is picked as `evaluate` picks it."""
     if args.topk < 1:
         raise ConfigError(f"--topk must be >= 1, got {args.topk}")
-    _, encoder, _, vocab, limits, _, stored = _load_model_ckpt(args.ckpt)
+    model = Model.load(args.ckpt)
     history = [s.strip() for s in args.history.split(",") if s.strip()]
-    known, given = stored, None
+    known, given = model.matrix, None
     if args.item_matrix:
         try:
             known = given = _load_item_matrix(args.item_matrix)
@@ -587,11 +594,11 @@ def cmd_recommend(args) -> int:
     if not history:
         raise ConfigError("--history must name at least one item id")
     if matched:
-        matrix = _check_width(args.item_matrix or args.ckpt, known, encoder)
+        matrix = _check_width(args.item_matrix or args.ckpt, known, model.encoder)
     else:
-        matrix = _pick_matrix(args, encoder, catalog, vocab, limits, stored, given)
-    x = build_model_input(history, catalog, vocab, limits)
-    scores = cosine_scores(encoder.sequence_repr(x), matrix.rows)
+        matrix = _pick_matrix(args, model, catalog, given)
+    x = build_model_input(history, catalog, model.vocab, model.limits)
+    scores = cosine_scores(model.encoder.sequence_repr(x), matrix.rows)
     top = top_k(scores, matrix.ids, args.topk)
     print(json.dumps([{"item_id": matrix.ids[i], "score": float(scores[i])} for i in top]))
     return 0

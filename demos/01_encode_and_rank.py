@@ -40,11 +40,12 @@ limits = InputLimits(max_tokens=96, max_items=8, tokens_per_field=8)
 print(f"catalog: {len(catalog)} items, vocabulary: {vocab.size} ids "
       f"(4 reserved + {vocab.size - 4} words)\n")
 
-# What one item looks like after flattening: key/value tokens, typed.
-sent = flatten_item(items[0], vocab, limits.tokens_per_field)
-print("item sentence for sku-001:")
-print("  token ids  ", sent.token_ids.tolist())
-print("  token types", sent.token_types.tolist(), "(1 = key, 2 = value)\n")
+# What one item looks like after flattening: the aggregate slot, then the
+# item sentence of key/value tokens, typed. This is how an item is encoded.
+ids, types = flatten_item(items[0], vocab, limits.tokens_per_field)
+print("sku-001 flattened (aggregate slot first, then the item sentence):")
+print("  token ids  ", ids.tolist())
+print("  token types", types.tolist(), "(0 = aggregate, 1 = key, 2 = value)\n")
 
 # ---------------------------------------------------------------------------
 # A history becomes one sequence: aggregate slot first, newest item first.

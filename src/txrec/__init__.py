@@ -5,9 +5,8 @@ item sentences and interaction histories into vectors, and recommendation is
 cosine ranking between them. Training never sees an item id.
 """
 
-from .catalog import (Catalog, InputLimits, InteractionSequence, Item,
-                      ItemSentence, ModelInput, Vocabulary, build_model_input,
-                      flatten_item, item_input, tokenize)
+from .catalog import (Catalog, InputLimits, InteractionSequence, Item, ModelInput,
+                      Vocabulary, build_model_input, flatten_item, item_input, tokenize)
 from .encoder import Encoder, EncoderConfig, params_fingerprint
 from .errors import CatalogError, CheckpointError, ConfigError, DataError
 from .evaluator import (ColdStartSplit, EvalCase, EvalReport, EvalSplit,
@@ -27,8 +26,8 @@ __all__ = [
     "Adam", "Catalog", "CatalogError", "CheckpointError", "ColdStartSplit",
     "ConfigError", "DataError", "Encoder", "EncoderConfig", "EvalCase",
     "EvalReport", "EvalSplit", "FinetuneResult", "GradTape", "InputLimits",
-    "InteractionSequence", "Item", "ItemFeatureMatrix", "ItemSentence",
-    "LossConfig", "MaskingPlan", "MLMHead", "ModelInput", "Parameter", "Tensor",
+    "InteractionSequence", "Item", "ItemFeatureMatrix", "LossConfig",
+    "MaskingPlan", "MLMHead", "ModelInput", "Parameter", "Tensor",
     "TrainConfig", "Vocabulary", "apply_masking_plan",
     "build_model_input", "cold_start_split", "cosine_scores",
     "early_stop", "encode_all_items", "evaluate_cases", "finetune_loss",

@@ -56,12 +56,11 @@ class Item:
 class Catalog:
     """Item store with stable ingestion order and id lookup.
 
-    Item sentences are memoized per (vocabulary, tokens_per_field) and
-    single-item inputs per (vocabulary, tokens_per_field, max_tokens), so an
-    item is tokenized once, and its input assembled once, however often its
-    catalog is encoded; so is the `digest`. A sentence is the tail of its
-    input's arrays, so no item's tokens are held twice. Neither catalogs nor
-    vocabularies change after construction, so the memos never go stale.
+    Single-item inputs are memoized per (vocabulary, tokens_per_field,
+    max_tokens), so an item is tokenized and its input assembled once,
+    however often its catalog is encoded or its histories ranked; so is the
+    `digest`. Neither catalogs nor vocabularies change after construction,
+    so the memo never goes stale.
     """
 
     def __init__(self, items: Iterable[Item]):
@@ -70,7 +69,6 @@ class Catalog:
             if it.item_id in self._items:
                 raise DataError(f"duplicate item id '{it.item_id}'")
             self._items[it.item_id] = it
-        self._sentences: dict[tuple[Vocabulary, int], dict[str, ItemSentence]] = {}
         self._inputs: dict[tuple[Vocabulary, int, int], dict[str, ModelInput]] = {}
         self._positions = self._slots = np.zeros(0, dtype=np.int64)  # see _input_ranges
         self._ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -81,22 +79,13 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown item id '{item_id}'") from None
 
-    def sentence(self, item_id: str, vocab: Vocabulary, tokens_per_field: int) -> ItemSentence:
-        """`flatten_item` of the item, computed on first use and then remembered."""
-        memo = self._sentences.setdefault((vocab, tokens_per_field), {})
-        sent = memo.get(item_id)
-        if sent is None:
-            sent = memo[item_id] = flatten_item(self.get(item_id), vocab, tokens_per_field)
-        return sent
-
     def item_input(self, item_id: str, vocab: Vocabulary, limits: InputLimits) -> ModelInput:
-        """`build_model_input([item_id], ...)`, built on first use from the
-        sentence's arrays and then remembered; read-only, like the sentence."""
+        """`build_model_input([item_id], ...)`, built on first use from
+        `flatten_item`'s arrays and then remembered; read-only."""
         memo = self._inputs.setdefault((vocab, limits.tokens_per_field, limits.max_tokens), {})
         x = memo.get(item_id)
         if x is None:
-            sent = self.sentence(item_id, vocab, limits.tokens_per_field)
-            ids, types = sent.token_ids.base, sent.token_types.base  # see flatten_item
+            ids, types = flatten_item(self.get(item_id), vocab, limits.tokens_per_field)
             cap = limits.max_tokens + 1  # plus the aggregate slot
             if len(ids) > cap:  # cut only then, as build_model_input does
                 ids, types = ids[:cap], types[:cap]
@@ -206,14 +195,6 @@ class Vocabulary:
         return cls(lines[NUM_RESERVED:])
 
 
-@dataclass(frozen=True, eq=False)
-class ItemSentence:
-    """Flattened token view of one item: ids plus key/value type markers."""
-
-    token_ids: np.ndarray    # int64 (len,), read-only
-    token_types: np.ndarray  # int64 (len,), read-only
-
-
 @dataclass(frozen=True)
 class InputLimits:
     """Sequence construction budgets; table sizes in the encoder must cover them."""
@@ -227,12 +208,13 @@ class InputLimits:
             raise ValueError(f"limits must be positive: {self}")
 
 
-def flatten_item(item: Item, vocab: Vocabulary, tokens_per_field: int = 16) -> ItemSentence:
+def flatten_item(item: Item, vocab: Vocabulary,
+                 tokens_per_field: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Interleave each attribute's key tokens and value tokens, in pair order.
 
-    The sentence's arrays are views past the first element of one read-only
-    array per field, whose first element is the aggregate slot's id or type:
-    whole, those arrays are the item's single-item input (`item_input`)."""
+    Returns the item's single-item token ids and types, read-only int64
+    arrays whose first element is the aggregate slot; the rest is the item
+    sentence."""
     ids = [CLS_ID]
     types = [TYPE_CLS]
     for key, value in item.attributes:
@@ -241,8 +223,7 @@ def flatten_item(item: Item, vocab: Vocabulary, tokens_per_field: int = 16) -> I
         types += [TYPE_KEY] * len(keys) + [TYPE_VALUE] * len(values)
     if len(ids) == 1:
         log.warning("item '%s' flattens to an empty sentence", item.item_id)
-    return ItemSentence(_freeze(np.array(ids, dtype=np.int64))[1:],
-                        _freeze(np.array(types, dtype=np.int64))[1:])
+    return _freeze(np.array(ids, dtype=np.int64)), _freeze(np.array(types, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,10 +276,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-# the aggregate slot, as the one-token sentence at item slot 0 of every model input
-_AGGREGATE = ItemSentence(_freeze(np.array([CLS_ID])), _freeze(np.array([TYPE_CLS])))
-
-
 def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabulary,
                       limits: InputLimits = InputLimits()) -> ModelInput:
     """Assemble the encoder input for a history, newest interaction first.
@@ -309,11 +286,13 @@ def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabula
     if not item_ids:
         raise ValueError("history must contain at least one item")
     newest_first = reversed(list(item_ids)[-limits.max_items:])
-    sents = [_AGGREGATE] + [catalog.sentence(iid, vocab, limits.tokens_per_field)
-                            for iid in newest_first]
-    ids = np.concatenate([s.token_ids for s in sents])
-    types = np.concatenate([s.token_types for s in sents])
-    slots = np.repeat(np.arange(len(sents)), [len(s.token_ids) for s in sents])
+    # each item's sentence is its memoized single-item input past the
+    # aggregate slot, which the newest item's input brings whole; an input's
+    # own cut drops only tokens past this one's
+    xs = [catalog.item_input(iid, vocab, limits) for iid in newest_first]
+    ids = np.concatenate([xs[0].token_ids, *[x.token_ids[1:] for x in xs[1:]]])
+    types = np.concatenate([xs[0].token_types, *[x.token_types[1:] for x in xs[1:]]])
+    slots = np.repeat(np.arange(len(xs) + 1), [1] + [len(x) - 1 for x in xs])
     cap = limits.max_tokens + 1  # plus the aggregate slot
     if len(ids) > cap:  # cut only then: each view is one more array object per input
         ids, types, slots = ids[:cap], types[:cap], slots[:cap]

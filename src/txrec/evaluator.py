@@ -8,7 +8,6 @@ similarity of representations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -134,9 +133,6 @@ class EvalReport:
             "fingerprint": self.fingerprint,
             "metrics": {k: self.metrics[k] for k in METRIC_KEYS},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     def csv_row(self) -> str:
         vals = ",".join(f"{self.metrics[k]:.6f}" for k in METRIC_KEYS)

@@ -553,7 +553,11 @@ def _chunk_view(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def _real_lengths(lengths, n_seq: int, length: int) -> np.ndarray:
-    return np.full(n_seq, length) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    """Each sequence's real length, all `length` when None, checked to fit."""
+    lengths = np.full(n_seq, length) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
+        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
+    return lengths
 
 
 def _dense_rows(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, lengths: np.ndarray,
@@ -594,8 +598,6 @@ def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None
         raise ValueError(f"global attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
     n_seq, _, length, d_head = kd.shape
     lengths = _real_lengths(lengths, n_seq, length)
-    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
     alpha = 1.0 / math.sqrt(d_head)
     out_data, p = _dense_rows(qd, kd, vd, lengths, alpha)
 
@@ -649,8 +651,6 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     alpha = 1.0 / math.sqrt(d_head)
 
     lengths = _real_lengths(lengths, n_seq, length)
-    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
 
     # Scores and weights live slot-first, (S, B, H, C, w), so the softmax
     # reduces over a leading axis; matmuls read and write them through
@@ -749,8 +749,6 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
     seq = np.asarray(seq, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     lengths = _real_lengths(lengths, n_seq, length)
-    if lengths.shape != (n_seq,) or lengths.max() > length or lengths.min() < 1:
-        raise ValueError(f"lengths {lengths.tolist()} do not fit a batch of {n_seq} x {length}")
     if seq.shape != qd.shape[:1] or pos.shape != seq.shape \
             or not ((seq >= 0) & (seq < n_seq)).all() \
             or not ((pos >= 1) & (pos < lengths[seq])).all() \

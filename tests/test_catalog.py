@@ -139,32 +139,33 @@ def test_vocabulary_load_rejects_bad_header(tmp_path):
 
 def test_flatten_interleaves_keys_and_values():
     vocab = Vocabulary.build(_color_items())
-    sent = flatten_item(Item("b", (("Color", "blue deep"),)), vocab)
-    assert sent.token_ids.tolist() == [vocab.id("color"), vocab.id("blue"), vocab.id("deep")]
-    assert sent.token_types.tolist() == [TYPE_KEY, TYPE_VALUE, TYPE_VALUE]
+    ids, types = flatten_item(Item("b", (("Color", "blue deep"),)), vocab)
+    # the aggregate slot first, then the item sentence
+    assert ids.tolist() == [CLS_ID, vocab.id("color"), vocab.id("blue"), vocab.id("deep")]
+    assert types.tolist() == [TYPE_CLS, TYPE_KEY, TYPE_VALUE, TYPE_VALUE]
 
 
 def test_flatten_respects_per_field_cap():
     item = Item("x", (("one two three", "a b c d e"), ("k", "v")))
     vocab = Vocabulary.build([item])
-    sent = flatten_item(item, vocab, tokens_per_field=2)
-    # two key tokens, two value tokens, then the second pair
-    assert len(sent.token_ids) == 2 + 2 + 1 + 1
-    assert sent.token_types.tolist() == [TYPE_KEY, TYPE_KEY, TYPE_VALUE, TYPE_VALUE,
-                                         TYPE_KEY, TYPE_VALUE]
+    ids, types = flatten_item(item, vocab, tokens_per_field=2)
+    # the aggregate slot, two key tokens, two value tokens, then the second pair
+    assert len(ids) == 1 + 2 + 2 + 1 + 1
+    assert types.tolist() == [TYPE_CLS, TYPE_KEY, TYPE_KEY, TYPE_VALUE, TYPE_VALUE,
+                              TYPE_KEY, TYPE_VALUE]
 
 
 def test_flatten_unknown_tokens_map_to_unk():
     vocab = Vocabulary.build(_color_items())
-    sent = flatten_item(Item("z", (("Color", "chartreuse"),)), vocab)
-    assert sent.token_ids.tolist() == [vocab.id("color"), UNK_ID]
+    ids, _ = flatten_item(Item("z", (("Color", "chartreuse"),)), vocab)
+    assert ids.tolist() == [CLS_ID, vocab.id("color"), UNK_ID]
 
 
 def test_flatten_empty_item_warns(caplog):
     vocab = Vocabulary.build(_color_items())
     with caplog.at_level("WARNING"):
-        sent = flatten_item(Item("e", ()), vocab)
-    assert sent.token_ids.tolist() == []
+        ids, types = flatten_item(Item("e", ()), vocab)
+    assert (ids.tolist(), types.tolist()) == ([CLS_ID], [TYPE_CLS])
     assert any("empty" in r.message for r in caplog.records)
 
 
@@ -221,8 +222,9 @@ def test_build_model_input_errors():
 
 
 def test_build_model_input_matches_flatten_per_vocab_and_field_cap(monkeypatch):
-    # one catalog read through two vocabularies and two field caps: each
-    # (vocab, cap) gets its own sentences, and each item is flattened once
+    # one catalog read through two vocabularies, two field caps and three
+    # token budgets, two of which cut items: each (vocab, cap, budget) gets
+    # its own item inputs, and each item is flattened once per setting
     items = [Item("p", (("Title", "red blue deep sea"), ("Brand", "acme corp"))),
              Item("q", (("Title", "green grass"),)),
              Item("r", (("Brand", "zenith deep blue"), ("Size", "xl")))]
@@ -234,28 +236,33 @@ def test_build_model_input_matches_flatten_per_vocab_and_field_cap(monkeypatch):
                         lambda item, vocab, cap: calls.append(item.item_id)
                         or real_flatten(item, vocab, cap))
     history = ["p", "q", "r", "p"]
+    budgets = (2, 5, InputLimits().max_tokens)
     for _ in range(2):
         for vocab in vocabs:
             for cap in (1, 3):
-                x = build_model_input(history, cat, vocab, InputLimits(tokens_per_field=cap))
-                ids, types = [CLS_ID], [TYPE_CLS]
-                for iid in reversed(history):
-                    sent = real_flatten(cat.get(iid), vocab, cap)
-                    ids += sent.token_ids.tolist()
-                    types += sent.token_types.tolist()
-                npt.assert_array_equal(x.token_ids, ids)
-                npt.assert_array_equal(x.token_types, types)
-    assert sorted(calls) == sorted(["p", "q", "r"] * 4)
+                for budget in budgets:
+                    limits = InputLimits(max_tokens=budget, tokens_per_field=cap)
+                    x = build_model_input(history, cat, vocab, limits)
+                    # whole sentences joined newest first, then cut once
+                    ids, types = [CLS_ID], [TYPE_CLS]
+                    for iid in reversed(history):
+                        item_ids, item_types = real_flatten(cat.get(iid), vocab, cap)
+                        ids += item_ids[1:].tolist()
+                        types += item_types[1:].tolist()
+                    npt.assert_array_equal(x.token_ids, ids[:budget + 1])
+                    npt.assert_array_equal(x.token_types, types[:budget + 1])
+                    npt.assert_array_equal(x.token_positions, np.arange(len(x)))
+    assert sorted(calls) == sorted(["p", "q", "r"] * 2 * 2 * len(budgets))
 
 
 def test_memoized_sentences_are_read_only():
     cat, vocab = _setup()
-    sent = cat.sentence("b", vocab, 16)
-    assert cat.sentence("b", vocab, 16) is sent
-    assert sent.token_ids.dtype == np.int64 and sent.token_types.dtype == np.int64
-    for arr in (sent.token_ids, sent.token_types):
+    x = item_input("b", cat, vocab)
+    assert item_input("b", cat, vocab) is x
+    assert x.token_ids.dtype == np.int64 and x.token_types.dtype == np.int64
+    for arr in (x.token_ids, x.token_types, *flatten_item(cat.get("b"), vocab)):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0] = UNK_ID
+            arr[1] = UNK_ID
     npt.assert_array_equal(build_model_input(["b"], cat, vocab).token_ids,
                            [CLS_ID, vocab.id("color"), vocab.id("blue"), vocab.id("deep")])
 
@@ -291,15 +298,21 @@ def test_item_inputs_are_memoized_per_vocab_field_cap_and_token_budget():
     assert len(item_input("p", cat, vocabs[0], InputLimits(max_tokens=2))) == 3  # cut
 
 
-def test_item_input_and_sentence_share_one_token_array():
+def test_item_input_and_sentence_share_one_token_array(monkeypatch):
     cat, vocab = _setup()
-    sent = cat.sentence("b", vocab, 16)
+    flattened = []
+    real_flatten = catalog_mod.flatten_item
+    monkeypatch.setattr(catalog_mod, "flatten_item",
+                        lambda *args: flattened.append(real_flatten(*args)) or flattened[-1])
     x = item_input("b", cat, vocab)
-    assert cat.sentence("b", vocab, 16) is sent and item_input("b", cat, vocab) is x
+    assert item_input("b", cat, vocab) is x and len(flattened) == 1
     assert (x.token_ids[0], x.token_types[0]) == (CLS_ID, TYPE_CLS)
-    for whole, tail in ((x.token_ids, sent.token_ids), (x.token_types, sent.token_types)):
-        npt.assert_array_equal(whole[1:], tail)
-        assert np.shares_memory(whole, tail)  # no item's tokens are held twice
+    # the input holds flatten_item's arrays themselves, sentence and all
+    assert x.token_ids is flattened[0][0] and x.token_types is flattened[0][1]
+    cut = item_input("b", cat, vocab, InputLimits(max_tokens=2))
+    for part, whole in zip((cut.token_ids, cut.token_types), flattened[1]):
+        npt.assert_array_equal(part, whole[:3])
+        assert np.shares_memory(part, whole)  # no item's tokens are held twice
     # every input's positions are views of one array
     y = item_input("a", cat, vocab)
     assert (len(x), len(y)) == (4, 3)

@@ -1,6 +1,7 @@
 """The demos stay in step with the package API.
 
-Every demo's `from txrec... import` names must resolve, which is cheap.
+Every demo's `from txrec... import` names must resolve, and so must every
+name in `txrec.__all__`, which is cheap.
 The other demos train models and take seconds each, so only the
 encode-and-rank walk-through runs end to end here, with README's Python
 quickstart, which trains through `two_stage_finetune` with dropout.
@@ -40,6 +41,13 @@ def test_demo_imports_resolve(demo):
     missing = [f"{node.module}.{alias.name}" for node in imports for alias in node.names
                if not hasattr(importlib.import_module(node.module), alias.name)]
     assert not missing, f"{demo.name} imports names txrec no longer has: {missing}"
+
+
+def test_package_all_names_resolve():
+    txrec = importlib.import_module("txrec")
+    missing = [name for name in txrec.__all__ if not hasattr(txrec, name)]
+    assert not missing, f"txrec.__all__ names what txrec lacks: {missing}"
+    assert len(set(txrec.__all__)) == len(txrec.__all__)
 
 
 def test_readme_python_quickstart_runs():

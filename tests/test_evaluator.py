@@ -220,7 +220,7 @@ def test_block_ranks_do_not_depend_on_the_block_bound(monkeypatch):
 def test_eval_report_json_and_csv():
     rep = EvalReport({"ndcg@10": 0.5, "recall@10": 1.0, "mrr": 0.25},
                      n_users=7, fingerprint="cafe", protocol="leave-one-out")
-    d = json.loads(rep.to_json())
+    d = json.loads(json.dumps(rep.to_dict()))
     assert d == {"protocol": "leave-one-out", "n_users": 7, "fingerprint": "cafe",
                  "metrics": {"ndcg@10": 0.5, "recall@10": 1.0, "mrr": 0.25}}
     assert rep.csv_row() == "0.500000,1.000000,0.250000,7"

@@ -252,9 +252,9 @@ def test_build_model_input_keeps_its_layout(case):
     assert x.token_ids[0] == CLS_ID  # the aggregate slot
     slots = x.item_positions
     assert slots[0] == 0 and (np.diff(slots) >= 0).all() and slots.max() <= limits.max_items
-    newest = flatten_item(catalog.get(history[-1]), vocab, limits.tokens_per_field)
-    npt.assert_array_equal(x.token_ids[slots == 1], newest.token_ids[: limits.max_tokens])
-    npt.assert_array_equal(x.token_types[slots == 1], newest.token_types[: limits.max_tokens])
+    ids, types = flatten_item(catalog.get(history[-1]), vocab, limits.tokens_per_field)
+    npt.assert_array_equal(x.token_ids[slots == 1], ids[1:limits.max_tokens + 1])
+    npt.assert_array_equal(x.token_types[slots == 1], types[1:limits.max_tokens + 1])
 
 
 @FUZZ

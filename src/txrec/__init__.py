@@ -15,7 +15,7 @@ from .evaluator import (ColdStartSplit, EvalCase, EvalReport, EvalSplit,
                         zero_shot_evaluate)
 from .objectives import (LossConfig, MaskingPlan, MLMHead, apply_masking_plan,
                          cosine_scores, finetune_loss, iic_inbatch_loss,
-                         make_masking_plan, mlm_loss, pretrain_loss)
+                         make_masking_plan, pretrain_loss)
 from .tensor import Adam, GradTape, Parameter, Tensor
 from .trainer import (FinetuneResult, ItemFeatureMatrix, TrainConfig, early_stop,
                       encode_all_items, pretrain, two_stage_finetune)
@@ -32,7 +32,7 @@ __all__ = [
     "build_model_input", "cold_start_split", "cosine_scores",
     "early_stop", "encode_all_items", "evaluate_cases", "finetune_loss",
     "flatten_item", "iic_inbatch_loss", "item_input", "leave_one_out",
-    "make_masking_plan", "mlm_loss", "ndcg_at_k", "params_fingerprint",
+    "make_masking_plan", "ndcg_at_k", "params_fingerprint",
     "pretrain", "pretrain_loss", "random_baseline_mrr",
     "rank_of_target", "recall_at_k", "tokenize", "two_stage_finetune",
     "zero_shot_evaluate",

@@ -70,8 +70,7 @@ class Catalog:
                 raise DataError(f"duplicate item id '{it.item_id}'")
             self._items[it.item_id] = it
         self._inputs: dict[tuple[Vocabulary, int, int], dict[str, ModelInput]] = {}
-        self._positions = self._slots = np.zeros(0, dtype=np.int64)  # see _input_ranges
-        self._ranges: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._slots = np.zeros(0, dtype=np.int64)  # [0, 1, 1, ...], grown on demand
 
     def get(self, item_id: str) -> Item:
         try:
@@ -82,28 +81,27 @@ class Catalog:
     def item_input(self, item_id: str, vocab: Vocabulary, limits: InputLimits) -> ModelInput:
         """`build_model_input([item_id], ...)`, built on first use from
         `flatten_item`'s arrays and then remembered; read-only."""
-        memo = self._inputs.setdefault((vocab, limits.tokens_per_field, limits.max_tokens), {})
+        memo = self._memo(vocab, limits)
         x = memo.get(item_id)
         if x is None:
             ids, types = flatten_item(self.get(item_id), vocab, limits.tokens_per_field)
             cap = limits.max_tokens + 1  # plus the aggregate slot
             if len(ids) > cap:  # cut only then, as build_model_input does
                 ids, types = ids[:cap], types[:cap]
-            positions, slots = self._input_ranges(len(ids))
-            x = memo[item_id] = ModelInput(ids, positions, types, slots)
+            n = len(ids)
+            if n > len(self._slots):  # every input's slots are a view of one array
+                self._slots = _freeze(np.minimum(np.arange(2 * n, dtype=np.int64), 1))
+            x = memo[item_id] = ModelInput(ids, types, self._slots[:n])
         return x
 
-    def _input_ranges(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only token positions 0..n-1 and item positions [0, 1, 1, ...]:
-        views of one shared `arange`, one pair per length."""
-        got = self._ranges.get(n)
-        if got is None:
-            if n > len(self._positions):
-                self._positions = _freeze(np.arange(max(n, 2 * len(self._positions)),
-                                                    dtype=np.int64))
-                self._slots = _freeze(np.minimum(self._positions, 1))
-            got = self._ranges[n] = (self._positions[:n], self._slots[:n])
-        return got
+    def _memo(self, vocab: Vocabulary, limits: InputLimits) -> dict[str, ModelInput]:
+        """The memoized single-item inputs of one (vocabulary, tokens_per_field,
+        max_tokens), by item id."""
+        key = (vocab, limits.tokens_per_field, limits.max_tokens)
+        memo = self._inputs.get(key)
+        if memo is None:
+            memo = self._inputs[key] = {}
+        return memo
 
     @property
     def ids(self) -> list[str]:
@@ -228,10 +226,10 @@ def flatten_item(item: Item, vocab: Vocabulary,
 
 @dataclass(frozen=True, eq=False)
 class ModelInput:
-    """Index arrays for one encoder call; position 0 is the aggregate slot."""
+    """Index arrays for one encoder call; slot 0 is the aggregate slot. A
+    token's position is its slot's index, which the encoder supplies."""
 
     token_ids: np.ndarray       # int64 (len,)
-    token_positions: np.ndarray  # int64 (len,) 0..len-1
     token_types: np.ndarray     # int64 (len,)
     item_positions: np.ndarray  # int64 (len,) 0 for the aggregate, then 1=newest item
 
@@ -249,11 +247,10 @@ class ModelBatch:
     is attended by, every real token.
     """
 
-    token_ids: np.ndarray        # int64 (B, len)
-    token_positions: np.ndarray  # int64 (B, len)
-    token_types: np.ndarray      # int64 (B, len)
-    item_positions: np.ndarray   # int64 (B, len)
-    lengths: np.ndarray          # int64 (B,)
+    token_ids: np.ndarray       # int64 (B, len)
+    token_types: np.ndarray     # int64 (B, len)
+    item_positions: np.ndarray  # int64 (B, len)
+    lengths: np.ndarray         # int64 (B,)
 
     @classmethod
     def pack(cls, inputs: Sequence[ModelInput]) -> "ModelBatch":
@@ -262,7 +259,7 @@ class ModelBatch:
         lengths = np.array([len(x) for x in inputs], dtype=np.int64)
         filled = np.arange(lengths.max()) < lengths[:, None]  # row-major, like a concatenation
         arrays = {}
-        for f in ("token_ids", "token_positions", "token_types", "item_positions"):
+        for f in ("token_ids", "token_types", "item_positions"):
             parts = [getattr(x, f) for x in inputs]
             if any(len(p) != n for p, n in zip(parts, lengths)):
                 raise ValueError("model input arrays disagree on length")
@@ -289,19 +286,17 @@ def build_model_input(item_ids: Sequence[str], catalog: Catalog, vocab: Vocabula
     # each item's sentence is its memoized single-item input past the
     # aggregate slot, which the newest item's input brings whole; an input's
     # own cut drops only tokens past this one's
-    xs = [catalog.item_input(iid, vocab, limits) for iid in newest_first]
+    memo = catalog._memo(vocab, limits)
+    xs = [memo[iid] if iid in memo else catalog.item_input(iid, vocab, limits)
+          for iid in newest_first]
     ids = np.concatenate([xs[0].token_ids, *[x.token_ids[1:] for x in xs[1:]]])
     types = np.concatenate([xs[0].token_types, *[x.token_types[1:] for x in xs[1:]]])
     slots = np.repeat(np.arange(len(xs) + 1), [1] + [len(x) - 1 for x in xs])
     cap = limits.max_tokens + 1  # plus the aggregate slot
     if len(ids) > cap:  # cut only then: each view is one more array object per input
         ids, types, slots = ids[:cap], types[:cap], slots[:cap]
-    return ModelInput(
-        token_ids=_freeze(ids),
-        token_positions=_freeze(np.arange(len(ids), dtype=np.int64)),
-        token_types=_freeze(types),
-        item_positions=_freeze(slots),
-    )
+    return ModelInput(token_ids=_freeze(ids), token_types=_freeze(types),
+                      item_positions=_freeze(slots))
 
 
 def item_input(item_id: str, catalog: Catalog, vocab: Vocabulary,

@@ -149,12 +149,16 @@ class Encoder:
     def embed(self, x: ModelInput | ModelBatch) -> Tensor:
         """Sum of the four per-token embeddings, layer-normalized.
 
-        (len, d) for one input, (B, len, d) for a padded batch.
+        (len, d) for one input, (B, len, d) for a padded batch. A token's
+        position is its slot's index; a padded slot takes position 0.
         """
         self._check_input(x)
+        positions = np.arange(x.token_ids.shape[-1])
+        if isinstance(x, ModelBatch):
+            positions = positions * (positions < x.lengths[:, None])
         e = T.add(
             T.add(T.embedding_lookup(self.token_emb, x.token_ids),
-                  T.embedding_lookup(self.pos_emb, x.token_positions)),
+                  T.embedding_lookup(self.pos_emb, positions)),
             T.add(T.embedding_lookup(self.type_emb, x.token_types),
                   T.embedding_lookup(self.item_emb, x.item_positions)),
         )

@@ -93,12 +93,8 @@ def apply_masking_plan(x: ModelInput, plan: MaskingPlan) -> ModelInput:
     """Copy of the input with the plan's replacements written in."""
     ids = x.token_ids.copy()
     ids[plan.positions] = plan.replacements
-    return ModelInput(
-        token_ids=_freeze(ids),
-        token_positions=x.token_positions,
-        token_types=x.token_types,
-        item_positions=x.item_positions,
-    )
+    return ModelInput(token_ids=_freeze(ids), token_types=x.token_types,
+                      item_positions=x.item_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +128,6 @@ class MLMHead:
         """(rows, d) -> (rows, vocab): transform, GELU, plain LayerNorm, project."""
         m = T.layer_norm(T.gelu(T.add(T.matmul(hidden_rows, self.w_h), self.b_h)))
         return T.add(T.matmul(m, self.w_out), self.b_out)
-
-
-def mlm_loss(hidden: Tensor, plan: MaskingPlan, head: MLMHead) -> Tensor:
-    """Mean cross-entropy of the original tokens at the selected positions."""
-    return pooled_mlm_loss([hidden], [plan], head)
 
 
 def pooled_mlm_loss(hiddens: list[Tensor] | Tensor, plans: list[MaskingPlan],

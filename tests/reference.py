@@ -69,17 +69,23 @@ def allowed_pairs_ref(length: int, window: int) -> np.ndarray:
     return ok
 
 
+def embed_ref(state: dict[str, np.ndarray], x) -> np.ndarray:
+    """Layer-normalized sum of the four embeddings of one unpadded input; a
+    token's position is its index."""
+    e = (state["emb.token"][x.token_ids]
+         + state["emb.pos"][np.arange(len(x.token_ids))]
+         + state["emb.type"][x.token_types]
+         + state["emb.item"][x.item_positions])
+    return layer_norm_ref(e, state["emb.ln.gamma"], state["emb.ln.beta"])
+
+
 def encode_ref(state: dict[str, np.ndarray], cfg, x, masked: bool = True) -> np.ndarray:
     """Full forward with dense attention. `cfg` is an EncoderConfig-alike.
 
     With masked=True the windowed pattern is applied through a materialized
     mask; masked=False is plain dense attention (valid when window >= len).
     """
-    e = (state["emb.token"][x.token_ids]
-         + state["emb.pos"][x.token_positions]
-         + state["emb.type"][x.token_types]
-         + state["emb.item"][x.item_positions])
-    h = layer_norm_ref(e, state["emb.ln.gamma"], state["emb.ln.beta"])
+    h = embed_ref(state, x)
     length = len(x.token_ids)
     n_heads = cfg.n_heads
     d_head = cfg.d // n_heads
@@ -108,7 +114,7 @@ def pack_ref(inputs) -> dict[str, np.ndarray]:
     """Right-padded (B, len) arrays of model inputs, copied one row and one field at a time."""
     width = max(len(x.token_ids) for x in inputs)
     out = {}
-    for f in ("token_ids", "token_positions", "token_types", "item_positions"):
+    for f in ("token_ids", "token_types", "item_positions"):
         rows = np.zeros((len(inputs), width), dtype=np.int64)
         for b, x in enumerate(inputs):
             rows[b, : len(x.token_ids)] = getattr(x, f)

@@ -27,7 +27,7 @@ from txrec.evaluator import (EvalCase, cold_start_split, evaluate_cases,
 from txrec.objectives import (ACTION_KEEP, ACTION_MASK, ACTION_RANDOM, LossConfig,
                               MaskingPlan, MLMHead, apply_masking_plan,
                               finetune_loss, iic_inbatch_loss, make_masking_plan,
-                              mlm_loss, pooled_mlm_loss, pretrain_loss)
+                              pooled_mlm_loss, pretrain_loss)
 from txrec.rng import stream
 from txrec.synthetic import SyntheticSpec, generate_domain
 from txrec.trainer import TrainConfig, pretrain, two_stage_finetune
@@ -183,7 +183,7 @@ def test_criterion_03_loss_closed_forms():
     plan = MaskingPlan(positions, originals,
                        np.full(4, ACTION_MASK, dtype=np.int64),
                        np.full(4, MASK_ID, dtype=np.int64))
-    flat_mlm = float(mlm_loss(hidden, plan, head).data)
+    flat_mlm = float(pooled_mlm_loss([hidden], [plan], head).data)
     assert abs(flat_mlm - math.log(v_words)) < 1e-5
     _report(3, f"single-pair {0.0}, uniform batch {uniform:.8f} vs ln16, "
                f"flat catalog {flat:.8f} vs ln50, flat logits {flat_mlm:.7f} vs ln30")
@@ -384,7 +384,6 @@ def test_criterion_09_masking_rate_and_action_split():
     ids = np.concatenate([[CLS_ID], 4 + (np.arange(n_pos) % 30)]).astype(np.int64)
     x = ModelInput(
         token_ids=ids,
-        token_positions=np.arange(n_pos + 1, dtype=np.int64),
         token_types=np.concatenate([[0], np.full(n_pos, 2)]).astype(np.int64),
         item_positions=np.concatenate([[0], 1 + np.arange(n_pos) // 9]).astype(np.int64),
     )

@@ -185,7 +185,6 @@ def test_build_model_input_layout_by_hand():
     npt.assert_array_equal(x.token_ids, [CLS_ID, color, blue, deep, color, red])
     npt.assert_array_equal(x.token_types,
                            [TYPE_CLS, TYPE_KEY, TYPE_VALUE, TYPE_VALUE, TYPE_KEY, TYPE_VALUE])
-    npt.assert_array_equal(x.token_positions, np.arange(6))
     npt.assert_array_equal(x.item_positions, [0, 1, 1, 1, 2, 2])
     assert len(x) == 6
     assert x.token_ids.dtype == np.int64 and x.item_positions.dtype == np.int64
@@ -251,7 +250,6 @@ def test_build_model_input_matches_flatten_per_vocab_and_field_cap(monkeypatch):
                         types += item_types[1:].tolist()
                     npt.assert_array_equal(x.token_ids, ids[:budget + 1])
                     npt.assert_array_equal(x.token_types, types[:budget + 1])
-                    npt.assert_array_equal(x.token_positions, np.arange(len(x)))
     assert sorted(calls) == sorted(["p", "q", "r"] * 2 * 2 * len(budgets))
 
 
@@ -289,7 +287,7 @@ def test_item_inputs_are_memoized_per_vocab_field_cap_and_token_budget():
             assert item_input(iid, cat, vocab, InputLimits(limits.max_tokens, 1,
                                                            limits.tokens_per_field)) is x
             want = build_model_input([iid], cat, vocab, limits)
-            for field in ("token_ids", "token_positions", "token_types", "item_positions"):
+            for field in ("token_ids", "token_types", "item_positions"):
                 got = getattr(x, field)
                 assert got.dtype == np.int64, field
                 npt.assert_array_equal(got, getattr(want, field), err_msg=field)
@@ -313,10 +311,9 @@ def test_item_input_and_sentence_share_one_token_array(monkeypatch):
     for part, whole in zip((cut.token_ids, cut.token_types), flattened[1]):
         npt.assert_array_equal(part, whole[:3])
         assert np.shares_memory(part, whole)  # no item's tokens are held twice
-    # every input's positions are views of one array
+    # every input's item positions are views of one array
     y = item_input("a", cat, vocab)
     assert (len(x), len(y)) == (4, 3)
-    assert np.shares_memory(x.token_positions, y.token_positions)
     assert np.shares_memory(x.item_positions, y.item_positions)
 
 

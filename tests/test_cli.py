@@ -19,6 +19,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import cli_identity
 from txrec import catalog as catalog_mod
 from txrec.catalog import RESERVED_TOKENS, load_items_jsonl
 from txrec.checkpoint import load_checkpoint, save_checkpoint
@@ -115,6 +116,20 @@ def test_pretrain_rerun_is_byte_identical(workdir, tmp_path):
     out = tmp_path / "again.ckpt"
     assert run("pretrain", "--config", workdir["config"], "--out", out) == 0
     assert out.read_bytes() == workdir["pre"].read_bytes()
+
+
+def test_cli_sequence_reruns_write_one_manifest(tmp_path):
+    """Byte-identical reruns for the whole command line: `cli_identity.py`'s
+    fixed sequence, run twice at both token budgets, hashes every file and
+    stdout alike, with only the epoch log's timing fields left out."""
+    first, second = (cli_identity.run(tmp_path / side) for side in ("a", "b"))
+    assert first == second
+    assert json.loads((tmp_path / "a" / "manifest.json").read_text()) == first
+    assert len(first["commands"]) == 18 and len(first["files"]) == 20
+    assert {c["exit"] for c in first["commands"].values()} == {0}
+    printed = [c["stdout"] for name, c in first["commands"].items()
+               if name.split("/")[1].startswith(("evaluate", "recommend"))]
+    assert len(printed) == 10 and hashlib.sha256(b"").hexdigest() not in printed
 
 
 def test_pretrain_writes_epoch_log(workdir):

@@ -114,12 +114,7 @@ def test_embed_is_normalized_sum_of_four_tables(tiny_corpus):
     _, vocab, _ = tiny_corpus
     enc = Encoder(_cfg(vocab.size), stream(0, "init"), dtype=F64)
     x = _history(tiny_corpus)
-    got = enc.embed(x).data
-    state = enc.state_dict()
-    e = (state["emb.token"][x.token_ids] + state["emb.pos"][x.token_positions]
-         + state["emb.type"][x.token_types] + state["emb.item"][x.item_positions])
-    expected = ref.layer_norm_ref(e, state["emb.ln.gamma"], state["emb.ln.beta"])
-    npt.assert_allclose(got, expected, atol=1e-12)
+    npt.assert_allclose(enc.embed(x).data, ref.embed_ref(enc.state_dict(), x), atol=1e-12)
 
 
 def test_encode_matches_masked_dense_reference(tiny_corpus):
@@ -150,15 +145,16 @@ def test_zero_layer_encoder_is_just_the_embedding(tiny_corpus):
 
 
 def test_dense_encode_is_token_permutation_equivariant(tiny_corpus):
-    """With the window covering everything, rows are coupled only through
-    attention, so permuting the input rows permutes the output rows."""
+    """With the window covering everything and the position table zeroed,
+    rows are coupled only through attention, so permuting the input rows
+    permutes the output rows."""
     _, vocab, _ = tiny_corpus
     enc = Encoder(_cfg(vocab.size, window=64), stream(4, "init"), dtype=F64)
+    enc.pos_emb.data[...] = 0.0  # a position is a slot's index, which permuting keeps
     x = _history(tiny_corpus, ids=("i4", "i7"))
     perm = np.random.default_rng(5).permutation(len(x))
     xp = ModelInput(
         token_ids=x.token_ids[perm],
-        token_positions=x.token_positions[perm],
         token_types=x.token_types[perm],
         item_positions=x.item_positions[perm],
     )
@@ -207,13 +203,12 @@ def test_model_batch_pack_pads_right_and_keeps_lengths(tiny_corpus):
     npt.assert_array_equal(batch.lengths, [n, len(long)])
     npt.assert_array_equal(batch.token_ids[0, :n], short.token_ids)
     npt.assert_array_equal(batch.item_positions[1], long.item_positions)
-    assert not batch.token_ids[0, n:].any() and not batch.token_positions[0, n:].any()
+    assert not batch.token_ids[0, n:].any() and not batch.item_positions[0, n:].any()
     with pytest.raises(ValueError, match="at least one"):
         ModelBatch.pack([])
 
 
-@pytest.mark.parametrize("field", ["token_ids", "token_positions", "token_types",
-                                   "item_positions"])
+@pytest.mark.parametrize("field", ["token_ids", "token_types", "item_positions"])
 def test_model_batch_rejects_arrays_that_disagree_on_length(tiny_corpus, field):
     x, y = _history(tiny_corpus), _history(tiny_corpus, ids=("i1",))
 
@@ -227,6 +222,26 @@ def test_model_batch_rejects_arrays_that_disagree_on_length(tiny_corpus, field):
     for inputs in ([longer], [x, shorter], [longer, shorter]):
         with pytest.raises(ValueError, match="model input arrays disagree on length"):
             ModelBatch.pack(inputs)
+
+
+def test_embed_positions_are_slot_indices_and_padded_slots_take_0(tiny_corpus):
+    """The encoder makes the positions: a real slot embeds at its index, as
+    in the reference embedding of its sequence alone, and a padded slot
+    embeds as an all-zero slot (PAD_ID, position, type and item slot 0)."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size), stream(20, "init"), dtype=F64)
+    xs = [_history(tiny_corpus, ids) for ids in (("i0",), ("i0", "i3", "i5"), ("i2", "i7"))]
+    got = enc.embed(ModelBatch.pack(xs)).data
+    state = enc.state_dict()
+    zero_slot = ref.embed_ref(state, ModelInput(*[np.zeros(1, dtype=np.int64)] * 3))[0]
+    width = max(len(x) for x in xs)
+    assert got.shape == (len(xs), width, enc.config.d)
+    for b, x in enumerate(xs):
+        npt.assert_allclose(got[b, : len(x)], ref.embed_ref(state, x), atol=1e-12)
+        pads = got[b, len(x):]
+        assert len(pads) == width - len(x)
+        npt.assert_allclose(pads, np.broadcast_to(zero_slot, pads.shape), atol=1e-12)
+    assert width > 2 * min(len(x) for x in xs)  # padded slots at indices far from 0
 
 
 def test_encode_batch_matches_dense_reference_per_sequence(tiny_corpus):
@@ -519,12 +534,10 @@ def test_encoder_gradcheck_small(tiny_corpus):
 # input validation
 
 
-def _raw_input(ids, positions=None, types=None, item_pos=None):
+def _raw_input(ids, types=None, item_pos=None):
     n = len(ids)
     return ModelInput(
         token_ids=np.asarray(ids, dtype=np.int64),
-        token_positions=np.asarray(positions if positions is not None else range(n),
-                                   dtype=np.int64),
         token_types=np.asarray(types if types is not None else [0] * n, dtype=np.int64),
         item_positions=np.asarray(item_pos if item_pos is not None else [0] * n,
                                   dtype=np.int64),
@@ -541,12 +554,7 @@ def test_encoder_rejects_bad_inputs(tiny_corpus):
     with pytest.raises(DataError, match="item position"):
         enc.encode(_raw_input([1, 4], item_pos=[0, 3]))
     with pytest.raises(ValueError, match="length"):
-        enc.encode(ModelInput(
-            token_ids=np.array([1, 4], dtype=np.int64),
-            token_positions=np.array([0], dtype=np.int64),
-            token_types=np.array([0, 1], dtype=np.int64),
-            item_positions=np.array([0, 1], dtype=np.int64),
-        ))
+        enc.encode(_raw_input([1, 4], types=[0]))
 
 
 # ---------------------------------------------------------------------------

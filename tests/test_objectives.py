@@ -25,7 +25,6 @@ from txrec.objectives import (
     finetune_loss,
     iic_inbatch_loss,
     make_masking_plan,
-    mlm_loss,
     pooled_mlm_loss,
     pretrain_loss,
 )
@@ -136,7 +135,8 @@ def test_apply_masking_plan_only_writes_planned_positions(tiny_corpus):
     npt.assert_array_equal(corrupted.token_ids[plan.positions], plan.replacements)
     untouched = np.setdiff1d(np.arange(len(x)), plan.positions)
     npt.assert_array_equal(corrupted.token_ids[untouched], x.token_ids[untouched])
-    npt.assert_array_equal(corrupted.token_positions, x.token_positions)
+    npt.assert_array_equal(corrupted.token_types, x.token_types)
+    npt.assert_array_equal(corrupted.item_positions, x.item_positions)
     assert not corrupted.token_ids.flags.writeable
 
 
@@ -162,7 +162,7 @@ def test_mlm_loss_uniform_head_is_log_vocab():
     hidden = T.Tensor(np.random.default_rng(6).normal(size=(9, 4)), dtype=F64)
     plan = MaskingPlan(np.array([1, 3, 4]), np.array([7, 8, 9]),
                        np.zeros(3, dtype=np.int64), np.full(3, MASK_ID))
-    loss = mlm_loss(hidden, plan, head)
+    loss = pooled_mlm_loss([hidden], [plan], head)
     assert abs(float(loss.data) - math.log(vocab_size)) < 1e-5
 
 
@@ -170,7 +170,7 @@ def test_mlm_loss_empty_plan_is_zero():
     head = MLMHead(4, 10, stream(7, "init"))
     hidden = T.Tensor(np.ones((3, 4)))
     empty = MaskingPlan(*(np.zeros(0, dtype=np.int64),) * 4)
-    assert float(mlm_loss(hidden, empty, head).data) == 0.0
+    assert float(pooled_mlm_loss([hidden], [empty], head).data) == 0.0
 
 
 def test_pooled_mlm_loss_weights_positions_not_examples():
@@ -189,8 +189,8 @@ def test_pooled_mlm_loss_weights_positions_not_examples():
     logits = ref.mlm_logits_ref(head.state_dict(), rows)
     expected = ref.cross_entropy_ref(logits, np.array([4, 5, 6, 7]))
     assert abs(pooled - expected) < 1e-10
-    per_example = (float(mlm_loss(h1, plan1, head).data) * 3
-                   + float(mlm_loss(h2, plan2, head).data) * 1) / 4
+    per_example = (float(pooled_mlm_loss([h1], [plan1], head).data) * 3
+                   + float(pooled_mlm_loss([h2], [plan2], head).data) * 1) / 4
     assert abs(pooled - per_example) < 1e-10
 
 
@@ -200,7 +200,7 @@ def test_mlm_gradcheck():
     hidden = T.Parameter("hidden", rng.normal(size=(5, 4)), dtype=F64)
     plan = MaskingPlan(np.array([0, 2, 2, 4]), np.array([4, 5, 4, 8]),
                        np.zeros(4, dtype=np.int64), np.full(4, MASK_ID))
-    fd_gradcheck(lambda: mlm_loss(hidden, plan, head),
+    fd_gradcheck(lambda: pooled_mlm_loss([hidden], [plan], head),
                  [hidden] + head.parameters(), rng)
 
 

@@ -170,7 +170,7 @@ def test_encode_all_items_packs_the_batches_of_fresh_inputs(monkeypatch):
             members = order[start : start + len(batch.lengths)]
             start += len(members)
             want = ModelBatch.pack([fresh[iid] for iid in members])
-            for field in ("token_ids", "token_positions", "token_types", "item_positions",
+            for field in ("token_ids", "token_types", "item_positions",
                           "lengths"):
                 got, expected = getattr(batch, field), getattr(want, field)
                 assert got.dtype == expected.dtype and got.shape == expected.shape, field

@@ -530,9 +530,11 @@ def cmd_evaluate(args) -> int:
         groups = {"in_set": buckets.in_set, "cold": buckets.cold}
     else:
         groups = {None: split.test}
+    encoder_fingerprint = params_fingerprint(model.encoder.parameters())
     reports = {name: evaluate_cases(model.encoder, matrix.rows, matrix.index, cases, catalog,
                                     model.vocab, model.limits, fingerprint=matrix.fingerprint,
-                                    protocol=f"{protocol}/cold-start/{name}" if name else protocol)
+                                    protocol=f"{protocol}/cold-start/{name}" if name else protocol,
+                                    encoder_fingerprint=encoder_fingerprint)
                for name, cases in groups.items() if cases}
     payload = {name: rep.to_dict() if (rep := reports.get(name)) else None for name in groups}
     print(json.dumps(payload if args.cold_start else payload[None]))

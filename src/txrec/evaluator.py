@@ -125,12 +125,14 @@ class EvalReport:
     n_users: int
     fingerprint: str
     protocol: str = "leave-one-out"
+    encoder_fingerprint: str = ""
 
     def to_dict(self) -> dict:
         return {
             "protocol": self.protocol,
             "n_users": self.n_users,
             "fingerprint": self.fingerprint,
+            "encoder_fingerprint": self.encoder_fingerprint,
             "metrics": {k: self.metrics[k] for k in METRIC_KEYS},
         }
 
@@ -146,7 +148,7 @@ class EvalReport:
 def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str, int],
                    cases: Sequence[EvalCase], catalog: Catalog, vocab: Vocabulary,
                    limits: InputLimits = InputLimits(), fingerprint: str = "",
-                   protocol: str = "leave-one-out") -> EvalReport:
+                   protocol: str = "leave-one-out", encoder_fingerprint: str = "") -> EvalReport:
     """Rank every case's target against the full matrix with one `rank_of_target`
     call, which scores the cases in blocks; mean the metrics."""
     if not cases:
@@ -160,7 +162,7 @@ def evaluate_cases(encoder: Encoder, item_rows: np.ndarray, item_index: dict[str
     # np.cumsum adds case by case on every Python; sum() compensates from Python 3.12
     metrics = {k: float(np.cumsum([f(r) for r in ranks])[-1]) / len(ranks)
                for k, f in zip(METRIC_KEYS, (ndcg_at_k, recall_at_k, mrr))}
-    return EvalReport(metrics, len(ranks), fingerprint, protocol)
+    return EvalReport(metrics, len(ranks), fingerprint, protocol, encoder_fingerprint)
 
 
 def zero_shot_evaluate(encoder: Encoder, sequences: Sequence[InteractionSequence],

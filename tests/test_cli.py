@@ -397,6 +397,19 @@ def test_evaluate_emits_single_json_report(workdir, capsys):
         assert 0.0 <= v <= 1.0
 
 
+def test_evaluate_reports_the_encoder_fingerprint(workdir, capsys):
+    stored = {ck: load_checkpoint(workdir[ck])[0]["fingerprint"] for ck in ("pre", "fine")}
+    assert stored["pre"] != stored["fine"]
+    rep = _eval_json(capsys, "evaluate", "--ckpt", workdir["fine"], "--data", workdir["data"])
+    assert rep["encoder_fingerprint"] == stored["fine"]
+    rep = _eval_json(capsys, "evaluate", "--ckpt", workdir["pre"], "--data", workdir["data"],
+                     "--zero-shot")
+    assert rep["encoder_fingerprint"] == stored["pre"] == rep["fingerprint"]
+    payload = _eval_json(capsys, "evaluate", "--ckpt", workdir["fine"], "--data",
+                         workdir["data"], "--cold-start")
+    assert {r["encoder_fingerprint"] for r in payload.values() if r} == {stored["fine"]}
+
+
 def test_evaluate_csv_output(workdir, tmp_path, capsys):
     csv = tmp_path / "metrics.csv"
     rep = _eval_json(capsys, "evaluate", "--ckpt", workdir["fine"],

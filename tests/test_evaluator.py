@@ -222,6 +222,7 @@ def test_eval_report_json_and_csv():
                      n_users=7, fingerprint="cafe", protocol="leave-one-out")
     d = json.loads(json.dumps(rep.to_dict()))
     assert d == {"protocol": "leave-one-out", "n_users": 7, "fingerprint": "cafe",
+                 "encoder_fingerprint": "",
                  "metrics": {"ndcg@10": 0.5, "recall@10": 1.0, "mrr": 0.25}}
     assert rep.csv_row() == "0.500000,1.000000,0.250000,7"
     assert CSV_HEADER == "ndcg@10,recall@10,mrr,n_users"

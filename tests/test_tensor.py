@@ -183,14 +183,35 @@ def test_gelu_gradcheck():
     fd_gradcheck(lambda: scalarize(T.gelu(x), w), [x], rng)
 
 
-def test_gelu_float32_kernel_matches_reference():
+def _gelu32_error_grid() -> tuple[np.ndarray, np.ndarray]:
     # dense grid over [-12, 12] plus the clamp points of erf(x / sqrt 2) at +-4
     edge = 4.0 * math.sqrt(2.0)
     x = np.concatenate([np.linspace(-12.0, 12.0, 240_001), [edge, -edge],
                         np.nextafter(np.float32([edge, -edge]), 0.0)]).astype(np.float32)
     out = T.gelu(T.Tensor(x)).data
     assert out.dtype == np.float32
-    assert np.abs(out - ref.gelu_ref(x)).max() <= 2e-6
+    return out, ref.gelu_ref(x)
+
+
+def test_gelu_float32_kernel_matches_reference():
+    out, expected = _gelu32_error_grid()
+    assert np.abs(out - expected).max() <= 2e-6
+
+
+def test_gelu_float32_error_stays_at_the_fit_error():
+    # the fit measured 5.1e-7 here; float32 rounding of x * Phi(x) alone is 4.8e-7
+    out, expected = _gelu32_error_grid()
+    assert np.abs(out - expected).max() <= 1e-6
+
+
+def test_gelu_float32_cdf_is_a_cdf():
+    half = np.linspace(0.0, 12.0, 1_200_001).astype(np.float32)
+    x = np.concatenate([-half[:0:-1], half])   # sorted, and x[::-1] == -x
+    _, cdf = T._gelu32(x, keep_cdf=True)
+    assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+    assert cdf[0] == 0.0 and cdf[-1] == 1.0
+    assert not np.any(np.diff(cdf) < 0)
+    assert np.all(cdf + cdf[::-1] == np.float32(1.0))
 
 
 def test_gelu_float32_is_elementwise_across_blocks():
@@ -201,6 +222,23 @@ def test_gelu_float32_is_elementwise_across_blocks():
     rows = np.stack([T.gelu(T.Tensor(r)).data for r in x])
     npt.assert_array_equal(whole, rows)
     npt.assert_array_equal(T.gelu(T.Tensor(x[:, ::2])).data, whole[:, ::2])
+
+
+def test_gelu_float32_bits_do_not_depend_on_offset_or_length():
+    # np.tanh's SIMD loop handles a misaligned head and a short tail apart
+    # from the vector body; every slice must get the bits of one whole call
+    rng = np.random.default_rng(6)
+    x = rng.normal(0.0, 3.0, size=1_100).astype(np.float32)
+    for keep_cdf in (False, True):
+        whole, whole_cdf = T._gelu32(x, keep_cdf)
+        for start in range(41):
+            for n in (1, 15, 16, 17, 31, 33, 63, 65, 257, 1_000):
+                part, part_cdf = T._gelu32(x[start : start + n].copy(), keep_cdf)
+                assert part.tobytes() == whole[start : start + n].tobytes(), (start, n)
+                if keep_cdf:
+                    assert part_cdf.tobytes() == whole_cdf[start : start + n].tobytes()
+        one, _ = T._gelu32(x[7:8].reshape(()), keep_cdf)
+        assert one.shape == () and one.tobytes() == whole[7:8].tobytes()
 
 
 def test_gelu_float32_gradient_matches_float64():

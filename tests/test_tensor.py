@@ -184,10 +184,11 @@ def test_gelu_gradcheck():
 
 
 def _gelu32_error_grid() -> tuple[np.ndarray, np.ndarray]:
-    # dense grid over [-12, 12] plus the clamp points of erf(x / sqrt 2) at +-4
+    # dense grid over [-12, 12] plus x = +-4 sqrt 2, where erf(x / sqrt 2) rounds
+    # to +-1 in float32, the kernel's clip points +-6, and their inner neighbours
     edge = 4.0 * math.sqrt(2.0)
-    x = np.concatenate([np.linspace(-12.0, 12.0, 240_001), [edge, -edge],
-                        np.nextafter(np.float32([edge, -edge]), 0.0)]).astype(np.float32)
+    x = np.concatenate([np.linspace(-12.0, 12.0, 240_001), [edge, -edge, 6.0, -6.0],
+                        np.nextafter(np.float32([edge, -edge, 6.0, -6.0]), 0.0)]).astype(np.float32)
     out = T.gelu(T.Tensor(x)).data
     assert out.dtype == np.float32
     return out, ref.gelu_ref(x)
@@ -225,15 +226,16 @@ def test_gelu_float32_is_elementwise_across_blocks():
 
 
 def test_gelu_float32_bits_do_not_depend_on_offset_or_length():
-    # np.tanh's SIMD loop handles a misaligned head and a short tail apart
-    # from the vector body; every slice must get the bits of one whole call
+    # np.tanh's SIMD loop handles a short tail apart from the vector body, so an
+    # element's lane differs between a slice and the whole array; the slices are
+    # misaligned views, and each must get the bits of one whole-array call
     rng = np.random.default_rng(6)
     x = rng.normal(0.0, 3.0, size=1_100).astype(np.float32)
     for keep_cdf in (False, True):
         whole, whole_cdf = T._gelu32(x, keep_cdf)
         for start in range(41):
             for n in (1, 15, 16, 17, 31, 33, 63, 65, 257, 1_000):
-                part, part_cdf = T._gelu32(x[start : start + n].copy(), keep_cdf)
+                part, part_cdf = T._gelu32(x[start : start + n], keep_cdf)
                 assert part.tobytes() == whole[start : start + n].tobytes(), (start, n)
                 if keep_cdf:
                     assert part_cdf.tobytes() == whole_cdf[start : start + n].tobytes()

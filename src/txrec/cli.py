@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import (Catalog, InputLimits, Item, Vocabulary, build_model_input,
-                      load_interactions_jsonl, load_items_jsonl)
+from .catalog import (Catalog, InputLimits, InteractionSequence, Item, Vocabulary,
+                      build_model_input, load_interactions_jsonl, load_items_jsonl)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import Encoder, EncoderConfig, params_fingerprint
 from .errors import CheckpointError, ConfigError, DataError
@@ -42,17 +42,17 @@ log = logging.getLogger("txrec")
 
 @dataclass
 class RunConfig:
+    """A run.json, key for key. `_RUN_KEYS` types each field but the derived `limits`."""
+
     seed: int = 0
-    data_items: list[str] = field(default_factory=list)
-    data_interactions: list[str] = field(default_factory=list)
-    valid_interactions: list[str] = field(default_factory=list)
-    vocab_path: str | None = None
-    log_path: str | None = None
-    limits: InputLimits = field(default_factory=InputLimits)
-    encoder: dict = field(default_factory=dict)   # the encoder.* keys the config sets
+    vocab: str | None = None   # a vocabulary file; None builds one from data.items
+    log: str | None = None     # a file the epoch records are appended to
+    data: dict[str, list[str]] = field(default_factory=dict)   # the data.* path lists
     catalog: dict = field(default_factory=dict)   # the catalog.* keys the config sets
+    encoder: dict = field(default_factory=dict)   # the encoder.* keys the config sets
     train: TrainConfig = field(default_factory=TrainConfig)
     loss: LossConfig = field(default_factory=LossConfig)
+    limits: InputLimits = field(default_factory=InputLimits)
 
 
 def _schema(cls, skip: tuple[str, ...] = ()) -> dict:
@@ -61,109 +61,76 @@ def _schema(cls, skip: tuple[str, ...] = ()) -> dict:
     return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
 
 
-# vocab_size comes from the vocabulary and the seed from the top-level key
-_ENCODER_KEYS = _schema(EncoderConfig, skip=("vocab_size",))
-_TRAIN_KEYS = _schema(TrainConfig, skip=("seed",))
-_LOSS_KEYS = _schema(LossConfig)
+_PATH, _PATHS = "a path string", "a path or list of paths"  # the path kinds `_typed` reads
 _LIMIT_KEYS = _schema(InputLimits)
-_CATALOG_KEYS = {"tokens_per_field": int, "min_count": int}
-_DATA_KEYS = ("items", "interactions", "valid_interactions")
+# A section's table is the dataclass it fills, less vocab_size (from the vocabulary) and
+# train.seed (the top-level seed); catalog.* and data.* fill no dataclass.
+_RUN_KEYS = {"seed": int, "vocab": _PATH, "log": _PATH,
+             "data": dict.fromkeys(("items", "interactions", "valid_interactions"), _PATHS),
+             "catalog": {"tokens_per_field": int, "min_count": int},
+             "encoder": _schema(EncoderConfig, skip=("vocab_size",)),
+             "train": _schema(TrainConfig, skip=("seed",)), "loss": _schema(LossConfig)}
 # the sections a model checkpoint stores, typed like the run config's
-_CKPT_SECTIONS = {"encoder": _schema(EncoderConfig), "limits": _LIMIT_KEYS, "loss": _LOSS_KEYS}
+_CKPT_SECTIONS = {"encoder": _schema(EncoderConfig), "limits": _LIMIT_KEYS,
+                  "loss": _schema(LossConfig)}
 _UNRECORDED = object()  # min_count of a checkpoint older than that key; saved as null
 
 
 def _typed(value, want, where: str, errors: list[str]):
+    """`value` as a `want`: a type, a path kind or a section's key table. None, with the
+    problem added to `errors`, when it is not one; a null path is None with no problem."""
+    if isinstance(want, dict):
+        return _section(value, where, want, errors)
     if want is float:
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             return float(value)
     elif want is int:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
-    errors.append(f"{where}: expected {want.__name__}, got {value!r}")
+    elif want in (_PATH, _PATHS):
+        paths = value if want is _PATHS and isinstance(value, list) else [value]
+        if "" in paths:
+            errors.append(f"{where}: an empty string is not a path")
+            return None
+        if all(isinstance(p, str) for p in paths) or (want is _PATH and value is None):
+            return value if want is _PATH else paths
+    errors.append(f"{where}: expected {getattr(want, '__name__', want)}, got {value!r}")
     return None
 
 
-def _section(raw: dict, name: str, keys: dict, errors: list[str]) -> dict:
-    out = {}
-    section = raw.get(name, {})
+def _section(section, name: str, keys: dict, errors: list[str]) -> dict:
+    """The keys of `section` typed by `keys`; `name` is empty at the top level."""
     if not isinstance(section, dict):
         errors.append(f"{name}: expected an object")
-        return out
+        return {}
+    out = {}
     for k, v in section.items():
+        where = f"{name}.{k}" if name else k
         if k not in keys:
-            errors.append(f"unknown config key '{name}.{k}'")
-            continue
-        typed = _typed(v, keys[k], f"{name}.{k}", errors)
-        if typed is not None:
+            errors.append(f"unknown config key '{where}'")
+        elif (typed := _typed(v, keys[k], where, errors)) is not None:
             out[k] = typed
     return out
-
-
-def _path_list(value, where: str, errors: list[str]) -> list[str]:
-    if isinstance(value, str):
-        return [value]
-    if isinstance(value, list) and all(isinstance(x, str) for x in value):
-        return list(value)
-    errors.append(f"{where}: expected a path or list of paths")
-    return []
 
 
 def validate_run_config(raw: dict) -> RunConfig:
     """Check every key and value; report all problems at once."""
     errors: list[str] = []
-    known_top = {"seed", "vocab", "log", "data", "catalog", "encoder", "train", "loss"}
-    for k in raw:
-        if k not in known_top:
-            errors.append(f"unknown config key '{k}'")
-
-    cfg = RunConfig()
-    if "seed" in raw:
-        seed = _typed(raw["seed"], int, "seed", errors)
-        if seed is not None:
-            cfg.seed = seed
-    for opt in ("vocab", "log"):
-        if opt in raw and raw[opt] is not None:
-            if isinstance(raw[opt], str):
-                setattr(cfg, f"{opt}_path", raw[opt])
-            else:
-                errors.append(f"{opt}: expected a path string")
-
-    data = raw.get("data", {})
-    if not isinstance(data, dict):
-        errors.append("data: expected an object")
-        data = {}
-    for k in data:
-        if k not in _DATA_KEYS:
-            errors.append(f"unknown config key 'data.{k}'")
-    if "items" in data:
-        cfg.data_items = _path_list(data["items"], "data.items", errors)
-    if "interactions" in data:
-        cfg.data_interactions = _path_list(data["interactions"], "data.interactions", errors)
-    if "valid_interactions" in data:
-        cfg.valid_interactions = _path_list(data["valid_interactions"],
-                                            "data.valid_interactions", errors)
-
-    cat = _section(raw, "catalog", _CATALOG_KEYS, errors)
-    enc = _section(raw, "encoder", _ENCODER_KEYS, errors)
-    trn = _section(raw, "train", _TRAIN_KEYS, errors)
-    lss = _section(raw, "loss", _LOSS_KEYS, errors)
-
+    top = _section(raw, "", _RUN_KEYS, errors)
     if not errors:
+        enc, cat = top.get("encoder", {}), top.get("catalog", {})
         try:
-            cfg.limits = InputLimits(**{k: v for k, v in {**enc, **cat}.items()
-                                        if k in _LIMIT_KEYS})
-            cfg.encoder = enc
-            cfg.catalog = cat
-            cfg.train = TrainConfig(**trn, seed=cfg.seed)
-            cfg.loss = LossConfig(**lss)
+            top["limits"] = InputLimits(**{k: v for k, v in {**enc, **cat}.items()
+                                            if k in _LIMIT_KEYS})
+            top["train"] = TrainConfig(**top.get("train", {}), seed=top.get("seed", 0))
+            top["loss"] = LossConfig(**top.get("loss", {}))
             if cat.get("min_count", 1) < 1:
                 errors.append(f"catalog.min_count={cat['min_count']} must be >= 1")
         except ValueError as e:
             errors.append(str(e))
     if errors:
         raise ConfigError("\n".join(errors))
-    return cfg
+    return RunConfig(**top)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -229,7 +196,8 @@ class Model:
             raise CheckpointError(f"{path} is not a model checkpoint "
                                   f"(kind={config.get('kind')!r})")
         errors = [f"missing '{name}'" for name in _CKPT_SECTIONS if name not in config]
-        typed = {n: _section(config, n, keys, errors) for n, keys in _CKPT_SECTIONS.items()}
+        typed = {n: _section(config.get(n, {}), n, keys, errors)
+                 for n, keys in _CKPT_SECTIONS.items()}
         for key in ("min_count", "seed"):
             if config.get(key) is not None:
                 _typed(config[key], int, key, errors)
@@ -327,12 +295,8 @@ def _load_items(paths: list[str]) -> list[Item]:
     return items
 
 
-def _load_corpus(item_paths: list[str], interaction_paths: list[str]):
-    items = _load_items(item_paths) if item_paths else []
-    seqs = []
-    for p in interaction_paths:
-        seqs.extend(load_interactions_jsonl(p))
-    return Catalog(items), items, seqs
+def _load_histories(paths: list[str]) -> list[InteractionSequence]:
+    return [seq for p in paths for seq in load_interactions_jsonl(p)]
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -352,12 +316,12 @@ def _check_outputs(*paths: str | None) -> None:
             raise ConfigError(f"cannot write {path}: permission denied")
 
 
-def _epoch_logger(log_path: str | None):
+def _epoch_logger(path: str | None):
     def write(record: dict) -> None:
         line = json.dumps(record)
         print(line, file=sys.stderr)
-        if log_path:
-            with open(log_path, "a", encoding="utf-8") as fh:
+        if path:
+            with open(path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
 
     return write
@@ -396,20 +360,27 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def cmd_pretrain(args) -> int:
+def _training_config(args) -> RunConfig:
+    """`pretrain`'s and `finetune`'s --config, which must name their data, and whose
+    outputs must be writable."""
     cfg = load_run_config(args.config)
-    if not cfg.data_items or not cfg.data_interactions:
-        raise ConfigError("pretrain needs data.items and data.interactions")
-    _check_outputs(args.out, cfg.log_path)
-    if cfg.vocab_path and "min_count" in cfg.catalog:
+    if not cfg.data.get("items") or not cfg.data.get("interactions"):
+        raise ConfigError(f"{args.command} needs data.items and data.interactions")
+    _check_outputs(args.out, cfg.log)
+    return cfg
+
+
+def cmd_pretrain(args) -> int:
+    cfg = _training_config(args)
+    if cfg.vocab and "min_count" in cfg.catalog:
         raise ConfigError(f"catalog.min_count={cfg.catalog['min_count']} has no effect with "
-                          f"the vocab file {cfg.vocab_path}; set one or the other")
-    catalog, items, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
-    valid_seqs = None
-    if cfg.valid_interactions:
-        _, _, valid_seqs = _load_corpus([], cfg.valid_interactions)
-    if cfg.vocab_path:
-        min_count, vocab = None, Vocabulary.load(cfg.vocab_path)
+                          f"the vocab file {cfg.vocab}; set one or the other")
+    items = _load_items(cfg.data["items"])
+    catalog, seqs = Catalog(items), _load_histories(cfg.data["interactions"])
+    valid = cfg.data.get("valid_interactions")
+    valid_seqs = _load_histories(valid) if valid else None
+    if cfg.vocab:
+        min_count, vocab = None, Vocabulary.load(cfg.vocab)
     else:
         min_count = cfg.catalog.get("min_count", 1)
         vocab = Vocabulary.build(items, min_count=min_count)
@@ -430,7 +401,7 @@ def cmd_pretrain(args) -> int:
     try:
         pretrain(seqs, catalog, vocab, encoder, head, cfg.train, cfg.loss,
                  cfg.limits, valid_sequences=valid_seqs,
-                 log_fn=_epoch_logger(cfg.log_path))
+                 log_fn=_epoch_logger(cfg.log))
     except ValueError as e:
         raise DataError(str(e)) from None
     Model(encoder, vocab, cfg.limits, cfg.loss, cfg.seed, head=head,
@@ -455,27 +426,24 @@ def _check_against_checkpoint(cfg: RunConfig, path: str, model: Model) -> None:
     for key, (want, have) in asked.items():
         if want != have:
             raise ConfigError(f"config asks for {key}={want} but checkpoint has {key}={have}")
-    if cfg.vocab_path:
-        want, have = Vocabulary.load(cfg.vocab_path).token_list(), model.vocab.token_list()
+    if cfg.vocab:
+        want, have = Vocabulary.load(cfg.vocab).token_list(), model.vocab.token_list()
         if want != have:
-            raise ConfigError(f"config vocab {cfg.vocab_path} ({len(want)} tokens) differs "
+            raise ConfigError(f"config vocab {cfg.vocab} ({len(want)} tokens) differs "
                               f"from the vocabulary in checkpoint {path} ({len(have)} tokens)")
 
 
 def cmd_finetune(args) -> int:
-    cfg = load_run_config(args.config)
-    if not cfg.data_items or not cfg.data_interactions:
-        raise ConfigError("finetune needs data.items and data.interactions")
-    _check_outputs(args.out, cfg.log_path)
+    cfg = _training_config(args)
     # non-finite weights are left to the loss guard, which names the batch (exit 3)
     model = Model.load(args.init, check_finite=False)
     _check_against_checkpoint(cfg, args.init, model)
-    catalog, _, seqs = _load_corpus(cfg.data_items, cfg.data_interactions)
-    split = leave_one_out(seqs)
+    catalog = Catalog(_load_items(cfg.data["items"]))
+    split = leave_one_out(_load_histories(cfg.data["interactions"]))
     try:
         result = two_stage_finetune(split, catalog, model.vocab, model.encoder, cfg.train,
                                     cfg.loss, model.limits,
-                                    log_fn=_epoch_logger(cfg.log_path))
+                                    log_fn=_epoch_logger(cfg.log))
     except ValueError as e:
         raise DataError(str(e)) from None
     replace(model, loss=cfg.loss, seed=cfg.seed, head=None,
@@ -487,13 +455,14 @@ def cmd_finetune(args) -> int:
 def _pick_matrix(args, model: Model, catalog: Catalog,
                  given: ItemFeatureMatrix | None = None) -> ItemFeatureMatrix:
     """The --item-matrix file (`given`, if already loaded), else the stored matrix if
-    it covers the catalog, else a fresh encode."""
+    it covers the catalog and this is no --zero-shot run, else a fresh encode."""
     source = args.ckpt
     if args.item_matrix:
         source, matrix = args.item_matrix, given or _load_item_matrix(args.item_matrix)
         if set(matrix.ids) != set(catalog.ids):
             raise DataError("item-matrix file does not cover the evaluation catalog")
-    elif model.matrix is not None and set(model.matrix.ids) == set(catalog.ids):
+    elif (model.matrix is not None and not getattr(args, "zero_shot", False)
+          and set(model.matrix.ids) == set(catalog.ids)):
         matrix = model.matrix
     else:
         matrix = encode_all_items(model.encoder, catalog, model.vocab, model.limits)
@@ -514,16 +483,12 @@ def cmd_evaluate(args) -> int:
     _check_outputs(args.csv)
     model = Model.load(args.ckpt)
     data = Path(args.data)
-    catalog, _, seqs = _load_corpus([str(data / "items.jsonl")],
-                                    [str(data / "interactions.jsonl")])
+    catalog = Catalog(_load_items([str(data / "items.jsonl")]))
+    seqs = load_interactions_jsonl(data / "interactions.jsonl")
     split = leave_one_out(seqs)
     if not split.test:
         raise DataError("no users with enough interactions to evaluate")
-    if args.zero_shot:
-        # fresh re-encode with the untouched checkpoint, never a stored matrix
-        matrix = encode_all_items(model.encoder, catalog, model.vocab, model.limits)
-    else:
-        matrix = _pick_matrix(args, model, catalog)
+    matrix = _pick_matrix(args, model, catalog)
     protocol = "zero-shot" if args.zero_shot else "leave-one-out"
     if args.cold_start:  # each non-empty bucket is scored; an empty one reports null
         buckets = cold_start_split(seqs)
@@ -549,7 +514,7 @@ def cmd_evaluate(args) -> int:
 def cmd_encode_items(args) -> int:
     _check_outputs(args.out)
     model = Model.load(args.ckpt)
-    catalog, _, _ = _load_corpus([args.items], [])
+    catalog = Catalog(_load_items([args.items]))
     matrix = encode_all_items(model.encoder, catalog, model.vocab, model.limits)
     save_checkpoint(args.out, {
         "kind": "item_matrix",

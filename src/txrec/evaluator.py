@@ -181,4 +181,4 @@ def zero_shot_evaluate(encoder: Encoder, sequences: Sequence[InteractionSequence
     matrix = encode_all_items(encoder, catalog, vocab, limits)
     return evaluate_cases(encoder, matrix.rows, matrix.index, split.test, catalog,
                           vocab, limits, fingerprint=matrix.fingerprint,
-                          protocol="zero-shot")
+                          protocol="zero-shot", encoder_fingerprint=matrix.fingerprint)

@@ -51,6 +51,8 @@ class TrainConfig:
             problems.append(f"patience={self.patience} must be >= 1")
         if self.grad_clip <= 0.0:
             problems.append(f"grad_clip={self.grad_clip} must be positive")
+        if self.seed < 0:
+            problems.append(f"seed={self.seed} must be >= 0")
         if problems:
             raise ValueError("; ".join(problems))
 

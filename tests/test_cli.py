@@ -12,7 +12,7 @@ import sys
 import time
 import warnings
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ import cli_identity
 from txrec import catalog as catalog_mod
 from txrec.catalog import RESERVED_TOKENS, load_items_jsonl
 from txrec.checkpoint import load_checkpoint, save_checkpoint
-from txrec.cli import Model, main, top_k, validate_run_config
+from txrec.cli import _RUN_KEYS, Model, RunConfig, main, top_k, validate_run_config
 
 
 def run(*argv):
@@ -157,6 +157,87 @@ def test_pretrain_epoch_log_leaves_no_file_open(workdir, tmp_path):
 def test_config_seed_reaches_the_training_streams():
     assert validate_run_config({"seed": 5}).train.seed == 5
     assert validate_run_config({}).train.seed == 0
+
+
+def test_run_json_keys_are_the_run_config_fields():
+    assert list(_RUN_KEYS) == [f.name for f in fields(RunConfig) if f.name != "limits"]
+
+
+_UNKNOWN_KEYS = [({"seedz": 1}, "unknown config key 'seedz'"),
+                 ({"encoder": {"vocab_size": 9}}, "unknown config key 'encoder.vocab_size'"),
+                 ({"train": {"seed": 1}}, "unknown config key 'train.seed'")] + [
+    ({section: {"bogus": 1}}, f"unknown config key '{section}.bogus'")
+    for section in ("data", "catalog", "encoder", "train", "loss")]
+_NOT_OBJECTS = [({section: [1]}, f"{section}: expected an object")
+                for section in ("data", "catalog", "encoder", "train", "loss")]
+
+
+@pytest.mark.parametrize("config,message", _UNKNOWN_KEYS + _NOT_OBJECTS + [
+    ([], "top level must be a JSON object"),
+    ("seed", "top level must be a JSON object"),
+    ({"vocab": 5}, "vocab: expected a path string"),
+    ({"log": ["train.log"]}, "log: expected a path string"),
+    ({"data": {"items": 5}}, "data.items: expected a path or list of paths"),
+    ({"data": {"interactions": ["a", 1]}}, "data.interactions: expected a path or list of paths"),
+    ({"data": {"valid_interactions": {}}},
+     "data.valid_interactions: expected a path or list of paths"),
+    ({"seed": None}, "seed: expected int, got None"),
+    ({"seed": True}, "seed: expected int, got True"),
+    ({"seed": 1.5}, "seed: expected int, got 1.5"),
+    ({"encoder": {"d": 8.0}}, "encoder.d: expected int, got 8.0"),
+    ({"train": {"n_epochs": 2.0}}, "train.n_epochs: expected int, got 2.0"),
+    ({"catalog": {"tokens_per_field": True}}, "catalog.tokens_per_field: expected int, got True"),
+    ({"loss": {"temperature": "0.1"}}, "loss.temperature: expected float, got '0.1'"),
+    ({"catalog": {"min_count": 0}}, "catalog.min_count=0 must be >= 1"),
+    ({"train": {"lr": 0}}, "lr=0.0 must be positive"),
+    ({"loss": {"mlm_weight": -1}}, "mlm_weight must be >= 0, got -1.0"),
+    ({"encoder": {"max_tokens": 0}}, "limits must be positive: InputLimits(max_tokens=0, "),
+])
+def test_each_run_config_error_is_exit_2_with_its_message(tmp_path, capsys, config, message):
+    """Every problem `validate_run_config` or `load_run_config` can report, one at a time:
+    each ends in exit 2 before any data is read, with a message that names the key."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run("pretrain", "--config", path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune", "make-synthetic"])
+def test_a_negative_seed_is_exit_2(workdir, tmp_path, capsys, command):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**json.loads(workdir["config"].read_text()), "seed": -1}))
+    argv = {"pretrain": ["--config", path],
+            "finetune": ["--config", path, "--init", workdir["pre"]],
+            "make-synthetic": ["--seed", -1]}[command]
+    capsys.readouterr()
+    assert run(command, *argv, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == "config error: seed=-1 must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("vocab", ""), ("log", ""), ("data.items", ""), ("data.interactions", ["x", ""]),
+    ("data.valid_interactions", [""]),
+])
+def test_an_empty_path_is_exit_2(workdir, tmp_path, capsys, key, value):
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["catalog"] = {"min_count": 1}  # would conflict with a vocab file
+    section, _, name = key.rpartition(".")
+    (cfg[section] if section else cfg)[name] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("pretrain", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {key}: an empty string is not a path\n"
+
+
+def test_readme_run_json_example_is_a_valid_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("`run.json` holds everything", 1)[1].split("```json\n", 1)[1]
+    cfg = validate_run_config(json.loads(example.split("```", 1)[0]))
+    assert cfg.seed == 0 and cfg.limits.max_tokens == 1024 and cfg.loss.temperature == 0.05
 
 
 def test_pretrain_config_errors_are_exit_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ import pytest
 import reference as ref
 from txrec import evaluator
 from txrec.catalog import InteractionSequence, build_model_input, item_input
-from txrec.encoder import Encoder, EncoderConfig, encode_rows
+from txrec.encoder import Encoder, EncoderConfig, encode_rows, params_fingerprint
 from txrec.errors import CatalogError
 from txrec.evaluator import (
     CSV_HEADER,
@@ -327,6 +327,7 @@ def test_zero_shot_evaluate_runs_untrained(tiny_corpus):
     assert rep.protocol == "zero-shot"
     assert rep.n_users == 2
     assert len(rep.fingerprint) == 16
+    assert rep.encoder_fingerprint == params_fingerprint(enc.parameters()) == rep.fingerprint
     for p in enc.parameters():  # nothing may train during evaluation
         npt.assert_array_equal(p.data, before[p.name])
     again = zero_shot_evaluate(enc, seqs, catalog, vocab, limits)

@@ -338,24 +338,26 @@ def load_items_jsonl(path: str | Path, digest: str | None = None,
     """
     raw, text = _read(path)
     if wanted is not None and digest is not None and hashlib.sha256(raw).hexdigest() == digest:
-        return _known_lines(path, text, line_of, wanted), True
+        return _known_lines(path, raw, text, line_of, wanted), True
     items = [_parse_item(path, n, line) for n, line in _lines(text)]
     return items if wanted is None else (items, False)
 
 
-def _known_lines(path: str | Path, text: str, line_of: Mapping[str, int],
+def _known_lines(path: str | Path, raw: bytes, text: str, line_of: Mapping[str, int],
                  wanted: Iterable[str]) -> list[Item]:
     """The items of the wanted ids, each read from its line in `line_of`.
 
     The digest vouches for the bytes, not for `line_of`: a line that holds
     another item, a line count other than len(line_of), or a wanted id the
     file holds but `line_of` lacks is a CheckpointError. A wanted id in
-    neither is left out.
+    neither is left out. Lines are found by byte offset in `raw` (`text` is
+    its decode): "\n" is one byte in UTF-8 and never part of a longer
+    character, so each wanted line is sliced from the bytes and decoded alone.
     """
-    lines = text.split("\n")
-    if lines.pop() or len(lines) != len(line_of):
+    ends = np.flatnonzero(np.frombuffer(raw, np.uint8) == 10)
+    if raw[-1:] not in (b"", b"\n") or len(ends) != len(line_of):
         raise CheckpointError(f"{path} has the digest its item matrix records, but "
-                              f"{len(lines)} lines for {len(line_of)} items")
+                              f"{len(ends)} lines for {len(line_of)} items")
     items = []
     for iid in dict.fromkeys(wanted):
         j = line_of.get(iid)
@@ -365,7 +367,8 @@ def _known_lines(path: str | Path, text: str, line_of: Mapping[str, int],
                 raise CheckpointError(f"{path} has the digest its item matrix records, "
                                       f"but holds item '{iid}', which the matrix lacks")
             continue
-        item = _parse_item(path, j + 1, lines[j])
+        start = int(ends[j - 1]) + 1 if j else 0
+        item = _parse_item(path, j + 1, raw[start : ends[j]].decode("utf-8"))
         if item.item_id != iid:
             raise CheckpointError(f"{path}:{j + 1}: holds item '{item.item_id}' where the "
                                   f"item matrix of the same digest has '{iid}'")

@@ -47,8 +47,8 @@ def save_checkpoint(path: str | Path, config: dict, tensors: dict[str, np.ndarra
         for dim in data.shape:
             out += struct.pack("<I", dim)
         out += data.tobytes()
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(out))
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
+    Path(path).write_bytes(out)
 
 
 def load_checkpoint(path: str | Path, check_finite: bool = True
@@ -68,7 +68,7 @@ def load_checkpoint(path: str | Path, check_finite: bool = True
     if len(raw) < 16 or raw[:4] != MAGIC:
         raise CheckpointError(f"{path} is not a checkpoint file (bad magic)")
     stored_crc = struct.unpack("<I", raw[-4:])[0]
-    actual_crc = zlib.crc32(raw[:-4]) & 0xFFFFFFFF
+    actual_crc = zlib.crc32(memoryview(raw)[:-4]) & 0xFFFFFFFF
     if stored_crc != actual_crc:
         raise CheckpointError(f"{path} failed its integrity check "
                               f"(crc {actual_crc:08x} != stored {stored_crc:08x})")

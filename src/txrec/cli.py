@@ -334,6 +334,8 @@ def _epoch_logger(path: str | None):
 def cmd_make_synthetic(args) -> int:
     from .synthetic import SyntheticSpec, write_corpus
 
+    if args.users < 1:
+        raise ConfigError(f"--users must be >= 1, got {args.users}")
     try:
         spec = SyntheticSpec(seed=args.seed, n_domains=args.domains,
                              items_per_domain=args.items_per_domain,

@@ -41,6 +41,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be >= 0")
+        if self.users_per_domain < 0:
+            raise ValueError(f"users_per_domain={self.users_per_domain} must be >= 0")
         if self.n_domains < 1 or self.items_per_domain < len(BRANDS):
             raise ValueError("need >= 1 domain and at least one item per brand")
         if not 0.0 <= self.brand_affinity <= 1.0 or not 0.0 <= self.cold_fraction < 1.0:

@@ -218,7 +218,7 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
-    inv = tuple(np.argsort(axes))
+    inv = sorted(range(len(axes)), key=axes.__getitem__)
 
     def bwd(g: np.ndarray) -> None:
         _accum(x, np.transpose(g, inv))

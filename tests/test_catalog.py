@@ -504,3 +504,56 @@ def test_a_digest_that_does_not_describe_the_ids_is_checkpoint_error(tmp_path, c
         line_of = {iid: j for iid, j in line_of.items() if iid != "i5"}
     with pytest.raises(CheckpointError, match=message):
         load_items_jsonl(path, digest, line_of, wanted=["i0"])
+
+
+@pytest.mark.parametrize("change,message", [
+    ("no-final-newline", "but 4 lines for 5 items"),
+    ("blank-last-line", "but 6 lines for 5 items"),
+    ("empty-file", "but 0 lines for 5 items"),
+])
+def test_a_matching_file_with_another_line_count_is_checkpoint_error(tmp_path, change,
+                                                                     message):
+    # the count is the file's "\n" bytes, whatever follows the last one
+    import hashlib
+    import re
+    from txrec.errors import CheckpointError
+
+    path, items, _, line_of = _known_file(tmp_path)
+    raw = path.read_bytes()
+    raw = {"no-final-newline": raw[:-1], "blank-last-line": raw + b"\n",
+           "empty-file": b""}[change]
+    path.write_bytes(raw)
+    whole = f"{path} has the digest its item matrix records, {message}"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(whole)}$"):
+        load_items_jsonl(path, hashlib.sha256(raw).hexdigest(), line_of, wanted=["i0"])
+
+
+def test_an_empty_matching_file_with_no_lines_recorded_holds_no_items(tmp_path):
+    import hashlib
+
+    path = tmp_path / "items.jsonl"
+    path.write_bytes(b"")
+    digest = hashlib.sha256(b"").hexdigest()
+    assert load_items_jsonl(path, digest, {}, wanted=["i0", "i1"]) == ([], True)
+
+
+def test_a_matching_read_finds_lines_after_multibyte_and_line_separator_text(tmp_path,
+                                                                            monkeypatch):
+    # U+0085, U+2028 and U+2029 end a line for str.splitlines() and are written raw;
+    # multi-byte UTF-8 before a line moves its byte offset off its character offset
+    odd = ["é ü", "x \x85 \u2028", "日本語 \U0001f600", "\r\x0b\u2029", "plain"]
+    items = [Item(f"i{j}", (("Title", odd[j % len(odd)]), (odd[(j + 2) % len(odd)], "v")))
+             for j in range(12)]
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(path, items)
+    catalog = Catalog(items)
+    line_of = {iid: j for j, iid in enumerate(catalog.ids)}
+    parsed = []
+    real = catalog_mod._parse_line
+    monkeypatch.setattr(catalog_mod, "_parse_line",
+                        lambda p, n, line: parsed.append(n) or real(p, n, line))
+    wanted = ["i11", "i0", "i7", "i4"]
+    got, matched = load_items_jsonl(path, catalog.digest, line_of, wanted=wanted)
+    assert matched and sorted(parsed) == [1, 5, 8, 12]
+    whole = {it.item_id: it for it in load_items_jsonl(path)}
+    assert got == [whole[iid] for iid in wanted] == [items[11], items[0], items[7], items[4]]

@@ -217,6 +217,14 @@ def test_a_negative_seed_is_exit_2(workdir, tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("users", [-1, 0])
+def test_make_synthetic_needs_a_user(tmp_path, capsys, users):
+    capsys.readouterr()
+    assert run("make-synthetic", "--users", users, "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == f"config error: --users must be >= 1, got {users}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", [
     ("vocab", ""), ("log", ""), ("data.items", ""), ("data.interactions", ["x", ""]),
     ("data.valid_interactions", [""]),

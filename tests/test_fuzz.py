@@ -171,6 +171,21 @@ def test_items_file_loads_back_and_hashes_to_the_catalog_digest(tmp_path, items)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == catalog.digest
 
 
+@FUZZ
+@given(items=_any_items, data=st.data())
+def test_a_matching_items_file_reads_each_wanted_id_from_its_line(tmp_path, items, data):
+    catalog = Catalog(items)
+    if catalog.digest is None:
+        return
+    path = tmp_path / "items.jsonl"
+    write_items_jsonl(path, catalog)
+    line_of = {iid: j for j, iid in enumerate(catalog.ids)}
+    wanted = data.draw(st.lists(st.sampled_from(catalog.ids), max_size=8) if items
+                       else st.just([]))
+    got, matched = load_items_jsonl(path, catalog.digest, line_of, wanted=wanted)
+    assert matched and got == [items[line_of[iid]] for iid in dict.fromkeys(wanted)]
+
+
 @pytest.fixture(scope="module")
 def undigested_ckpt(model_ckpt) -> Path:
     """`model_ckpt` without its item_digest, as checkpoints were before it existed."""

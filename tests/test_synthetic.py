@@ -25,6 +25,16 @@ def test_spec_validation():
         SyntheticSpec(min_len=2)
     with pytest.raises(ValueError):
         SyntheticSpec(min_len=7, max_len=6)
+    with pytest.raises(ValueError, match="users_per_domain=-1 must be >= 0"):
+        SyntheticSpec(users_per_domain=-1)
+
+
+def test_a_spec_with_no_users_still_generates_items():
+    spec = SyntheticSpec(seed=8, n_domains=2, items_per_domain=12, users_per_domain=0)
+    items, users = generate_domain(spec, 1)
+    assert users == [] and len(items) == 12
+    assert items == generate_domain(SyntheticSpec(seed=8, n_domains=2, items_per_domain=12,
+                                                  users_per_domain=5), 1)[0]
 
 
 def test_generation_is_deterministic():

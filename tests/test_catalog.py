@@ -510,6 +510,7 @@ def test_a_digest_that_does_not_describe_the_ids_is_checkpoint_error(tmp_path, c
     ("no-final-newline", "but 4 lines for 5 items"),
     ("blank-last-line", "but 6 lines for 5 items"),
     ("empty-file", "but 0 lines for 5 items"),
+    ("unended-last-line", "but 5 lines for 5 items"),
 ])
 def test_a_matching_file_with_another_line_count_is_checkpoint_error(tmp_path, change,
                                                                      message):
@@ -521,7 +522,7 @@ def test_a_matching_file_with_another_line_count_is_checkpoint_error(tmp_path, c
     path, items, _, line_of = _known_file(tmp_path)
     raw = path.read_bytes()
     raw = {"no-final-newline": raw[:-1], "blank-last-line": raw + b"\n",
-           "empty-file": b""}[change]
+           "empty-file": b"", "unended-last-line": raw + b'{"item_id": "i5"}'}[change]
     path.write_bytes(raw)
     whole = f"{path} has the digest its item matrix records, {message}"
     with pytest.raises(CheckpointError, match=f"^{re.escape(whole)}$"):

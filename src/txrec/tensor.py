@@ -54,14 +54,32 @@ def _keep_freed_memory() -> None:
 _keep_freed_memory()
 
 
-class Tensor:
-    """A dense float array plus the hooks backward needs.
+class GradSlot:
+    """A tensor's gradient bookkeeping, kept apart from its data.
 
-    `grad` is filled lazily during the backward sweep; for non-Parameter
-    tensors it is released again as soon as the producing op consumed it.
+    The tape and the backward rules hold slots, never tensors, so an array
+    outlives its forward only when some rule captured it to read it.
     """
 
-    __slots__ = ("data", "grad", "needs_grad")
+    __slots__ = ("grad", "needs_grad", "shape", "dtype")
+
+    def __init__(self, data: np.ndarray, needs_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.needs_grad = needs_grad
+        self.shape = data.shape
+        self.dtype = data.dtype
+
+
+class Tensor:
+    """A dense float array plus, once it takes part in backward, a GradSlot.
+
+    `grad` and `needs_grad` read the slot; a tensor without one needs no
+    gradient and holds none, so inference makes no slots. `grad` is filled
+    lazily during the backward sweep; for non-Parameter tensors it is
+    released again as soon as the producing op consumed it.
+    """
+
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, needs_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -70,8 +88,28 @@ class Tensor:
         elif arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.grad: np.ndarray | None = None
-        self.needs_grad = needs_grad
+        self.slot = GradSlot(arr, True) if needs_grad else None
+
+    def _own_slot(self) -> GradSlot:
+        if self.slot is None:
+            self.slot = GradSlot(self.data, False)
+        return self.slot
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self.slot is None else self.slot.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._own_slot().grad = value
+
+    @property
+    def needs_grad(self) -> bool:
+        return self.slot is not None and self.slot.needs_grad
+
+    @needs_grad.setter
+    def needs_grad(self, value: bool) -> None:
+        self._own_slot().needs_grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -110,11 +148,14 @@ def active_tape() -> "GradTape | None":
     return stack[-1] if stack else None
 
 
+Backward = Callable[..., None]  # (g, *input slots) -> None
+
+
 class GradTape:
     """Records ops in execution order; backward replays them reversed, each once."""
 
     def __init__(self):
-        self._records: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
+        self._records: list[tuple[GradSlot, Backward, list[GradSlot | None]]] = []
 
     def __enter__(self) -> "GradTape":
         _tape_stack().append(self)
@@ -126,8 +167,8 @@ class GradTape:
             raise RuntimeError("GradTape exited out of order")
         return False
 
-    def record(self, out: Tensor, backward_fn: Callable[[np.ndarray], None]) -> None:
-        self._records.append((out, backward_fn))
+    def record(self, out: GradSlot, backward_fn: Backward, inputs: list[GradSlot | None]) -> None:
+        self._records.append((out, backward_fn, inputs))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -145,35 +186,43 @@ class GradTape:
             loss.grad = np.ones_like(loss.data)
         else:
             loss.grad = loss.grad + np.ones_like(loss.data)
-        for out, fn in reversed(self._records):
+        for out, fn, inputs in reversed(self._records):
             g = out.grad
             if g is None:
                 continue
-            fn(g)
-            if not isinstance(out, Parameter):
-                out.grad = None
+            fn(g, *inputs)
+            out.grad = None
         self._records.clear()
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype)
+def _accum(s: GradSlot, g: np.ndarray) -> None:
+    if s.grad is None:
+        s.grad = np.array(g, dtype=s.dtype)
     else:
-        t.grad += g
+        s.grad += g
 
 
-def _result(data: np.ndarray, inputs: Iterable[Tensor],
-            bwd: Callable[[np.ndarray], None]) -> Tensor:
+def _grad_slot(t: Tensor | None) -> GradSlot | None:
+    s = None if t is None else t.slot
+    return s if s is not None and s.needs_grad else None
+
+
+def _result(data: np.ndarray, inputs: Sequence[Tensor | None], bwd: Backward) -> Tensor:
     """The op's output. Under an active tape, when an input needs a gradient,
-    the output is marked as needing one too and `bwd` is recorded for it.
+    the output is marked as needing one too and `bwd` is recorded for its slot.
 
-    `bwd` receives d(loss)/d(output) and adds into its own inputs' grads.
+    `bwd(g, *slots)` receives d(loss)/d(output) and one slot per input, None
+    for an input that needs no gradient, and adds into the slots' grads. It
+    reads the arrays it captured and never an input Tensor, so an input's
+    array stays alive only when the rule reads it.
     """
     out = Tensor(data)
     tape = active_tape()
-    if tape is not None and any(t.needs_grad for t in inputs):
-        out.needs_grad = True
-        tape.record(out, bwd)
+    if tape is not None:
+        slots = [_grad_slot(t) for t in inputs]
+        if any(s is not None for s in slots):
+            out.needs_grad = True
+            tape.record(out.slot, bwd, slots)
     return out
 
 
@@ -192,27 +241,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        if a.needs_grad:
-            _accum(a, _unbroadcast(g, a.data.shape))
-        if b.needs_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
+    def bwd(g: np.ndarray, sa: GradSlot | None, sb: GradSlot | None) -> None:
+        if sa is not None:
+            _accum(sa, _unbroadcast(g, sa.shape))
+        if sb is not None:
+            _accum(sb, _unbroadcast(g, sb.shape))
 
     return _result(a.data + b.data, (a, b), bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * c)
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
+        _accum(sx, g * c)
 
     return _result(x.data * c, (x,), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    old = x.data.shape
-
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g.reshape(old))
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
+        _accum(sx, g.reshape(sx.shape))
 
     return _result(x.data.reshape(shape), (x,), bwd)
 
@@ -220,8 +267,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = sorted(range(len(axes)), key=axes.__getitem__)
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, np.transpose(g, inv))
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
+        _accum(sx, np.transpose(g, inv))
 
     return _result(np.transpose(x.data, axes), (x,), bwd)
 
@@ -236,15 +283,15 @@ def gather_rows(x: Tensor, ids: np.ndarray) -> Tensor:
     """
     ids = np.asarray(ids, dtype=np.int64)
 
-    def bwd(g: np.ndarray) -> None:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        flat = np.where(ids < 0, ids + x.data.shape[0], ids).reshape(-1)
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
+        if sx.grad is None:
+            sx.grad = np.zeros(sx.shape, dtype=sx.dtype)
+        flat = np.where(ids < 0, ids + sx.shape[0], ids).reshape(-1)
         order = np.argsort(flat, kind="stable")
         flat = flat[order]
         starts = np.flatnonzero(np.diff(flat, prepend=-1))
-        rows = g.reshape((flat.size,) + x.data.shape[1:])[order]
-        x.grad[flat[starts]] += np.add.reduceat(rows, starts, axis=0)
+        rows = g.reshape((flat.size,) + sx.shape[1:])[order]
+        sx.grad[flat[starts]] += np.add.reduceat(rows, starts, axis=0)
 
     return _result(x.data[ids], (x,), bwd)
 
@@ -260,10 +307,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 
 def take_row(x: Tensor, i: int) -> Tensor:
-    def bwd(g: np.ndarray) -> None:
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[i] += g
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
+        if sx.grad is None:
+            sx.grad = np.zeros(sx.shape, dtype=sx.dtype)
+        sx.grad[i] += g
 
     return _result(x.data[i], (x,), bwd)
 
@@ -273,10 +320,10 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     if not rows:
         raise ValueError("stack_rows needs at least one row")
 
-    def bwd(g: np.ndarray) -> None:
-        for i, r in enumerate(rows):
-            if r.needs_grad:
-                _accum(r, g[i])
+    def bwd(g: np.ndarray, *slots: GradSlot | None) -> None:
+        for i, s in enumerate(slots):
+            if s is not None:
+                _accum(s, g[i])
 
     return _result(np.stack([r.data for r in rows]), rows, bwd)
 
@@ -285,13 +332,13 @@ def concat_rows(blocks: Sequence[Tensor]) -> Tensor:
     """Concatenate 2-d tensors along axis 0; backward slices g back apart."""
     if not blocks:
         raise ValueError("concat_rows needs at least one block")
+    sizes = [b.data.shape[0] for b in blocks]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, *slots: GradSlot | None) -> None:
         start = 0
-        for b in blocks:
-            n = b.data.shape[0]
-            if b.needs_grad:
-                _accum(b, g[start : start + n])
+        for s, n in zip(slots, sizes):
+            if s is not None:
+                _accum(s, g[start : start + n])
             start += n
 
     return _result(np.concatenate([b.data for b in blocks], axis=0), blocks, bwd)
@@ -306,11 +353,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
     ad, bd = a.data, b.data
 
-    def bwd(g: np.ndarray) -> None:
-        if a.needs_grad:
-            _accum(a, g @ bd.T)
-        if b.needs_grad:
-            _accum(b, ad.T @ g)
+    def bwd(g: np.ndarray, sa: GradSlot | None, sb: GradSlot | None) -> None:
+        if sa is not None:
+            _accum(sa, g @ bd.T)
+        if sb is not None:
+            _accum(sb, ad.T @ g)
 
     return _result(ad @ bd, (a, b), bwd)
 
@@ -321,11 +368,11 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul_nt shape mismatch: {a.data.shape} @ {b.data.shape}.T")
     ad, bd = a.data, b.data
 
-    def bwd(g: np.ndarray) -> None:
-        if a.needs_grad:
-            _accum(a, g @ bd)
-        if b.needs_grad:
-            _accum(b, g.T @ ad)
+    def bwd(g: np.ndarray, sa: GradSlot | None, sb: GradSlot | None) -> None:
+        if sa is not None:
+            _accum(sa, g @ bd)
+        if sb is not None:
+            _accum(sb, g.T @ ad)
 
     return _result(ad @ bd.T, (a, b), bwd)
 
@@ -379,11 +426,11 @@ def _gelu32(x: np.ndarray, keep_cdf: bool) -> tuple[np.ndarray, np.ndarray | Non
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact-erf GELU: x * Phi(x). Backward is Phi(x) + x * phi(x).
+    """GELU: x * Phi(x). Backward is Phi(x) + x * phi(x).
 
-    Float32 runs the blocked tanh-form kernel (within 5.1e-7 of the exact
-    value); float64, the widened pathway of the gradient checks, calls
-    math.erf per element.
+    Float32 runs the blocked tanh-form kernel, `_gelu32` (within 5.1e-7 of
+    the exact-erf value); float64, the widened pathway of the gradient
+    checks, is exact: it calls math.erf per element.
     """
     xd = x.data
     if xd.dtype == np.float32:
@@ -394,14 +441,14 @@ def gelu(x: Tensor) -> Tensor:
         cdf = 0.5 * (1.0 + _erf_exact(xd / math.sqrt(2.0)))
         out_data = xd * cdf
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
         gx = np.square(xd)           # g * (Phi(x) + x * phi(x)), on one buffer
         np.exp(np.multiply(gx, -0.5, out=gx), out=gx)
         gx /= math.sqrt(2.0 * math.pi)
         gx *= xd
         gx += cdf
         gx *= g
-        _accum(x, gx)
+        _accum(sx, gx)
 
     return _result(out_data, (x,), bwd)
 
@@ -418,29 +465,30 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     y = xd - np.einsum("...i->...", xd)[..., None] / d
     inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / d + eps)
     y *= inv
-    out_data = y if gamma is None else y * gamma.data
-    if gamma is not None and beta is not None:
+    gd = None if gamma is None else gamma.data
+    out_data = y if gd is None else y * gd
+    if gd is not None and beta is not None:
         out_data += beta.data
 
-    def bwd(g: np.ndarray) -> None:
-        if gamma is not None:
-            if gamma.needs_grad:
-                _accum(gamma, _unbroadcast(g * y, gamma.data.shape))
-            if beta is not None and beta.needs_grad:
-                _accum(beta, _unbroadcast(g, beta.data.shape))
-            gy = g * gamma.data
+    def bwd(g: np.ndarray, sx: GradSlot | None, sgamma: GradSlot | None,
+            sbeta: GradSlot | None) -> None:
+        if gd is not None:
+            if sgamma is not None:
+                _accum(sgamma, _unbroadcast(g * y, sgamma.shape))
+            if sbeta is not None:
+                _accum(sbeta, _unbroadcast(g, sbeta.shape))
+            gy = g * gd
         else:
             gy = g
-        if x.needs_grad:
+        if sx is not None:
             # dx = inv * (gy - mean(gy) - y * mean(gy * y)) per row
             gx = y * (np.einsum("...i,...i->...", gy, y)[..., None] / d)
             np.subtract(gy, gx, out=gx)
             gx -= np.einsum("...i->...", gy)[..., None] / d
             gx *= inv
-            _accum(x, gx)
+            _accum(sx, gx)
 
-    return _result(out_data.astype(xd.dtype, copy=False),
-                   [t for t in (x, gamma, beta) if t is not None], bwd)
+    return _result(out_data.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
@@ -450,27 +498,36 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     n_eff = np.maximum(norms, eps)
     y = xd / n_eff
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
         # d(x/||x||) applied to g: (g - y (y.g)) / ||x||
-        _accum(x, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff)
+        _accum(sx, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff)
 
     return _result(y, (x,), bwd)
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; scaling at train time keeps expectations unchanged.
-    The mask draws one float64 uniform per element of x, and no more."""
+    The mask draws one float64 uniform per element of x, and no more.
+
+    The mask is kept as booleans, and the kept values are scaled by 1 / (1 -
+    rate) rounded to x's dtype, so each output and gradient element is x * s
+    or a signed zero: the bits of multiplying by a float mask of s and 0."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    keep /= 1.0 - rate
+    keep = rng.random(x.data.shape) >= rate
+    dtype = x.data.dtype.type
+    s = dtype(1.0) / dtype(1.0 - rate)
+    out = x.data * keep
+    out *= s
 
-    def bwd(g: np.ndarray) -> None:
-        _accum(x, g * keep)
+    def bwd(g: np.ndarray, sx: GradSlot) -> None:
+        gx = g * keep
+        gx *= s
+        _accum(sx, gx)
 
-    return _result(x.data * keep, (x,), bwd)
+    return _result(out, (x,), bwd)
 
 
 def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
@@ -490,10 +547,10 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
     rows = np.arange(n)
     losses = lse - ld[rows, t]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, slogits: GradSlot) -> None:
         dl = e / z                   # softmax(logits)
         dl[rows, t] -= 1.0
-        _accum(logits, dl * (g / n))
+        _accum(slogits, dl * (g / n))
 
     return _result(np.asarray(losses.mean(), dtype=ld.dtype), (logits,), bwd)
 
@@ -597,14 +654,15 @@ def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None
     alpha = 1.0 / math.sqrt(d_head)
     out_data, p = _dense_rows(qd, kd, vd, lengths, alpha)
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
+            sv: GradSlot | None) -> None:
         dq, dk, dv = _dense_rows_grad(g, p, qd, kd, vd)
-        if q.needs_grad:
-            _accum(q, dq * alpha)
-        if k.needs_grad:
-            _accum(k, dk * alpha)
-        if v.needs_grad:
-            _accum(v, dv)
+        if sq is not None:
+            _accum(sq, dq * alpha)
+        if sk is not None:
+            _accum(sk, dk * alpha)
+        if sv is not None:
+            _accum(sv, dv)
 
     return _result(out_data, (q, k, v), bwd)
 
@@ -664,8 +722,10 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     row_local = row_local.reshape(1, 1, n_chunks, w) & key_real[:, w : w + span].reshape(n_seq, 1, n_chunks, w)
 
     qc = _padded(qd, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
-    kc = _chunk_view(_padded(kd, w, span + 2 * w), w)      # (B, H, C, dh, 3w)
-    vc = _chunk_view(_padded(vd, w, span + 2 * w), w)
+    kp = _padded(kd, w, span + 2 * w)
+    vp = _padded(vd, w, span + 2 * w)
+    kc = _chunk_view(kp, w)                                  # (B, H, C, dh, 3w)
+    vc = _chunk_view(vp, w)
     s = np.empty((n_slots, n_seq, n_heads, n_chunks, w), dtype=qd.dtype)
     s_rows = s.transpose(1, 2, 3, 4, 0)
     np.matmul(qc, kc, out=s_rows[..., :win])
@@ -680,19 +740,22 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     q_gl = qd[:, :, [0]]                                     # (B, H, 1, dh)
     out_data[:, :, [0]], p_gl = _dense_rows(q_gl, kd, vd, lengths, alpha)
     attention_pairs.add(n_heads * int(np.count_nonzero(mask & row_local)))
+    # the backward reads K and V from the padded copies, so k's and v's arrays can go
+    k_real, v_real = kp[:, :, w : w + length], vp[:, :, w : w + length]
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
+            sv: GradSlot | None) -> None:
         gc = _padded(g, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
         dp = np.empty_like(p)
         dp_rows = dp.transpose(1, 2, 3, 4, 0)
         np.matmul(gc, vc, out=dp_rows[..., :win])
-        np.matmul(gc, vd[:, :, None, [0]].swapaxes(-1, -2), out=dp_rows[..., win:])
+        np.matmul(gc, v_real[:, :, None, [0]].swapaxes(-1, -2), out=dp_rows[..., win:])
         ds = p * (dp - (p * dp).sum(axis=0))
         ds_rows = ds.transpose(1, 2, 3, 4, 0)
         dq = ds_rows[..., :win] @ kc.swapaxes(-1, -2)
-        dq += ds[win][..., None] * kd[:, :, None, None, 0]
+        dq += ds[win][..., None] * k_real[:, :, None, None, 0]
         # window slots j*w .. j*w + w - 1 of chunk i are padded key rows (i + j)*w ..
-        dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=qd.dtype)
+        dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=p.dtype)
         dvp = np.zeros_like(dkp)
         dk_win = ds_rows[..., :win].swapaxes(-1, -2) @ qc      # (B, H, C, 3w, dh)
         dv_win = p_rows[..., :win].swapaxes(-1, -2) @ gc
@@ -705,18 +768,18 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
         dk[:, :, 0] += (ds[win].reshape(flat) @ qc.reshape(n_seq, n_heads, span, d_head))[:, :, 0]
         dv[:, :, 0] += (p[win].reshape(flat) @ gc.reshape(n_seq, n_heads, span, d_head))[:, :, 0]
         dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
-        dq_gl, dk_gl, dv_gl = _dense_rows_grad(g[:, :, [0]], p_gl, q_gl, kd, vd)
+        dq_gl, dk_gl, dv_gl = _dense_rows_grad(g[:, :, [0]], p_gl, q_gl, k_real, v_real)
         dq[:, :, [0]] += dq_gl
         dk += dk_gl
         dv += dv_gl
         dq *= alpha
         dk *= alpha
-        if q.needs_grad:
-            _accum(q, dq)
-        if k.needs_grad:
-            _accum(k, dk)
-        if v.needs_grad:
-            _accum(v, dv)
+        if sq is not None:
+            _accum(sq, dq)
+        if sk is not None:
+            _accum(sk, dk)
+        if sv is not None:
+            _accum(sv, dv)
 
     return _result(out_data, (q, k, v), bwd)
 
@@ -776,27 +839,29 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
     p = _softmax_masked(s, mask, axis=-1)
     out_data = (p[:, :, None] @ vc)[:, :, 0]
     attention_pairs.add(n_heads * int(np.count_nonzero(mask)))
+    kv_shape = kv.shape
 
-    def bwd(g: np.ndarray) -> None:
+    def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
+            sv: GradSlot | None) -> None:
         dp = (vc @ g[..., None])[..., 0]
         ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
         ds *= alpha
-        if q.needs_grad:
-            _accum(q, (ds[:, :, None] @ kc)[:, :, 0])
+        if sq is not None:
+            _accum(sq, (ds[:, :, None] @ kc)[:, :, 0])
         # slot j's key and value gradients are coef[j] * rows, (M, 2, H, dh):
         # formed one slot at a time, as an (M, 2w + 2, 2, H, dh) block costs more
         coef = np.ascontiguousarray(np.stack([ds, p], axis=1).transpose(3, 0, 1, 2))[..., None]
         rows = np.stack([qd, g], axis=1)
-        dkv = np.zeros_like(kv)
+        dkv = np.zeros(kv_shape, dtype=qd.dtype)
         for j in range(span):
             dkv[at + j] += coef[j] * rows
         dkv = dkv.reshape(n_seq, padded, 2, n_heads, d_head)
         member = (seq == np.arange(n_seq)[:, None]).astype(qd.dtype)   # (B, M)
         dkv[:, w] += (member @ (coef[span] * rows).reshape(seq.size, -1)).reshape(
             n_seq, 2, n_heads, d_head)
-        for t, i in ((k, 0), (v, 1)):
-            if t.needs_grad:
-                _accum(t, dkv[:, w : w + length, i].transpose(0, 2, 1, 3))
+        for st, i in ((sk, 0), (sv, 1)):
+            if st is not None:
+                _accum(st, dkv[:, w : w + length, i].transpose(0, 2, 1, 3))
 
     return _result(out_data, (q, k, v), bwd)
 

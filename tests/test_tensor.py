@@ -10,6 +10,7 @@ import os
 import platform
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -398,6 +399,27 @@ def test_dropout_backward_uses_same_mask():
     assert (x.grad[~dropped] != 0.0).any()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
+def test_dropout_matches_a_float_mask_bit_for_bit(rate, dtype):
+    """A boolean mask scaled afterwards gives the output and gradient bits of
+    a float mask holding 1 / (1 - rate) and 0, signed zeros included."""
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(40, 33)).astype(dtype)
+    x[0, :3] = (0.0, -0.0, -1e-30)
+    g = rng.normal(size=x.shape).astype(dtype)
+    keep = (stream(6, "dropout").random(x.shape) >= rate).astype(dtype)
+    keep /= 1.0 - rate
+    xt = T.Tensor(x, needs_grad=True)
+    with T.GradTape() as tape:
+        out = T.dropout(xt, rate, stream(6, "dropout"))
+        loss = scalarize(out, g.reshape(-1))
+    tape.backward(loss)
+    assert out.data.dtype == dtype and xt.grad.dtype == dtype
+    assert out.data.tobytes() == (x * keep).tobytes()
+    assert xt.grad.tobytes() == (g * keep).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 
@@ -535,7 +557,72 @@ def test_op_records_once_and_marks_its_output_under_a_tape(name):
     with T.GradTape() as tape:
         out = _OPS[name](_maker(T.Parameter))
     assert len(tape) == 1
-    assert tape._records[0][0] is out and out.needs_grad
+    assert tape._records[0][0] is out.slot and out.needs_grad
+
+
+class _Watched(T.Parameter):
+    """A Parameter that a weakref can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _op_grads(name, drop_inputs):
+    """Run op `name` under a tape on fresh watched inputs, drop the caller's
+    references to them when asked, then run backward. Returns whether each
+    input was still alive before backward, and each input's gradient."""
+    rng = np.random.default_rng(30)
+    inputs = []
+
+    def make(shape):
+        inputs.append(_Watched("p", rng.normal(size=shape)))
+        return inputs[-1]
+
+    with T.GradTape() as tape:
+        out = _OPS[name](make)
+        loss = scalarize(out, np.linspace(-1.0, 1.0, out.data.size))
+    slots = [t.slot for t in inputs]
+    refs = [weakref.ref(t) for t in inputs]
+    if drop_inputs:
+        inputs.clear()
+    alive = [r() is not None for r in refs]
+    tape.backward(loss)
+    return alive, [s.grad for s in slots]
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_op_record_keeps_no_input_tensor_alive(name):
+    """The tape and the op's backward rule hold its inputs' gradient slots,
+    not the inputs, so an input dies with its caller's last reference, and
+    backward still fills its slot with the bits it gets when kept alive."""
+    alive, grads = _op_grads(name, drop_inputs=True)
+    kept_alive, kept_grads = _op_grads(name, drop_inputs=False)
+    assert not any(alive) and all(kept_alive)
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in kept_grads]
+
+
+def test_an_add_feeding_layer_norm_frees_the_sum_before_backward():
+    """No rule reads the sum's array: layer_norm keeps its normalized rows, so
+    the sum is freed once its tensor goes, and the gradients do not change."""
+    rng = np.random.default_rng(31)
+    a, b = (T.Parameter(n, rng.normal(size=(4, 8))) for n in "ab")
+    gamma, beta = T.Parameter("g", rng.normal(size=8)), T.Parameter("b", rng.normal(size=8))
+    w = rng.normal(size=32)
+
+    def grads(drop_sum):
+        with T.GradTape() as tape:
+            total = T.add(a, b)
+            freed = weakref.ref(total.data)
+            out = T.layer_norm(total, gamma, beta)
+            if drop_sum:
+                del total
+            loss = scalarize(out, w)
+        assert (freed() is None) == drop_sum
+        zero_grads([a, b, gamma, beta])
+        tape.backward(loss)
+        return [p.grad.copy() for p in (a, b, gamma, beta)]
+
+    dropped, kept = grads(True), grads(False)
+    assert [g.tobytes() for g in dropped] == [g.tobytes() for g in kept]
 
 
 @pytest.mark.parametrize("name", sorted(_OPS))

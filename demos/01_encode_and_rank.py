@@ -64,7 +64,7 @@ encoder = Encoder(cfg, stream(0, "init"))
 
 h = encoder.sequence_repr(x)
 matrix = encode_all_items(encoder, catalog, vocab, limits)
-scores = cosine_scores(h, matrix.rows)
+scores = cosine_scores(h[None], matrix.rows)[0]
 
 print("cosine scores against the history (untrained weights):")
 order = np.argsort(-scores)

@@ -82,7 +82,9 @@ def _typed(value, want, where: str, errors: list[str]):
     if isinstance(want, dict):
         return _section(value, where, want, errors)
     if want is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # a finite float: not NaN, not an infinity, and not an int too large to convert
+        if isinstance(value, (int, float)) and not isinstance(value, bool) \
+                and abs(value) <= sys.float_info.max:
             return float(value)
     elif want is int:
         if isinstance(value, int) and not isinstance(value, bool):
@@ -567,7 +569,7 @@ def cmd_recommend(args) -> int:
     else:
         matrix = _pick_matrix(args, model, catalog, given)
     x = build_model_input(history, catalog, model.vocab, model.limits)
-    scores = cosine_scores(model.encoder.sequence_repr(x), matrix.rows)
+    scores = cosine_scores(model.encoder.sequence_repr(x)[None], matrix.rows)[0]
     top = top_k(scores, matrix.ids, args.topk)
     print(json.dumps([{"item_id": matrix.ids[i], "score": float(scores[i])} for i in top]))
     return 0

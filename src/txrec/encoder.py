@@ -37,7 +37,9 @@ class EncoderConfig:
 
     def __post_init__(self):
         problems = []
-        if self.d < 1 or self.d % self.n_heads != 0:
+        if self.n_heads < 1:
+            problems.append(f"n_heads={self.n_heads} must be >= 1")
+        elif self.d < 1 or self.d % self.n_heads != 0:
             problems.append(f"d={self.d} must be a positive multiple of n_heads={self.n_heads}")
         if self.n_layers < 0:
             problems.append(f"n_layers={self.n_layers} must be >= 0")

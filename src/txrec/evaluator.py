@@ -85,11 +85,10 @@ def cold_start_split(sequences: Sequence[InteractionSequence]) -> ColdStartSplit
 RANK_BLOCK_SCORES = 1 << 18
 
 
-def rank_of_target(h: np.ndarray, item_rows: np.ndarray, target_index):
-    """1-based rank of each target (an int for a (d,) history); ties do not push it down.
-    A (U, d) block is scored RANK_BLOCK_SCORES // len(item_rows) histories per call
+def rank_of_target(hs: np.ndarray, item_rows: np.ndarray, target_index) -> np.ndarray:
+    """(U,) 1-based ranks of a (U, d) block's targets; ties do not push a target down.
+    The block is scored RANK_BLOCK_SCORES // len(item_rows) histories per call
     (one at least)."""
-    hs = np.atleast_2d(h)
     targets = np.reshape(target_index, (len(hs), 1))
     step = max(1, RANK_BLOCK_SCORES // max(len(item_rows), 1))
     ranks = np.empty(len(hs), dtype=np.int64)
@@ -97,7 +96,7 @@ def rank_of_target(h: np.ndarray, item_rows: np.ndarray, target_index):
         scores = cosine_scores(hs[start:start + step], item_rows)
         ranks[start:start + step] = 1 + (
             scores > np.take_along_axis(scores, targets[start:start + step], 1)).sum(1)
-    return int(ranks[0]) if np.ndim(h) == 1 else ranks
+    return ranks
 
 
 def ndcg_at_k(rank: int, k: int = 10) -> float:

@@ -38,14 +38,14 @@ class LossConfig:
 # similarity
 
 
-def cosine_scores(h: np.ndarray, rows: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Cosine of a (d,) history or a (U, d) block against every row, clipped to [-1, 1]; zero
-    vectors score 0. Each history gets its own mat-vec (a gemm rounds otherwise), as alone."""
-    hs = np.atleast_2d(h)
-    unit = np.array([x / max(float(np.linalg.norm(x)), eps) for x in hs]).reshape(hs.shape)
-    norms = np.maximum(np.linalg.norm(rows, axis=1), eps)
-    scores = np.matmul(rows, unit[:, :, None])[..., 0] / norms
-    return np.clip(scores if np.ndim(h) == 2 else scores[0], -1.0, 1.0)
+def cosine_scores(hs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(U, n) cosines of a (U, d) block of histories against every row, clipped to [-1, 1];
+    zero vectors score 0. Each history's norm is its own dot, as `np.linalg.norm` takes it,
+    and each history gets its own mat-vec (a gemm rounds otherwise): a row scores the same
+    bits in any block."""
+    unit = hs / np.maximum(np.sqrt(np.matmul(hs[:, None], hs[:, :, None])[:, 0]), T.NORM_EPS)
+    norms = np.maximum(np.linalg.norm(rows, axis=1), T.NORM_EPS)
+    return np.clip(np.matmul(rows, unit[:, :, None])[..., 0] / norms, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +130,15 @@ class MLMHead:
         return T.add(T.matmul(m, self.w_out), self.b_out)
 
 
-def pooled_mlm_loss(hiddens: list[Tensor] | Tensor, plans: list[MaskingPlan],
-                    head: MLMHead) -> Tensor:
+def pooled_mlm_loss(rows: Tensor, plans: list[MaskingPlan], head: MLMHead) -> Tensor:
     """Batch MLM: one mean over every selected position of every example.
 
-    `hiddens` holds each example's (len, d) hidden states, or is one (M, d)
-    tensor of just the selected rows, example by example in plan order.
+    `rows` is the (M, d) hidden states of just the selected positions, example
+    by example in plan order.
     """
     targets = [plan.originals for plan in plans if len(plan)]
     if not targets:
-        dtype = (hiddens if isinstance(hiddens, Tensor) else hiddens[0]).data.dtype
-        return Tensor(np.zeros((), dtype=dtype))
-    if isinstance(hiddens, Tensor):
-        rows = hiddens
-    else:
-        rows = T.concat_rows([T.gather_rows(h, plan.positions)
-                              for h, plan in zip(hiddens, plans) if len(plan)])
+        return Tensor(np.zeros((), dtype=rows.data.dtype))
     return T.cross_entropy_mean(head.logits(rows), np.concatenate(targets))
 
 
@@ -169,18 +162,17 @@ def pretrain_loss(iic: Tensor, mlm: Tensor | None, mlm_weight: float) -> Tensor:
     return T.add(iic, T.scale(mlm, mlm_weight))
 
 
-def finetune_loss(h_s: Tensor, pos_index, item_rows: np.ndarray,
+def finetune_loss(h_s: Tensor, pos_index: np.ndarray, item_rows: np.ndarray,
                   temperature: float) -> Tensor:
     """Full-catalog softmax over a frozen item matrix, meaned over histories.
 
-    `h_s` is (B, d) history rows with an index array of B positives, or one
-    (d,) row with an int. `item_rows` enters as a constant: gradient flows
-    only through the history representations, never into the matrix.
+    `h_s` is (B, d) history rows and `pos_index` their B positives. `item_rows`
+    enters as a constant: gradient flows only through the history
+    representations, never into the matrix.
     """
     if item_rows.ndim != 2 or item_rows.shape[0] == 0:
         raise ValueError(f"item matrix must be non-empty 2-d, got shape {item_rows.shape}")
-    norms = np.maximum(np.linalg.norm(item_rows, axis=1, keepdims=True), 1e-12)
+    norms = np.maximum(np.linalg.norm(item_rows, axis=1, keepdims=True), T.NORM_EPS)
     frozen = Tensor(item_rows / norms)
-    hs2 = T.l2_normalize_rows(T.reshape(h_s, (-1, h_s.data.shape[-1])))
-    logits = T.scale(T.matmul_nt(hs2, frozen), 1.0 / temperature)
-    return T.cross_entropy_mean(logits, np.atleast_1d(pos_index))
+    logits = T.scale(T.matmul_nt(T.l2_normalize_rows(h_s), frozen), 1.0 / temperature)
+    return T.cross_entropy_mean(logits, pos_index)

@@ -23,6 +23,9 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+NORM_EPS, LN_EPS = 1e-12, 1e-5  # floor of an L2 norm that divides; LayerNorm's variance offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+INIT_STD = 0.02  # of `truncated_normal` weight draws
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
 
@@ -453,8 +456,7 @@ def gelu(x: Tensor) -> Tensor:
     return _result(out_data, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = None) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine if given.
 
     Row sums go through `np.einsum`, which reduces each row on its own, so a
@@ -463,7 +465,7 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     xd = x.data
     d = xd.shape[-1]
     y = xd - np.einsum("...i->...", xd)[..., None] / d
-    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / d + eps)
+    inv = 1.0 / np.sqrt(np.einsum("...i,...i->...", y, y)[..., None] / d + LN_EPS)
     y *= inv
     gd = None if gamma is None else gamma.data
     out_data = y if gd is None else y * gd
@@ -491,11 +493,11 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
     return _result(out_data.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Scale each row to unit L2 norm; rows with norm below eps map to zero-ish."""
+def l2_normalize_rows(x: Tensor) -> Tensor:
+    """Scale each row to unit L2 norm; rows with norm below NORM_EPS map to zero-ish."""
     xd = x.data
     norms = np.sqrt((xd * xd).sum(axis=-1, keepdims=True))
-    n_eff = np.maximum(norms, eps)
+    n_eff = np.maximum(norms, NORM_EPS)
     y = xd / n_eff
 
     def bwd(g: np.ndarray, sx: GradSlot) -> None:
@@ -873,28 +875,24 @@ def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, po
 class Adam:
     """Adam with bias correction. step() consumes and zeroes the grads."""
 
-    def __init__(self, params: Iterable[Parameter], lr: float = 5e-5,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Parameter], lr: float = 5e-5):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             g[...] = 0.0
 
 
@@ -926,13 +924,13 @@ def load_params(params: Iterable[Parameter], state: dict[str, np.ndarray]) -> No
 
 
 def truncated_normal(rng: np.random.Generator, shape: tuple[int, ...],
-                     std: float = 0.02, dtype=DEFAULT_DTYPE) -> np.ndarray:
-    """N(0, std) redrawn until every sample lies within two deviations."""
-    x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2.0 * std
+                     dtype=DEFAULT_DTYPE) -> np.ndarray:
+    """N(0, INIT_STD) redrawn until every sample lies within two deviations."""
+    x = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(x) > 2.0 * INIT_STD
     while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2.0 * std
+        x[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(x) > 2.0 * INIT_STD
     return x.astype(dtype)
 
 

@@ -5,10 +5,13 @@
 The sequence runs twice, at encoder `max_tokens` 96 and 12 (12 cuts every
 history of more than one item), each time in its own folder
 OUT_DIR/tokens_<max_tokens>: make-synthetic (two domains, a quarter of the
-items cold); pretrain and finetune on the first domain; evaluate plain,
-`--cold-start --csv` and `--zero-shot` (the pretrained checkpoint on the
-second domain); encode-items; recommend from the stored matrix and with
-`--item-matrix`. Every path is relative to that folder.
+items cold); build-vocab from the first domain's items; pretrain on the first
+domain with a built vocabulary and again with that vocabulary file; finetune;
+evaluate plain, `--cold-start --csv` and `--zero-shot` (the pretrained
+checkpoint on the second domain); encode-items; evaluate with `--item-matrix`;
+recommend from the stored matrix, with `--item-matrix`, and from the second
+domain's items, which the stored matrix does not cover. Every path is relative
+to that folder.
 
 OUT_DIR/manifest.json records each command's exit code and the sha256 of its
 stdout, and the sha256 of every file the sequence wrote. The epoch log is
@@ -37,7 +40,9 @@ HISTORY = "d0_i000,d0_i003,d0_i005"
 COMMANDS = (
     ("make-synthetic", ["make-synthetic", "--out", "corpus", "--seed", "5", "--domains", "2",
                         "--items-per-domain", "12", "--users", "24", "--cold-fraction", "0.25"]),
+    ("build-vocab", ["build-vocab", "--items", f"{SEEN}/items.jsonl", "--out", "vocab.txt"]),
     ("pretrain", ["pretrain", "--config", "config.json", "--out", "pre.ckpt"]),
+    ("pretrain-vocab", ["pretrain", "--config", "config_vocab.json", "--out", "pre_vocab.ckpt"]),
     ("finetune", ["finetune", "--config", "config.json", "--init", "pre.ckpt",
                   "--out", "fine.ckpt"]),
     ("evaluate", ["evaluate", "--ckpt", "fine.ckpt", "--data", SEEN]),
@@ -46,11 +51,15 @@ COMMANDS = (
     ("evaluate-zero-shot", ["evaluate", "--ckpt", "pre.ckpt", "--data", UNSEEN, "--zero-shot"]),
     ("encode-items", ["encode-items", "--ckpt", "fine.ckpt", "--items", f"{SEEN}/items.jsonl",
                       "--out", "items.matrix"]),
+    ("evaluate-item-matrix", ["evaluate", "--ckpt", "fine.ckpt", "--data", SEEN,
+                              "--item-matrix", "items.matrix"]),
     ("recommend", ["recommend", "--ckpt", "fine.ckpt", "--items", f"{SEEN}/items.jsonl",
                    "--history", HISTORY]),
     ("recommend-item-matrix", ["recommend", "--ckpt", "fine.ckpt", "--items",
                                f"{SEEN}/items.jsonl", "--history", HISTORY,
                                "--item-matrix", "items.matrix"]),
+    ("recommend-other-catalog", ["recommend", "--ckpt", "fine.ckpt", "--items",
+                                 f"{UNSEEN}/items.jsonl", "--history", "d1_i000,d1_i003"]),
 )
 
 
@@ -84,7 +93,11 @@ def run(out_dir: str | Path) -> dict:
     for max_tokens in TOKEN_BUDGETS:
         folder = out / f"tokens_{max_tokens}"
         folder.mkdir(parents=True)
-        (folder / "config.json").write_text(json.dumps(_config(max_tokens)), encoding="utf-8")
+        config = _config(max_tokens)
+        (folder / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        del config["log"]  # one epoch log per folder
+        (folder / "config_vocab.json").write_text(json.dumps({**config, "vocab": "vocab.txt"}),
+                                                  encoding="utf-8")
         cwd = os.getcwd()
         os.chdir(folder)
         try:

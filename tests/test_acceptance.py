@@ -82,15 +82,13 @@ def test_criterion_01_analytic_gradients_match_finite_differences():
     masked = [apply_masking_plan(x, p) for x, p in zip(prefix_inputs, plans)]
 
     def build():
-        hiddens, seq_rows, item_rows = [], [], []
-        for xm in masked:
-            hid = encoder.encode(xm)
-            hiddens.append(hid)
-            seq_rows.append(T.take_row(hid, 0))
-        for xp in pos_inputs:
-            item_rows.append(T.take_row(encoder.encode(xp), 0))
-        iic = iic_inbatch_loss(T.stack_rows(seq_rows), T.stack_rows(item_rows), 0.05)
-        return pretrain_loss(iic, pooled_mlm_loss(hiddens, plans, head), 0.1)
+        hiddens = [encoder.encode(xm) for xm in masked]
+        seq_rows = T.concat_rows([T.gather_rows(hid, [0]) for hid in hiddens])
+        item_rows = T.concat_rows([T.gather_rows(encoder.encode(xp), [0]) for xp in pos_inputs])
+        masked_rows = T.concat_rows([T.gather_rows(hid, plan.positions)
+                                     for hid, plan in zip(hiddens, plans)])
+        iic = iic_inbatch_loss(seq_rows, item_rows, 0.05)
+        return pretrain_loss(iic, pooled_mlm_loss(masked_rows, plans, head), 0.1)
 
     params = encoder.parameters() + head.parameters()
     names = {p.name for p in params}
@@ -169,8 +167,8 @@ def test_criterion_03_loss_closed_forms():
     n_items = 50  # history orthogonal to every item -> flat score vector
     rows = np.zeros((n_items, d))
     rows[:, 1:] = rng.standard_normal((n_items, d - 1))
-    h = T.Tensor(np.eye(d)[0])
-    flat = float(finetune_loss(h, 7, rows, 0.05).data)
+    h = T.Tensor(np.eye(d)[:1])
+    flat = float(finetune_loss(h, np.array([7]), rows, 0.05).data)
     assert abs(flat - math.log(n_items)) < 1e-6
 
     v_words = 30  # zeroed output projection -> uniform logits over the words
@@ -183,7 +181,7 @@ def test_criterion_03_loss_closed_forms():
     plan = MaskingPlan(positions, originals,
                        np.full(4, ACTION_MASK, dtype=np.int64),
                        np.full(4, MASK_ID, dtype=np.int64))
-    flat_mlm = float(pooled_mlm_loss([hidden], [plan], head).data)
+    flat_mlm = float(pooled_mlm_loss(T.gather_rows(hidden, positions), [plan], head).data)
     assert abs(flat_mlm - math.log(v_words)) < 1e-5
     _report(3, f"single-pair {0.0}, uniform batch {uniform:.8f} vs ln16, "
                f"flat catalog {flat:.8f} vs ln50, flat logits {flat_mlm:.7f} vs ln30")
@@ -203,8 +201,8 @@ def test_criterion_04_rank_and_metrics_match_stable_sort_oracle():
         n_ties += int((scores == scores[target]).sum()) > 1
         # rows built so the cosine against [1, 0] is the planted score exactly
         rows = np.stack([scores, np.sqrt(1.0 - scores ** 2)], axis=1)
-        got = rank_of_target(np.array([1.0, 0.0], dtype=np.float32),
-                             rows.astype(np.float32), target)
+        got = int(rank_of_target(np.array([[1.0, 0.0]], dtype=np.float32),
+                                 rows.astype(np.float32), [target])[0])
         want = rank_ref(scores.astype(np.float64), target)
         assert got == want
         assert (ndcg_at_k(got, 10), recall_at_k(got, 10), mrr(got)) == \

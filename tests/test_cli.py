@@ -125,11 +125,11 @@ def test_cli_sequence_reruns_write_one_manifest(tmp_path):
     first, second = (cli_identity.run(tmp_path / side) for side in ("a", "b"))
     assert first == second
     assert json.loads((tmp_path / "a" / "manifest.json").read_text()) == first
-    assert len(first["commands"]) == 18 and len(first["files"]) == 20
+    assert len(first["commands"]) == 26 and len(first["files"]) == 26
     assert {c["exit"] for c in first["commands"].values()} == {0}
     printed = [c["stdout"] for name, c in first["commands"].items()
                if name.split("/")[1].startswith(("evaluate", "recommend"))]
-    assert len(printed) == 10 and hashlib.sha256(b"").hexdigest() not in printed
+    assert len(printed) == 14 and hashlib.sha256(b"").hexdigest() not in printed
 
 
 def test_pretrain_writes_epoch_log(workdir):
@@ -239,6 +239,58 @@ def test_an_empty_path_is_exit_2(workdir, tmp_path, capsys, key, value):
     capsys.readouterr()
     assert run("pretrain", "--config", path, "--out", tmp_path / "o") == 2
     assert capsys.readouterr().err == f"config error: {key}: an empty string is not a path\n"
+
+
+_BAD_VALUES = [
+    pytest.param("encoder", "n_heads", 0, "n_heads=0 must be >= 1", id="heads-0"),
+    pytest.param("encoder", "n_heads", -2, "n_heads=-2 must be >= 1", id="heads-neg"),
+    pytest.param("train", "lr", float("nan"), "train.lr: expected float, got nan", id="lr-nan"),
+    pytest.param("train", "grad_clip", float("nan"), "train.grad_clip: expected float, got nan",
+                 id="clip-nan"),
+    pytest.param("loss", "temperature", float("inf"), "loss.temperature: expected float, got inf",
+                 id="temperature-inf"),
+    pytest.param("loss", "mlm_weight", float("-inf"), "loss.mlm_weight: expected float, got -inf",
+                 id="mlm-weight-ninf"),
+    pytest.param("encoder", "dropout", float("nan"), "encoder.dropout: expected float, got nan",
+                 id="dropout-nan"),
+    pytest.param("train", "lr", 10 ** 400, f"train.lr: expected float, got {10 ** 400}",
+                 id="lr-huge-int"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,message", _BAD_VALUES)
+def test_a_bad_head_count_or_non_finite_float_in_run_json_is_exit_2(
+        workdir, tmp_path, capsys, section, key, value, message):
+    """json reads NaN and Infinity; neither they nor a head count below 1 get past the
+    config check, and nothing is trained or written."""
+    cfg = json.loads(workdir["config"].read_text())
+    cfg[section][key] = value
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("pretrain", "--config", path, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "finetune"])
+@pytest.mark.parametrize("section,key,value,message",
+                         [c for c in _BAD_VALUES if c.values[0] != "train"])
+def test_a_bad_head_count_or_non_finite_float_in_a_checkpoint_is_exit_4(
+        workdir, tmp_path, capsys, command, section, key, value, message):
+    config, tensors = load_checkpoint(workdir["fine"])
+    config[section] = {**config[section], key: value}
+    crafted = tmp_path / "crafted.ckpt"
+    save_checkpoint(crafted, config, tensors)
+    out = tmp_path / "out"
+    argv = {"evaluate": ["--data", workdir["data"], "--csv", out],
+            "finetune": ["--config", workdir["config"], "--out", out]}[command]
+    capsys.readouterr()
+    assert run(command, {"evaluate": "--ckpt", "finetune": "--init"}[command], crafted,
+               *argv) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"checkpoint error: {crafted}: malformed model config ({message})\n"
+    assert captured.out == "" and not out.exists()
 
 
 def test_readme_run_json_example_is_a_valid_config():

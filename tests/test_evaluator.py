@@ -128,29 +128,29 @@ def _rows_with_scores(scores):
 
 
 def test_rank_ties_never_push_target_down():
-    h = np.array([1.0, 0.0])
+    h = np.array([[1.0, 0.0]])
     rows = _rows_with_scores([0.9, 0.5, 0.5, 0.5, 0.1])
-    assert rank_of_target(h, rows, 2) == 2  # one strictly better, two ties ignored
-    assert rank_of_target(h, rows, 0) == 1
-    assert rank_of_target(h, rows, 4) == 5
+    assert rank_of_target(h, rows, [2])[0] == 2  # one strictly better, two ties ignored
+    assert rank_of_target(h, rows, [0])[0] == 1
+    assert rank_of_target(h, rows, [4])[0] == 5
 
 
 def test_rank_matches_stable_sort_oracle_on_random_scores():
     rng = np.random.default_rng(1)
-    h = np.array([1.0, 0.0])
+    h = np.array([[1.0, 0.0]])
     for trial in range(300):
         n = int(rng.integers(2, 40))
         scores = np.round(rng.uniform(-0.99, 0.99, size=n), 2)  # ties likely
         target = int(rng.integers(0, n))
         rows = _rows_with_scores(scores)
-        got = rank_of_target(h, rows, target)
+        got = rank_of_target(h, rows, [target])[0]
         expected = ref.rank_ref(np.asarray(
-            [ref.cosine_ref(h, r) for r in rows]), target)
+            [ref.cosine_ref(h[0], r) for r in rows]), target)
         assert got == expected, f"trial {trial}: {got} != {expected}"
 
 
 # ---------------------------------------------------------------------------
-# block ranking: a (U, d) block of histories against one-row calls
+# block ranking: a (U, d) block of histories against one-row blocks
 
 BLOCK_SIZES = (1, 2, 7, 15)
 
@@ -158,11 +158,11 @@ BLOCK_SIZES = (1, 2, 7, 15)
 def _assert_block_ranks_like_rows(hs, rows, targets):
     """Each leading block of `hs` scores bit for bit, and ranks, as its rows do alone."""
     for u in BLOCK_SIZES:
-        alone = np.stack([cosine_scores(h, rows) for h in hs[:u]])
+        alone = np.concatenate([cosine_scores(hs[i:i + 1], rows) for i in range(u)])
         assert cosine_scores(hs[:u], rows).tobytes() == alone.tobytes(), u
         ranks = rank_of_target(hs[:u], rows, targets[:u])
-        one_by_one = [rank_of_target(h, rows, int(t)) for h, t in zip(hs[:u], targets[:u])]
-        assert all(type(r) is int for r in one_by_one)
+        one_by_one = [int(rank_of_target(hs[i:i + 1], rows, targets[i:i + 1])[0])
+                      for i in range(u)]
         assert ranks.shape == (u,) and ranks.tolist() == one_by_one, u
 
 
@@ -196,7 +196,7 @@ def test_block_ranks_match_one_row_calls_with_a_zero_history_and_a_zero_item():
     targets = rng.integers(0, 50, size=15)
     targets[[1, 2, 6]] = 7
     _assert_block_ranks_like_rows(hs, rows, targets)
-    assert not cosine_scores(hs[1], rows).any()  # a zero history scores 0 everywhere
+    assert not cosine_scores(hs[1:2], rows).any()  # a zero history scores 0 everywhere
     assert rank_of_target(hs[:3], rows, targets[:3])[1] == 1
     assert not cosine_scores(hs, rows)[:, 7].any()  # so does a zero item
 
@@ -251,7 +251,7 @@ def test_evaluate_cases_aggregates_per_case_metrics(tiny_corpus):
     ranks = []
     for c in cases:
         h = enc.sequence_repr(build_model_input(c.context, catalog, vocab, limits))
-        ranks.append(rank_of_target(h, rows, index[c.target]))
+        ranks.append(int(rank_of_target(h[None], rows, [index[c.target]])[0]))
     assert rep.n_users == 2
     assert rep.fingerprint == "fp"
     assert rep.metrics["mrr"] == pytest.approx(sum(1.0 / r for r in ranks) / 2)
@@ -278,7 +278,7 @@ def test_evaluate_cases_ranks_every_case_with_one_call(tiny_corpus, monkeypatch,
     calls = []
 
     def spy(name, fn):
-        return lambda *args: calls.append((name, len(np.atleast_2d(args[0])))) or fn(*args)
+        return lambda *args: calls.append((name, len(args[0]))) or fn(*args)
 
     monkeypatch.setattr(evaluator, "RANK_BLOCK_SCORES", block_scores)
     monkeypatch.setattr(evaluator, "rank_of_target", spy("rank", rank_of_target))
@@ -290,7 +290,7 @@ def test_evaluate_cases_ranks_every_case_with_one_call(tiny_corpus, monkeypatch,
                               for c in cases]).data
     sums = {"ndcg@10": 0.0, "recall@10": 0.0, "mrr": 0.0}
     for h, c in zip(users, cases):
-        rank = rank_of_target(h, rows, index[c.target])
+        rank = int(rank_of_target(h[None], rows, [index[c.target]])[0])
         sums["ndcg@10"] += ndcg_at_k(rank)
         sums["recall@10"] += recall_at_k(rank)
         sums["mrr"] += mrr(rank)
@@ -349,4 +349,4 @@ def test_metrics_are_perfect_when_target_is_nearest(tiny_corpus):
     # plant the target's own representation as the history representation
     rows = np.stack([enc.sequence_repr(item_input(i, catalog, vocab, limits)) for i in ids])
     h = rows[index["i5"]]
-    assert rank_of_target(h, rows, index["i5"]) == 1
+    assert rank_of_target(h[None], rows, [index["i5"]])[0] == 1

@@ -39,7 +39,7 @@ F64 = np.float64
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of two vectors through the package's scorer, on a one-row matrix."""
-    return float(cosine_scores(a, b[None, :])[0])
+    return float(cosine_scores(a[None, :], b[None, :])[0, 0])
 
 
 def test_cosine_sim_hand_values():
@@ -68,7 +68,7 @@ def test_cosine_scores_matches_rowwise_cosine():
     h = rng.normal(size=6)
     rows = rng.normal(size=(10, 6))
     rows[4] = 0.0  # zero row scores 0
-    got = cosine_scores(h, rows)
+    got = cosine_scores(h[None], rows)[0]
     expected = [ref.cosine_ref(h, r) for r in rows]
     npt.assert_allclose(got, expected, atol=1e-9)
 
@@ -162,7 +162,7 @@ def test_mlm_loss_uniform_head_is_log_vocab():
     hidden = T.Tensor(np.random.default_rng(6).normal(size=(9, 4)), dtype=F64)
     plan = MaskingPlan(np.array([1, 3, 4]), np.array([7, 8, 9]),
                        np.zeros(3, dtype=np.int64), np.full(3, MASK_ID))
-    loss = pooled_mlm_loss([hidden], [plan], head)
+    loss = pooled_mlm_loss(T.gather_rows(hidden, plan.positions), [plan], head)
     assert abs(float(loss.data) - math.log(vocab_size)) < 1e-5
 
 
@@ -170,7 +170,8 @@ def test_mlm_loss_empty_plan_is_zero():
     head = MLMHead(4, 10, stream(7, "init"))
     hidden = T.Tensor(np.ones((3, 4)))
     empty = MaskingPlan(*(np.zeros(0, dtype=np.int64),) * 4)
-    assert float(pooled_mlm_loss([hidden], [empty], head).data) == 0.0
+    assert float(pooled_mlm_loss(T.gather_rows(hidden, empty.positions), [empty],
+                                 head).data) == 0.0
 
 
 def test_pooled_mlm_loss_weights_positions_not_examples():
@@ -184,13 +185,17 @@ def test_pooled_mlm_loss_weights_positions_not_examples():
                         np.zeros(3, dtype=np.int64), np.full(3, MASK_ID))
     plan2 = MaskingPlan(np.array([3]), np.array([7]),
                         np.zeros(1, dtype=np.int64), np.full(1, MASK_ID))
-    pooled = float(pooled_mlm_loss([h1, h2], [plan1, plan2], head).data)
+    pooled = float(pooled_mlm_loss(T.concat_rows([T.gather_rows(h1, plan1.positions),
+                                                  T.gather_rows(h2, plan2.positions)]),
+                                   [plan1, plan2], head).data)
     rows = np.vstack([h1.data[plan1.positions], h2.data[plan2.positions]])
     logits = ref.mlm_logits_ref(head.state_dict(), rows)
     expected = ref.cross_entropy_ref(logits, np.array([4, 5, 6, 7]))
     assert abs(pooled - expected) < 1e-10
-    per_example = (float(pooled_mlm_loss([h1], [plan1], head).data) * 3
-                   + float(pooled_mlm_loss([h2], [plan2], head).data) * 1) / 4
+    per_example = (float(pooled_mlm_loss(T.gather_rows(h1, plan1.positions), [plan1],
+                                         head).data) * 3
+                   + float(pooled_mlm_loss(T.gather_rows(h2, plan2.positions), [plan2],
+                                           head).data) * 1) / 4
     assert abs(pooled - per_example) < 1e-10
 
 
@@ -200,7 +205,7 @@ def test_mlm_gradcheck():
     hidden = T.Parameter("hidden", rng.normal(size=(5, 4)), dtype=F64)
     plan = MaskingPlan(np.array([0, 2, 2, 4]), np.array([4, 5, 4, 8]),
                        np.zeros(4, dtype=np.int64), np.full(4, MASK_ID))
-    fd_gradcheck(lambda: pooled_mlm_loss([hidden], [plan], head),
+    fd_gradcheck(lambda: pooled_mlm_loss(T.gather_rows(hidden, plan.positions), [plan], head),
                  [hidden] + head.parameters(), rng)
 
 
@@ -287,16 +292,16 @@ def test_finetune_loss_uniform_matrix_is_log_items():
     # orthogonal history: every item scores 0 -> uniform -> exactly ln(n)
     n = 7
     rows = np.eye(n, 16)
-    h = T.Tensor(np.r_[np.zeros(15), 1.0], dtype=F64)
-    loss = float(finetune_loss(h, 3, rows, 1.0).data)
+    h = T.Tensor(np.r_[np.zeros(15), 1.0][None], dtype=F64)
+    loss = float(finetune_loss(h, np.array([3]), rows, 1.0).data)
     assert abs(loss - math.log(n)) < 1e-9
 
 
 def test_finetune_loss_drops_when_history_aligns_with_positive():
     rng = np.random.default_rng(15)
     rows = rng.normal(size=(20, 8))
-    far = float(finetune_loss(T.Tensor(-rows[4], dtype=F64), 4, rows, 0.05).data)
-    near = float(finetune_loss(T.Tensor(rows[4], dtype=F64), 4, rows, 0.05).data)
+    far = float(finetune_loss(T.Tensor(-rows[4:5], dtype=F64), np.array([4]), rows, 0.05).data)
+    near = float(finetune_loss(T.Tensor(rows[4:5], dtype=F64), np.array([4]), rows, 0.05).data)
     assert near < far
 
 
@@ -304,9 +309,9 @@ def test_finetune_loss_matrix_stays_frozen():
     rng = np.random.default_rng(16)
     rows = rng.normal(size=(6, 5))
     rows_before = rows.copy()
-    h = T.Parameter("h", rng.normal(size=5), dtype=F64)
+    h = T.Parameter("h", rng.normal(size=(1, 5)), dtype=F64)
     with T.GradTape() as tape:
-        loss = finetune_loss(h, 2, rows, 0.05)
+        loss = finetune_loss(h, np.array([2]), rows, 0.05)
     tape.backward(loss)
     assert np.abs(h.grad).max() > 0
     npt.assert_array_equal(rows, rows_before)
@@ -315,8 +320,8 @@ def test_finetune_loss_matrix_stays_frozen():
 def test_finetune_loss_gradcheck():
     rng = np.random.default_rng(17)
     rows = rng.normal(size=(9, 6))
-    h = T.Parameter("h", rng.normal(size=6), dtype=F64)
-    fd_gradcheck(lambda: finetune_loss(h, 5, rows, 0.1), [h], rng)
+    h = T.Parameter("h", rng.normal(size=(1, 6)), dtype=F64)
+    fd_gradcheck(lambda: finetune_loss(h, np.array([5]), rows, 0.1), [h], rng)
 
 
 def test_batched_finetune_loss_is_the_mean_of_its_rows():
@@ -325,7 +330,7 @@ def test_batched_finetune_loss_is_the_mean_of_its_rows():
     hs = rng.normal(size=(4, 6))
     pos = np.array([5, 0, 5, 8])
     batched = float(finetune_loss(T.Tensor(hs, dtype=F64), pos, rows, 0.1).data)
-    singles = [float(finetune_loss(T.Tensor(h, dtype=F64), int(p), rows, 0.1).data)
+    singles = [float(finetune_loss(T.Tensor(h[None], dtype=F64), p[None], rows, 0.1).data)
                for h, p in zip(hs, pos)]
     assert abs(batched - np.mean(singles)) < 1e-12
     with pytest.raises(IndexError, match="9"):
@@ -340,8 +345,8 @@ def test_batched_finetune_loss_gradcheck():
 
 
 def test_finetune_loss_errors():
-    h = T.Tensor(np.ones(4))
+    h = T.Tensor(np.ones((1, 4)))
     with pytest.raises(IndexError, match="3"):
-        finetune_loss(h, 3, np.ones((3, 4)), 0.05)
+        finetune_loss(h, np.array([3]), np.ones((3, 4)), 0.05)
     with pytest.raises(ValueError):
-        finetune_loss(h, 0, np.ones((0, 4)), 0.05)
+        finetune_loss(h, np.array([0]), np.ones((0, 4)), 0.05)

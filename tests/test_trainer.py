@@ -432,15 +432,17 @@ def test_batch_loss_matches_one_encode_per_example(tiny_corpus, monkeypatch, obj
         mask_rng = stream(4, "mask")
         plans = [make_masking_plan(x, vocab.size, mask_rng) for x in xs]
         hiddens = [enc.encode(apply_masking_plan(x, plan)) for x, plan in zip(xs, plans)]
-        seqs = T.stack_rows([T.take_row(h, 0) for h in hiddens])
-        items = T.stack_rows([T.take_row(enc.encode(item_input(pos, catalog, vocab, limits)), 0)
-                              for _, pos in examples])
+        seqs = T.concat_rows([T.gather_rows(h, [0]) for h in hiddens])
+        items = T.concat_rows([T.gather_rows(enc.encode(item_input(pos, catalog, vocab, limits)),
+                                             [0]) for _, pos in examples])
+        masked = T.concat_rows([T.gather_rows(h, plan.positions)
+                                for h, plan in zip(hiddens, plans)])
         want = float(pretrain_loss(iic_inbatch_loss(seqs, items, 0.1),
-                                   pooled_mlm_loss(hiddens, plans, head), 0.5).data)
+                                   pooled_mlm_loss(masked, plans, head), 0.5).data)
     else:
         rows = np.random.default_rng(5).normal(size=(len(catalog), cfg.d))
-        want = np.mean([float(finetune_loss(T.take_row(enc.encode(x), 0),
-                                            catalog.ids.index(pos), rows, 0.1).data)
+        want = np.mean([float(finetune_loss(T.gather_rows(enc.encode(x), [0]),
+                                            np.array([catalog.ids.index(pos)]), rows, 0.1).data)
                         for x, (_, pos) in zip(xs, examples)])
     assert abs(float(build().data) - want) < 1e-10
 

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -315,14 +315,15 @@ def item_input(item_id: str, catalog: Catalog, vocab: Vocabulary,
 _ENCODER = json.JSONEncoder(ensure_ascii=False)  # what json.dumps(ensure_ascii=False) uses
 
 
-def _item_line(item: Item) -> str:
-    return _ENCODER.encode({"item_id": item.item_id,
-                            "attributes": [list(p) for p in item.attributes]}) + "\n"
+def _jsonl_bytes(records: Iterable[dict]) -> bytes:
+    """One JSON object per line, UTF-8: the bytes both JSONL writers write."""
+    return "".join([_ENCODER.encode(r) + "\n" for r in records]).encode("utf-8")
 
 
 def _items_jsonl_bytes(items: Iterable[Item]) -> bytes:
     """The file `write_items_jsonl` writes, and `Catalog.digest` hashes."""
-    return "".join([_item_line(it) for it in items]).encode("utf-8")
+    return _jsonl_bytes({"item_id": it.item_id, "attributes": [list(p) for p in it.attributes]}
+                        for it in items)
 
 
 def load_items_jsonl(path: str | Path, digest: str | None = None,
@@ -413,20 +414,23 @@ def load_interactions_jsonl(path: str | Path) -> list[InteractionSequence]:
     return seqs
 
 
-def write_items_jsonl(path: str | Path, items: Iterable[Item]) -> None:
+def _write_jsonl(path: str | Path, to_bytes: Callable[[Iterable], bytes], records: Iterable) -> None:
+    """Writes `to_bytes(records)` to `path`. The bytes are built first, so a
+    record holding text UTF-8 cannot encode is a DataError and writes nothing."""
     try:
-        raw = _items_jsonl_bytes(items)
+        raw = to_bytes(records)
     except UnicodeEncodeError as e:
-        raise DataError(f"cannot write {path}: an item holds text UTF-8 cannot encode "
+        raise DataError(f"cannot write {path}: a record holds text UTF-8 cannot encode "
                         f"({e.reason})") from None
     Path(path).write_bytes(raw)
 
 
+def write_items_jsonl(path: str | Path, items: Iterable[Item]) -> None:
+    _write_jsonl(path, _items_jsonl_bytes, items)
+
+
 def write_interactions_jsonl(path: str | Path, seqs: Iterable[InteractionSequence]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in seqs:
-            rec = {"user_id": s.user_id, "items": list(s.items)}
-            fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
+    _write_jsonl(path, _jsonl_bytes, ({"user_id": s.user_id, "items": list(s.items)} for s in seqs))
 
 
 def _read(path: str | Path) -> tuple[bytes, str]:

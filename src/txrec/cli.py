@@ -439,6 +439,9 @@ def _check_against_checkpoint(cfg: RunConfig, path: str, model: Model) -> None:
 
 def cmd_finetune(args) -> int:
     cfg = _training_config(args)
+    if "valid_interactions" in cfg.data:
+        raise ConfigError("data.valid_interactions has no effect on finetune, which validates "
+                          "on the held-out items of data.interactions; remove it")
     # non-finite weights are left to the loss guard, which names the batch (exit 3)
     model = Model.load(args.init, check_finite=False)
     _check_against_checkpoint(cfg, args.init, model)

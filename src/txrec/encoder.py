@@ -177,19 +177,19 @@ class Encoder:
         With `aggregate`, only row 0 of each sequence is returned, (B, d), one
         input counting as B = 1: the last layer then projects queries and runs
         its output projection, norms and FFN at that row alone, which attends
-        every real key (`global_attention`). Its dropouts draw masks for the
-        rows it keeps, and for no others.
+        every real key. Its dropouts draw masks for the rows it keeps, and for
+        no others.
 
         `rows` (with `aggregate`) names more rows to keep, one array of
         positions per input, none of them 0: the result is then the B
         aggregate rows followed by these M rows, (B + M, d), input by input.
-        The last layer runs them through `windowed_rows_attention`.
+        The last layer gathers, projects and attends all B + M kept rows at
+        once, through `kept_rows_attention`.
         """
         batch = x if isinstance(x, ModelBatch) else ModelBatch.pack([x])
         cfg = self.config
         n_seq, length = batch.token_ids.shape
-        first_rows = np.arange(n_seq) * length
-        keep = first_rows
+        seq = pos = np.zeros(0, dtype=np.int64)
         if rows is not None:
             if not aggregate or len(rows) != n_seq:
                 raise ValueError(f"rows need aggregate=True and one array per input: "
@@ -198,30 +198,28 @@ class Encoder:
             pos = np.concatenate(rows).astype(np.int64)
             if ((pos < 1) | (pos >= batch.lengths[seq])).any():
                 raise ValueError(f"rows must lie in 1 .. len - 1 of their input, got {pos.tolist()}")
-            keep = np.concatenate([first_rows, seq * length + pos])
+        keep = np.concatenate([np.arange(n_seq) * length, seq * length + pos])
         h = T.reshape(self.embed(batch), (n_seq * length, cfg.d))
         idx, valid = build_window_index(length, cfg.window)
         rate = cfg.dropout if dropout_rng is not None else 0.0
         heads = (n_seq, -1, cfg.n_heads, cfg.d // cfg.n_heads)
+
+        def split_heads(x: Tensor) -> Tensor:  # (B * len, d) -> (B, heads, len, d_head)
+            return T.transpose(T.reshape(x, heads), (0, 2, 1, 3))
+
         for i, layer in enumerate(self.layers):
             last = aggregate and i == len(self.layers) - 1
-            kept = T.gather_rows(h, first_rows) if last else h
-            q = T.transpose(T.reshape(T.matmul(kept, layer.wq), heads), (0, 2, 1, 3))
-            k = T.transpose(T.reshape(T.matmul(h, layer.wk), heads), (0, 2, 1, 3))
-            v = T.transpose(T.reshape(T.matmul(h, layer.wv), heads), (0, 2, 1, 3))
+            kept = T.gather_rows(h, keep) if last else h
+            q = T.matmul(kept, layer.wq)
+            k, v = split_heads(T.matmul(h, layer.wk)), split_heads(T.matmul(h, layer.wv))
             if last:
-                ctx = T.global_attention(q, k, v, batch.lengths)
+                ctx = T.kept_rows_attention(T.reshape(q, (keep.size,) + heads[2:]), k, v,
+                                            seq, pos, cfg.window, batch.lengths)
             else:
-                ctx = T.windowed_attention(q, k, v, idx, valid, batch.lengths)
-            ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), kept.shape)
-            if last and keep.size > n_seq:
-                extra = T.gather_rows(h, keep[n_seq:])
-                q = T.reshape(T.matmul(extra, layer.wq), (seq.size,) + heads[2:])
-                extra_ctx = T.windowed_rows_attention(q, k, v, seq, pos, cfg.window, batch.lengths)
-                kept = T.concat_rows([kept, extra])
-                ctx = T.concat_rows([ctx, T.reshape(extra_ctx, extra.shape)])
+                ctx = T.transpose(T.windowed_attention(split_heads(q), k, v, idx, valid,
+                                                       batch.lengths), (0, 2, 1, 3))
             h = kept
-            a = T.matmul(ctx, layer.wo)
+            a = T.matmul(T.reshape(ctx, kept.shape), layer.wo)
             if rate > 0.0:
                 a = T.dropout(a, rate, dropout_rng)
             h = T.layer_norm(T.add(h, a), layer.ln1_g, layer.ln1_b)

@@ -19,7 +19,7 @@ class CatalogError(DataError):
 
 
 class NonFiniteLossError(DataError):
-    """Training met a NaN or infinite batch loss, before it reached the weights."""
+    """Training met a NaN or infinite batch loss or gradient norm, before it reached the weights."""
 
 
 class CheckpointError(Exception):

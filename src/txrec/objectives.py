@@ -8,6 +8,7 @@ full softmax over a frozen matrix of item representations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,10 @@ class LossConfig:
     mlm_weight: float = 0.1
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.mlm_weight < 0.0:
-            raise ValueError(f"mlm_weight must be >= 0, got {self.mlm_weight}")
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if not 0.0 <= self.mlm_weight < math.inf:
+            raise ValueError(f"mlm_weight must be >= 0 and finite, got {self.mlm_weight}")
 
 
 # ---------------------------------------------------------------------------

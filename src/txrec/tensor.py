@@ -637,38 +637,6 @@ def _dense_rows_grad(g: np.ndarray, p: np.ndarray, qd: np.ndarray, kd: np.ndarra
     return ds @ kd, ds.swapaxes(-1, -2) @ qd, p.swapaxes(-1, -2) @ g
 
 
-def global_attention(q: Tensor, k: Tensor, v: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-    """Query rows attending every real key, as the aggregate row (row 0) of
-    `windowed_attention` does.
-
-    q is (batch, heads, G, d_head); k and v are (batch, heads, len, d_head).
-    `lengths` (batch,) gives each sequence's real length in a right-padded
-    batch and defaults to the full length; keys past it are masked. Returns
-    (batch, heads, G, d_head). An encoder that needs only its aggregate row
-    runs its last layer through this with G = 1.
-    """
-    qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 4 or kd.shape != vd.shape or kd.ndim != 4 \
-            or qd.shape[:2] != kd.shape[:2] or qd.shape[3] != kd.shape[3]:
-        raise ValueError(f"global attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
-    n_seq, _, length, d_head = kd.shape
-    lengths = _real_lengths(lengths, n_seq, length)
-    alpha = 1.0 / math.sqrt(d_head)
-    out_data, p = _dense_rows(qd, kd, vd, lengths, alpha)
-
-    def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
-            sv: GradSlot | None) -> None:
-        dq, dk, dv = _dense_rows_grad(g, p, qd, kd, vd)
-        if sq is not None:
-            _accum(sq, dq * alpha)
-        if sk is not None:
-            _accum(sk, dk * alpha)
-        if sv is not None:
-            _accum(sv, dv)
-
-    return _result(out_data, (q, k, v), bwd)
-
-
 def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray,
                        neighbor_valid: np.ndarray, lengths: np.ndarray | None = None) -> Tensor:
     """Sliding-window attention whose row 0, the aggregate slot, is global.
@@ -690,7 +658,8 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
 
     `attention_pairs` is incremented by the number of scored pairs of real
     rows and keys summed over heads, which is what the linear-scaling checks
-    measure.
+    measure. `kept_rows_attention` runs a few of these rows alone, with the
+    same pairs; its row 0 goes through the same dense helpers.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.shape != kd.shape or qd.shape != vd.shape or qd.ndim != 4:
@@ -786,84 +755,101 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     return _result(out_data, (q, k, v), bwd)
 
 
-def windowed_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: np.ndarray,
-                            window: int, lengths: np.ndarray | None = None) -> Tensor:
-    """A few query rows of `windowed_attention` other than row 0, alone.
+def kept_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: np.ndarray,
+                        window: int, lengths: np.ndarray | None = None) -> Tensor:
+    """The rows of `windowed_attention` an encoder keeps from its last layer,
+    alone: row 0 of every sequence, then a few other rows.
 
-    q is (M, heads, d_head): row m sits at position pos[m] >= 1 of sequence
-    seq[m], and no two rows share a place. k and v are (batch, heads, len,
-    d_head), with `lengths` as in `windowed_attention`. Row m attends keys
-    pos[m] - w .. pos[m] + w that lie in its sequence, plus key 0 when it is
-    outside that window: the pairs `encoder.build_window_index` allows.
-    Returns (M, heads, d_head), and counts the scored pairs of every head.
-    An encoder whose loss reads a few rows of its last layer runs them
-    through this.
+    k and v are (batch, heads, len, d_head), with `lengths` as in
+    `windowed_attention`. q is (batch + M, heads, d_head). Row b < batch is
+    row 0 of sequence b and attends every real key of it. Row batch + m sits
+    at position pos[m] >= 1 of sequence seq[m], and no two such rows share a
+    place; it attends keys pos[m] - w .. pos[m] + w that lie in its
+    sequence, plus key 0 when it is outside that window: the pairs
+    `encoder.build_window_index` allows. Returns (batch + M, heads, d_head),
+    and counts the scored pairs of every head. With M = 0 only the dense
+    rows run.
 
-    Each row gathers its 2w + 1 window keys from K and V padded by w rows,
+    Each window row gathers its 2w + 1 keys from K and V padded by w rows,
     so the backward adds the key gradients of one window offset, over all
     rows, with one plain fancy add; key 0's are summed per sequence.
     """
     qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 4 or qd.shape[1:] != kd.shape[1::2]:
-        raise ValueError(f"windowed rows attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
+    if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 4 \
+            or qd.shape[0] < kd.shape[0] or qd.shape[1:] != kd.shape[1::2]:
+        raise ValueError(f"kept rows attention shapes: q {qd.shape}, k {kd.shape}, v {vd.shape}")
     n_seq, n_heads, length, d_head = kd.shape
     seq = np.asarray(seq, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     lengths = _real_lengths(lengths, n_seq, length)
-    if seq.shape != qd.shape[:1] or pos.shape != seq.shape \
-            or not ((seq >= 0) & (seq < n_seq)).all() \
-            or not ((pos >= 1) & (pos < lengths[seq])).all() \
-            or np.unique(seq * length + pos).size != seq.size:
-        raise ValueError(f"query rows must be distinct, real and not row 0, got "
-                         f"sequences {seq.tolist()} at positions {pos.tolist()}")
-    w = max(min(window, length - 1), 1)    # a wider window changes no pair
-    span = 2 * w + 1
-    padded = length + 2 * w
+    if seq.shape != (qd.shape[0] - n_seq,) or pos.shape != seq.shape or seq.size and (
+            not ((seq >= 0) & (seq < n_seq)).all()
+            or not ((pos >= 1) & (pos < lengths[seq])).all()
+            or np.unique(seq * length + pos).size != seq.size):
+        raise ValueError(f"the {qd.shape[0] - n_seq} query rows after row 0 of each sequence "
+                         f"must be distinct, real and not row 0, got sequences {seq.tolist()} "
+                         f"at positions {pos.tolist()}")
     alpha = 1.0 / math.sqrt(d_head)
-
-    # K and V side by side, (B * (len + 2w), 2, H, dh), with w zero rows
-    # around each sequence: key x of sequence b is row b * (len + 2w) + w + x.
-    # Row m's slot j < 2w + 1 holds key pos[m] - w + j; key 0 follows.
-    kv = np.zeros((n_seq, padded, 2, n_heads, d_head), dtype=qd.dtype)
-    kv[:, w : w + length, 0] = kd.transpose(0, 2, 1, 3)
-    kv[:, w : w + length, 1] = vd.transpose(0, 2, 1, 3)
-    kv = kv.reshape(n_seq * padded, 2, n_heads, d_head)
-    at = seq * padded + pos
-    slots = np.concatenate([at[:, None] + np.arange(span), (seq * padded + w)[:, None]], axis=1)
-    kvc = np.take(kv, slots, axis=0)                                # (M, 2w + 2, 2, H, dh)
-    kc = kvc[:, :, 0].transpose(0, 2, 1, 3)                         # (M, H, 2w + 2, dh)
-    vc = kvc[:, :, 1].transpose(0, 2, 1, 3)
-    key = pos[:, None] + np.arange(-w, w + 1)
-    mask = np.concatenate([(key >= 0) & (key < lengths[seq][:, None]),
-                           (pos > w)[:, None]], axis=1)[:, None]
-    s = (kc @ qd[..., None])[..., 0]                                # (M, H, 2w + 2)
-    s *= alpha
-    p = _softmax_masked(s, mask, axis=-1)
-    out_data = (p[:, :, None] @ vc)[:, :, 0]
-    attention_pairs.add(n_heads * int(np.count_nonzero(mask)))
-    kv_shape = kv.shape
+    q_gl = qd[:n_seq, :, None]                                      # (B, H, 1, dh)
+    out_gl, p_gl = _dense_rows(q_gl, kd, vd, lengths, alpha)
+    out_data = out_gl[:, :, 0]
+    if seq.size:
+        w = max(min(window, length - 1), 1)    # a wider window changes no pair
+        span = 2 * w + 1
+        padded = length + 2 * w
+        # K and V side by side, (B * (len + 2w), 2, H, dh), with w zero rows
+        # around each sequence: key x of sequence b is row b * (len + 2w) + w + x.
+        # Row m's slot j < 2w + 1 holds key pos[m] - w + j; key 0 follows.
+        kv = np.zeros((n_seq, padded, 2, n_heads, d_head), dtype=qd.dtype)
+        kv[:, w : w + length, 0] = kd.transpose(0, 2, 1, 3)
+        kv[:, w : w + length, 1] = vd.transpose(0, 2, 1, 3)
+        kv = kv.reshape(n_seq * padded, 2, n_heads, d_head)
+        at = seq * padded + pos
+        slots = np.concatenate([at[:, None] + np.arange(span), (seq * padded + w)[:, None]], axis=1)
+        kvc = np.take(kv, slots, axis=0)                            # (M, 2w + 2, 2, H, dh)
+        kc = kvc[:, :, 0].transpose(0, 2, 1, 3)                     # (M, H, 2w + 2, dh)
+        vc = kvc[:, :, 1].transpose(0, 2, 1, 3)
+        key = pos[:, None] + np.arange(-w, w + 1)
+        mask = np.concatenate([(key >= 0) & (key < lengths[seq][:, None]),
+                               (pos > w)[:, None]], axis=1)[:, None]
+        q_win = qd[n_seq:]
+        s = (kc @ q_win[..., None])[..., 0]                         # (M, H, 2w + 2)
+        s *= alpha
+        p = _softmax_masked(s, mask, axis=-1)
+        out_data = np.concatenate([out_data, (p[:, :, None] @ vc)[:, :, 0]])
+        attention_pairs.add(n_heads * int(np.count_nonzero(mask)))
+        kv_shape = kv.shape
 
     def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
             sv: GradSlot | None) -> None:
-        dp = (vc @ g[..., None])[..., 0]
-        ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
-        ds *= alpha
+        dq, dk, dv = _dense_rows_grad(g[:n_seq, :, None], p_gl, q_gl, kd, vd)
+        dq = dq[:, :, 0] * alpha
+        dk *= alpha
+        if seq.size:
+            g_win = g[n_seq:]
+            dp = (vc @ g_win[..., None])[..., 0]
+            ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+            ds *= alpha
+            dq = np.concatenate([dq, (ds[:, :, None] @ kc)[:, :, 0]])
+            # slot j's key and value gradients are coef[j] * rows, (M, 2, H, dh):
+            # formed one slot at a time, as an (M, 2w + 2, 2, H, dh) block costs more
+            coef = np.ascontiguousarray(np.stack([ds, p], axis=1).transpose(3, 0, 1, 2))[..., None]
+            rows = np.stack([q_win, g_win], axis=1)
+            dkv = np.zeros(kv_shape, dtype=qd.dtype)
+            for j in range(span):
+                dkv[at + j] += coef[j] * rows
+            dkv = dkv.reshape(n_seq, padded, 2, n_heads, d_head)
+            member = (seq == np.arange(n_seq)[:, None]).astype(qd.dtype)   # (B, M)
+            dkv[:, w] += (member @ (coef[span] * rows).reshape(seq.size, -1)).reshape(
+                n_seq, 2, n_heads, d_head)
+            dk += dkv[:, w : w + length, 0].transpose(0, 2, 1, 3)
+            dv += dkv[:, w : w + length, 1].transpose(0, 2, 1, 3)
         if sq is not None:
-            _accum(sq, (ds[:, :, None] @ kc)[:, :, 0])
-        # slot j's key and value gradients are coef[j] * rows, (M, 2, H, dh):
-        # formed one slot at a time, as an (M, 2w + 2, 2, H, dh) block costs more
-        coef = np.ascontiguousarray(np.stack([ds, p], axis=1).transpose(3, 0, 1, 2))[..., None]
-        rows = np.stack([qd, g], axis=1)
-        dkv = np.zeros(kv_shape, dtype=qd.dtype)
-        for j in range(span):
-            dkv[at + j] += coef[j] * rows
-        dkv = dkv.reshape(n_seq, padded, 2, n_heads, d_head)
-        member = (seq == np.arange(n_seq)[:, None]).astype(qd.dtype)   # (B, M)
-        dkv[:, w] += (member @ (coef[span] * rows).reshape(seq.size, -1)).reshape(
-            n_seq, 2, n_heads, d_head)
-        for st, i in ((sk, 0), (sv, 1)):
-            if st is not None:
-                _accum(st, dkv[:, w : w + length, i].transpose(0, 2, 1, 3))
+            _accum(sq, dq)
+        if sk is not None:
+            _accum(sk, dk)
+        if sv is not None:
+            _accum(sv, dv)
 
     return _result(out_data, (q, k, v), bwd)
 

@@ -10,6 +10,7 @@ best-validation snapshot wins, never the last epoch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Sequence
@@ -45,12 +46,12 @@ class TrainConfig:
             problems.append(f"n_epochs={self.n_epochs} must be >= 1")
         if self.pretrain_batch < 1 or self.finetune_batch < 1:
             problems.append("batch sizes must be >= 1")
-        if self.lr <= 0.0:
-            problems.append(f"lr={self.lr} must be positive")
+        if not 0.0 < self.lr < math.inf:
+            problems.append(f"lr={self.lr} must be positive and finite")
         if self.patience < 1:
             problems.append(f"patience={self.patience} must be >= 1")
-        if self.grad_clip <= 0.0:
-            problems.append(f"grad_clip={self.grad_clip} must be positive")
+        if not 0.0 < self.grad_clip < math.inf:
+            problems.append(f"grad_clip={self.grad_clip} must be positive and finite")
         if self.seed < 0:
             problems.append(f"seed={self.seed} must be >= 0")
         if problems:
@@ -141,8 +142,9 @@ def _train_epoch(batches: Iterable[np.ndarray],
     batches, and the examples and the tokens trained per second of this call,
     `examples_per_s` and `tokens_per_s`.
 
-    A NaN or infinite loss stops the run before clipping and the step, naming
-    the batch through `where`, a template with a `{batch}` field.
+    A NaN or infinite loss stops the run before clipping and the step, and a
+    NaN or infinite pre-clip gradient norm before the step, naming the batch
+    through `where`, a template with a `{batch}` field.
     """
     start = perf_counter()
     sums: dict[str, float] = {}
@@ -159,6 +161,9 @@ def _train_epoch(batches: Iterable[np.ndarray],
                                      f"{where.format(batch=n_batches)}")
         tape.backward(loss)
         norm = clip_global_norm(adam.params, grad_clip)
+        if not math.isfinite(norm):
+            raise NonFiniteLossError(f"non-finite gradient norm {norm} at "
+                                     f"{where.format(batch=n_batches)}")
         adam.step()
         grad_norm = max(grad_norm, norm)
         clipped += int(norm > grad_clip)

@@ -6,7 +6,8 @@ The sequence runs twice, at encoder `max_tokens` 96 and 12 (12 cuts every
 history of more than one item), each time in its own folder
 OUT_DIR/tokens_<max_tokens>: make-synthetic (two domains, a quarter of the
 items cold); build-vocab from the first domain's items; pretrain on the first
-domain with a built vocabulary and again with that vocabulary file; finetune;
+domain with a built vocabulary and again with that vocabulary file, the
+second run also validating on the first domain's histories; finetune;
 evaluate plain, `--cold-start --csv` and `--zero-shot` (the pretrained
 checkpoint on the second domain); encode-items; evaluate with `--item-matrix`;
 recommend from the stored matrix, with `--item-matrix`, and from the second
@@ -14,8 +15,8 @@ domain's items, which the stored matrix does not cover. Every path is relative
 to that folder.
 
 OUT_DIR/manifest.json records each command's exit code and the sha256 of its
-stdout, and the sha256 of every file the sequence wrote. The epoch log is
-hashed with its timing fields left out, since they differ from run to run;
+stdout, and the sha256 of every file the sequence wrote. The epoch logs are
+hashed with their timing fields left out, since they differ from run to run;
 everything else is hashed as written. Two runs, or two versions of the
 package, that write equal manifests gave the same outputs on this sequence.
 """
@@ -34,7 +35,7 @@ from txrec.cli import main
 
 TOKEN_BUDGETS = (96, 12)
 TIMING_FIELDS = ("wall_s", "encode_s", "examples_per_s", "tokens_per_s")
-LOG = "train.log"
+LOG, VOCAB_LOG = "train.log", "pretrain_vocab.log"
 SEEN, UNSEEN = "corpus/domain_00", "corpus/domain_01"
 HISTORY = "d0_i000,d0_i003,d0_i005"
 COMMANDS = (
@@ -95,9 +96,10 @@ def run(out_dir: str | Path) -> dict:
         folder.mkdir(parents=True)
         config = _config(max_tokens)
         (folder / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        del config["log"]  # one epoch log per folder
-        (folder / "config_vocab.json").write_text(json.dumps({**config, "vocab": "vocab.txt"}),
-                                                  encoding="utf-8")
+        # pretraining only: finetune refuses data.valid_interactions
+        config["data"]["valid_interactions"] = config["data"]["interactions"]
+        (folder / "config_vocab.json").write_text(
+            json.dumps({**config, "vocab": "vocab.txt", "log": VOCAB_LOG}), encoding="utf-8")
         cwd = os.getcwd()
         os.chdir(folder)
         try:
@@ -112,7 +114,7 @@ def run(out_dir: str | Path) -> dict:
         for path in sorted(p for p in folder.rglob("*") if p.is_file()):
             data = path.read_bytes()
             manifest["files"][path.relative_to(out).as_posix()] = _sha256(
-                _untimed(data) if path.name == LOG else data)
+                _untimed(data) if path.name in (LOG, VOCAB_LOG) else data)
     (out / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
                                        encoding="utf-8")
     return manifest

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -462,6 +464,14 @@ def test_items_text_utf8_cannot_encode_has_no_digest_and_is_not_written(tmp_path
     path = tmp_path / "items.jsonl"
     with pytest.raises(DataError, match="cannot write .*UTF-8"):
         write_items_jsonl(path, items)
+    assert not path.exists()
+
+
+def test_histories_utf8_cannot_encode_are_not_written(tmp_path):
+    seqs = [InteractionSequence("u1", ("a", "b")), InteractionSequence("half \ud800 pair", ("a",))]
+    path = tmp_path / "inter.jsonl"
+    with pytest.raises(DataError, match=f"^cannot write {re.escape(str(path))}: .*UTF-8"):
+        write_interactions_jsonl(path, seqs)
     assert not path.exists()
 
 

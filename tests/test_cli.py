@@ -121,11 +121,11 @@ def test_pretrain_rerun_is_byte_identical(workdir, tmp_path):
 def test_cli_sequence_reruns_write_one_manifest(tmp_path):
     """Byte-identical reruns for the whole command line: `cli_identity.py`'s
     fixed sequence, run twice at both token budgets, hashes every file and
-    stdout alike, with only the epoch log's timing fields left out."""
+    stdout alike, with only the epoch logs' timing fields left out."""
     first, second = (cli_identity.run(tmp_path / side) for side in ("a", "b"))
     assert first == second
     assert json.loads((tmp_path / "a" / "manifest.json").read_text()) == first
-    assert len(first["commands"]) == 26 and len(first["files"]) == 26
+    assert len(first["commands"]) == 26 and len(first["files"]) == 28
     assert {c["exit"] for c in first["commands"].values()} == {0}
     printed = [c["stdout"] for name, c in first["commands"].items()
                if name.split("/")[1].startswith(("evaluate", "recommend"))]
@@ -190,7 +190,7 @@ _NOT_OBJECTS = [({section: [1]}, f"{section}: expected an object")
     ({"loss": {"temperature": "0.1"}}, "loss.temperature: expected float, got '0.1'"),
     ({"catalog": {"min_count": 0}}, "catalog.min_count=0 must be >= 1"),
     ({"train": {"lr": 0}}, "lr=0.0 must be positive"),
-    ({"loss": {"mlm_weight": -1}}, "mlm_weight must be >= 0, got -1.0"),
+    ({"loss": {"mlm_weight": -1}}, "mlm_weight must be >= 0 and finite, got -1.0"),
     ({"encoder": {"max_tokens": 0}}, "limits must be positive: InputLimits(max_tokens=0, "),
 ])
 def test_each_run_config_error_is_exit_2_with_its_message(tmp_path, capsys, config, message):
@@ -417,6 +417,28 @@ def test_finetune_rejects_keys_the_checkpoint_overrides(workdir, tmp_path, capsy
     assert run("finetune", "--config", bad, "--init", workdir["pre"],
                "--out", tmp_path / "o") == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("valid", ["own", "other", "absent"])
+def test_finetune_refuses_valid_interactions(workdir, tmp_path, capsys, valid):
+    """Pretraining reads the key; finetuning would ignore it, whatever it names."""
+    other = tmp_path / "corpus"
+    assert run("make-synthetic", "--out", other, "--seed", 6, "--domains", 1,
+               "--items-per-domain", 12, "--users", 6) == 0
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["data"]["valid_interactions"] = {
+        "own": cfg["data"]["interactions"], "absent": str(tmp_path / "absent.jsonl"),
+        "other": str(other / "domain_00" / "interactions.jsonl")}[valid]
+    cfg["log"] = str(tmp_path / "train.log")
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert run("finetune", "--config", cfg_path, "--init", workdir["pre"],
+               "--out", tmp_path / "o.ckpt") == 2
+    assert capsys.readouterr().err == (
+        "config error: data.valid_interactions has no effect on finetune, which validates "
+        "on the held-out items of data.interactions; remove it\n")
+    assert not (tmp_path / "o.ckpt").exists() and not (tmp_path / "train.log").exists()
 
 
 def test_finetune_vocab_must_match_the_checkpoint(workdir, tmp_path, capsys):

@@ -437,6 +437,22 @@ def test_kept_rows_encode_is_those_rows_of_the_full_encode(tiny_corpus, n_layers
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("every", [False, True], ids=["some-rows", "every-row"])
+def test_kept_rows_leave_the_aggregate_rows_bit_for_bit(tiny_corpus, n_layers, dtype, every):
+    """The last layer's one gather, Q projection and attention call give the
+    aggregate rows the bits of an aggregate-only encode, however many rows
+    ride along."""
+    _, vocab, _ = tiny_corpus
+    enc = Encoder(_cfg(vocab.size, n_layers=n_layers), stream(45, "init"), dtype=dtype)
+    xs = _mixed_lengths(tiny_corpus) + [_raw_input([1])]
+    rows = [np.arange(1, len(x)) for x in xs] if every else _some_rows(xs)
+    batch = ModelBatch.pack(xs)
+    got = enc.encode(batch, aggregate=True, rows=rows).data[: len(xs)]
+    assert got.tobytes() == enc.encode(batch, aggregate=True).data.tobytes()
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
 @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (F64, 1e-12)])
 def test_kept_rows_train_encode_keeps_the_dropout_stream(tiny_corpus, n_layers, dtype, atol):
     """With dropout, the kept rows are those rows of the full encode when the

@@ -501,6 +501,7 @@ def test_no_tape_records_nothing():
 
 
 _IDX, _VALID = build_window_index(5, 2)
+_NO_ROWS = np.zeros(0, dtype=np.int64)
 
 # every public op, called on inputs that `make(shape)` builds
 _OPS = {
@@ -522,12 +523,16 @@ _OPS = {
     "cross_entropy_mean": lambda make: T.cross_entropy_mean(make((3, 4)), [0, 3, 1]),
     "windowed_attention": lambda make: T.windowed_attention(
         make((1, 2, 5, 3)), make((1, 2, 5, 3)), make((1, 2, 5, 3)), _IDX, _VALID),
-    "global_attention": lambda make: T.global_attention(
-        make((2, 2, 1, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([5, 3])),
-    "windowed_rows_attention": lambda make: T.windowed_rows_attention(
-        make((3, 2, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([0, 0, 1]),
+    # `kept_rows_attention`, named for its two forms: the aggregate rows'
+    # global attention alone, and with windowed rows after them
+    "global_attention": lambda make: T.kept_rows_attention(
+        make((2, 2, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), _NO_ROWS, _NO_ROWS, 2,
+        np.array([5, 3])),
+    "windowed_rows_attention": lambda make: T.kept_rows_attention(
+        make((5, 2, 3)), make((2, 2, 5, 3)), make((2, 2, 5, 3)), np.array([0, 0, 1]),
         np.array([1, 4, 2]), 2, np.array([5, 3])),
 }
+_FORMS = {"global_attention": "kept_rows_attention", "windowed_rows_attention": "kept_rows_attention"}
 
 
 def _maker(cls):
@@ -543,7 +548,7 @@ def test_op_table_covers_every_public_op():
                  and not name.startswith("_")}
     non_ops = {"active_tape", "clip_global_norm", "load_params", "truncated_normal",
                "init_weight"}
-    assert functions - non_ops == set(_OPS)
+    assert functions - non_ops == {_FORMS.get(name, name) for name in _OPS}
 
 
 @pytest.mark.parametrize("name", sorted(_OPS))
@@ -766,35 +771,40 @@ def test_padded_batch_rejects_lengths_that_do_not_fit():
 
 
 # ---------------------------------------------------------------------------
-# global attention
+# kept rows attention: each sequence's aggregate row, global (dense), then
+# windowed rows
 
 
 def test_global_attention_matches_dense_rows_per_sequence():
     rng = np.random.default_rng(45)
     lengths = [9, 4, 1, 9]
-    q = _param("q", (4, 2, 2, 3), rng)
+    q = _param("q", (4, 2, 3), rng)
     k, v = (_param(name, (4, 2, 9, 3), rng) for name in "kv")
-    out = T.global_attention(q, k, v, np.asarray(lengths)).data
-    assert out.shape == (4, 2, 2, 3)
+    out = T.kept_rows_attention(q, k, v, _NO_ROWS, _NO_ROWS, 2, np.asarray(lengths)).data
+    assert out.shape == (4, 2, 3)
     for b, n in enumerate(lengths):
-        expected = ref.dense_attention_ref(q.data[b], k.data[b, :, :n], v.data[b, :, :n], None)
-        npt.assert_allclose(out[b], expected, atol=1e-12)
-    assert T.attention_pairs.pairs == 2 * 2 * sum(lengths)
-    full = T.global_attention(q, k, v).data  # no lengths: every key is real
+        expected = ref.dense_attention_ref(q.data[b, :, None], k.data[b, :, :n], v.data[b, :, :n],
+                                           None)
+        npt.assert_allclose(out[b], expected[:, 0], atol=1e-12)
+    assert T.attention_pairs.pairs == 2 * sum(lengths)
+    full = T.kept_rows_attention(q, k, v, _NO_ROWS, _NO_ROWS, 2).data  # no lengths: every key is real
     npt.assert_allclose(full[0], out[0], atol=1e-12)
 
 
 def test_global_attention_gradcheck_with_padding():
     rng = np.random.default_rng(46)
-    q = _param("q", (3, 2, 1, 3), rng)
+    q = _param("q", (3, 2, 3), rng)
     k, v = (_param(name, (3, 2, 7, 3), rng) for name in "kv")
     lens = np.array([7, 3, 5])
     w = rng.normal(size=q.data.size)
-    fd_gradcheck(lambda: scalarize(T.global_attention(q, k, v, lens), w),
-                 [q, k, v], rng, coords_per_tensor=30)
+
+    def build():
+        return scalarize(T.kept_rows_attention(q, k, v, _NO_ROWS, _NO_ROWS, 2, lens), w)
+
+    fd_gradcheck(build, [q, k, v], rng, coords_per_tensor=30)
     zero_grads([q, k, v])
     with T.GradTape() as tape:
-        loss = scalarize(T.global_attention(q, k, v, lens), w)
+        loss = build()
     tape.backward(loss)
     for p in (k, v):  # nothing flows into the padded keys
         assert not p.grad[1, :, 3:].any() and not p.grad[2, :, 5:].any()
@@ -802,15 +812,17 @@ def test_global_attention_gradcheck_with_padding():
 
 def test_global_attention_rejects_bad_shapes_and_lengths():
     rng = np.random.default_rng(47)
-    q = _param("q", (2, 1, 1, 3), rng)
+    q = _param("q", (2, 1, 3), rng)
     k, v = (_param(name, (2, 1, 4, 3), rng) for name in "kv")
     for bad in ([4, 5], [0, 4], [4]):
         with pytest.raises(ValueError, match="lengths"):
-            T.global_attention(q, k, v, np.asarray(bad))
+            T.kept_rows_attention(q, k, v, _NO_ROWS, _NO_ROWS, 2, np.asarray(bad))
+    for bad_q in ((2, 1, 1, 3),   # several dense rows per sequence
+                  (1, 1, 3)):     # fewer rows than sequences
+        with pytest.raises(ValueError, match="shapes"):
+            T.kept_rows_attention(_param("q", bad_q, rng), k, v, _NO_ROWS, _NO_ROWS, 2)
     with pytest.raises(ValueError, match="shapes"):
-        T.global_attention(_param("q3", (1, 1, 3), rng), k, v)
-    with pytest.raises(ValueError, match="shapes"):
-        T.global_attention(q, k, _param("v2", (2, 1, 5, 3), rng))
+        T.kept_rows_attention(q, k, _param("v2", (2, 1, 5, 3), rng), _NO_ROWS, _NO_ROWS, 2)
 
 
 def _global_row_by_formula(qd, kd, vd, lengths, g):
@@ -850,17 +862,17 @@ def test_windowed_attention_global_rows_are_unchanged_bit_for_bit(dtype):
 
 
 # ---------------------------------------------------------------------------
-# windowed rows attention
+# kept rows attention: windowed rows after the aggregate rows
 
 
 def _rows_setup(rng, lengths, window, rows, n_heads=2, d_head=3):
-    """Keys and values of a right-padded batch, and queries at `rows`, one
-    list of positions per sequence."""
+    """Keys and values of a right-padded batch, and queries at row 0 of each
+    sequence, then at `rows`, one list of positions per sequence."""
     shape = (len(lengths), n_heads, max(lengths), d_head)
     k, v = (_param(name, shape, rng) for name in "kv")
     seq = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
     pos = np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
-    q = _param("q", (seq.size, n_heads, d_head), rng)
+    q = _param("q", (len(lengths) + seq.size, n_heads, d_head), rng)
     return q, k, v, seq, pos, np.asarray(lengths)
 
 
@@ -886,10 +898,11 @@ _ROWS_CASES = [
 def test_windowed_rows_attention_matches_dense_at_the_rows(lengths, window, rows):
     rng = np.random.default_rng(50)
     q, k, v, seq, pos, lens = _rows_setup(rng, lengths, window, rows)
-    out = T.windowed_rows_attention(q, k, v, seq, pos, window, lens).data
+    out = T.kept_rows_attention(q, k, v, seq, pos, window, lens).data
     assert out.shape == q.data.shape
+    places = [(b, 0) for b in range(len(lengths))] + list(zip(seq, pos))
     pairs = 0
-    for m, (b, r) in enumerate(zip(seq, pos)):
+    for m, (b, r) in enumerate(places):
         n = lengths[b]
         allowed = ref.allowed_pairs_ref(n, window)
         q_full = np.zeros((2, n, 3))
@@ -906,7 +919,7 @@ def test_windowed_rows_attention_gradcheck_with_padding():
     w = rng.normal(size=q.data.size)
 
     def build():
-        return scalarize(T.windowed_rows_attention(q, k, v, seq, pos, 2, lens), w)
+        return scalarize(T.kept_rows_attention(q, k, v, seq, pos, 2, lens), w)
 
     fd_gradcheck(build, [q, k, v], rng, coords_per_tensor=30)
     zero_grads([q, k, v])
@@ -920,15 +933,16 @@ def test_windowed_rows_attention_gradcheck_with_padding():
 def test_windowed_rows_attention_rejects_rows_it_cannot_serve():
     rng = np.random.default_rng(52)
     q, k, v, seq, pos, lens = _rows_setup(rng, [6, 4], 2, [[1, 3], [2]])
-    T.windowed_rows_attention(q, k, v, seq, pos, 2, lens)
+    T.kept_rows_attention(q, k, v, seq, pos, 2, lens)
     for bad_seq, bad_pos in (([0, 0, 1], [1, 1, 2]),   # a row twice
                              ([0, 0, 1], [0, 3, 2]),   # the aggregate row
                              ([0, 0, 1], [1, 3, 4]),   # past its sequence's length
-                             ([0, 0, 2], [1, 3, 2])):  # no such sequence
+                             ([0, 0, 2], [1, 3, 2]),   # no such sequence
+                             ([0, 1], [1, 2])):        # fewer places than window rows
         with pytest.raises(ValueError, match="query rows"):
-            T.windowed_rows_attention(q, k, v, np.array(bad_seq), np.array(bad_pos), 2, lens)
+            T.kept_rows_attention(q, k, v, np.array(bad_seq), np.array(bad_pos), 2, lens)
     with pytest.raises(ValueError, match="shapes"):
-        T.windowed_rows_attention(k, k, v, seq, pos, 2, lens)
+        T.kept_rows_attention(k, k, v, seq, pos, 2, lens)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,30 @@ def test_train_config_collects_problems():
     assert "n_epochs" in msg and "lr" in msg and "patience" in msg
 
 
+@pytest.mark.parametrize("config,key", [(TrainConfig, "lr"), (TrainConfig, "grad_clip"),
+                                        (LossConfig, "temperature"), (LossConfig, "mlm_weight")])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_configs_refuse_non_finite_settings(config, key, value):
+    with pytest.raises(ValueError, match=rf"^{key}(=| must be >= 0 and finite, got |"
+                                         rf" must be positive and finite, got ){value}"):
+        config(**{key: value})
+
+
+def test_a_non_finite_gradient_norm_stops_the_run_before_the_step():
+    """The loss reads column 0 of p @ b, so it is finite, but b's NaN column
+    makes p's gradient NaN; clipping cannot scale a NaN norm away."""
+    p = T.Parameter("p", np.ones((1, 1)))
+    b = T.Tensor(np.array([[1.0, np.nan]], dtype=np.float32))
+
+    def batch_loss(batch):
+        loss = T.gather_rows(T.transpose(T.matmul(p, b), (1, 0)), np.array([0]))
+        return loss, {}, 1
+
+    with pytest.raises(NonFiniteLossError, match=r"^non-finite gradient norm nan at batch 1$"):
+        _train_epoch([np.arange(1)] * 2, batch_loss, T.Adam([p], lr=0.1), 1.0, "batch {batch}")
+    assert p.data.tolist() == [[1.0]]  # no step was taken with the bad gradient
+
+
 def test_early_stop_contract():
     # no new maximum in the last `patience` entries -> stop
     assert early_stop([0.1, 0.2, 0.19, 0.18, 0.17, 0.16, 0.15], patience=5) is True

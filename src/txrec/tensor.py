@@ -198,9 +198,12 @@ class GradTape:
         self._records.clear()
 
 
-def _accum(s: GradSlot, g: np.ndarray) -> None:
+def _accum(s: GradSlot, g: np.ndarray, own: bool = False) -> None:
+    """Add g into the slot's grad. With `own` the rule hands g over: it made
+    g, or g views the output grad that only it reads, and no other slot gets
+    g. A slot without a grad then takes g itself rather than a copy."""
     if s.grad is None:
-        s.grad = np.array(g, dtype=s.dtype)
+        s.grad = g if own and g.dtype == s.dtype else np.array(g, dtype=s.dtype)
     else:
         s.grad += g
 
@@ -246,8 +249,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: np.ndarray, sa: GradSlot | None, sb: GradSlot | None) -> None:
         if sa is not None:
-            _accum(sa, _unbroadcast(g, sa.shape))
-        if sb is not None:
+            _accum(sa, _unbroadcast(g, sa.shape), own=True)
+        if sb is not None:  # a copy of g, when a took g itself
             _accum(sb, _unbroadcast(g, sb.shape))
 
     return _result(a.data + b.data, (a, b), bwd)
@@ -255,14 +258,14 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(x: Tensor, c: float) -> Tensor:
     def bwd(g: np.ndarray, sx: GradSlot) -> None:
-        _accum(sx, g * c)
+        _accum(sx, g * c, own=True)
 
     return _result(x.data * c, (x,), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def bwd(g: np.ndarray, sx: GradSlot) -> None:
-        _accum(sx, g.reshape(sx.shape))
+        _accum(sx, g.reshape(sx.shape), own=True)
 
     return _result(x.data.reshape(shape), (x,), bwd)
 
@@ -271,7 +274,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = sorted(range(len(axes)), key=axes.__getitem__)
 
     def bwd(g: np.ndarray, sx: GradSlot) -> None:
-        _accum(sx, np.transpose(g, inv))
+        _accum(sx, np.transpose(g, inv), own=True)
 
     return _result(np.transpose(x.data, axes), (x,), bwd)
 
@@ -358,9 +361,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray, sa: GradSlot | None, sb: GradSlot | None) -> None:
         if sa is not None:
-            _accum(sa, g @ bd.T)
+            _accum(sa, g @ bd.T, own=True)
         if sb is not None:
-            _accum(sb, ad.T @ g)
+            _accum(sb, ad.T @ g, own=True)
 
     return _result(ad @ bd, (a, b), bwd)
 
@@ -373,9 +376,9 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray, sa: GradSlot | None, sb: GradSlot | None) -> None:
         if sa is not None:
-            _accum(sa, g @ bd)
+            _accum(sa, g @ bd, own=True)
         if sb is not None:
-            _accum(sb, g.T @ ad)
+            _accum(sb, g.T @ ad, own=True)
 
     return _result(ad @ bd.T, (a, b), bwd)
 
@@ -451,7 +454,7 @@ def gelu(x: Tensor) -> Tensor:
         gx *= xd
         gx += cdf
         gx *= g
-        _accum(sx, gx)
+        _accum(sx, gx, own=True)
 
     return _result(out_data, (x,), bwd)
 
@@ -488,7 +491,7 @@ def layer_norm(x: Tensor, gamma: Tensor | None = None, beta: Tensor | None = Non
             np.subtract(gy, gx, out=gx)
             gx -= np.einsum("...i->...", gy)[..., None] / d
             gx *= inv
-            _accum(sx, gx)
+            _accum(sx, gx, own=True)
 
     return _result(out_data.astype(xd.dtype, copy=False), (x, gamma, beta), bwd)
 
@@ -502,7 +505,7 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
 
     def bwd(g: np.ndarray, sx: GradSlot) -> None:
         # d(x/||x||) applied to g: (g - y (y.g)) / ||x||
-        _accum(sx, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff)
+        _accum(sx, (g - y * (y * g).sum(axis=-1, keepdims=True)) / n_eff, own=True)
 
     return _result(y, (x,), bwd)
 
@@ -527,7 +530,7 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     def bwd(g: np.ndarray, sx: GradSlot) -> None:
         gx = g * keep
         gx *= s
-        _accum(sx, gx)
+        _accum(sx, gx, own=True)
 
     return _result(out, (x,), bwd)
 
@@ -550,9 +553,10 @@ def cross_entropy_mean(logits: Tensor, targets) -> Tensor:
     losses = lse - ld[rows, t]
 
     def bwd(g: np.ndarray, slogits: GradSlot) -> None:
-        dl = e / z                   # softmax(logits)
+        dl = np.divide(e, z, out=e)  # softmax(logits), in the array the rule keeps
         dl[rows, t] -= 1.0
-        _accum(slogits, dl * (g / n))
+        dl *= g / n
+        _accum(slogits, dl, own=True)
 
     return _result(np.asarray(losses.mean(), dtype=ld.dtype), (logits,), bwd)
 
@@ -577,30 +581,58 @@ class PairCounter:
 attention_pairs = PairCounter()
 
 
-_MASKED = -1e30  # finite, so a fully masked padded row softmaxes to finite weights
+# A left-out pair's score: set to this, or with this added, it weighs exactly 0
+# beside any real score. Finite, so a fully masked padded row softmaxes to
+# finite weights.
+_MASKED = -1e30
 
 
 def _softmax_masked(s: np.ndarray, mask, axis: int) -> np.ndarray:
-    """Softmax over `axis` of the entries where mask holds; the rest get weight 0."""
-    s = np.where(mask, s, _MASKED)
+    """Softmax over `axis` of the entries where mask holds, in place in s;
+    the rest get weight 0."""
+    np.copyto(s, _MASKED, where=np.logical_not(mask))
+    return _softmax(s, axis)
+
+
+def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax over `axis`, in place in s."""
     s -= s.max(axis=axis, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=axis, keepdims=True)
     return s
 
 
-def _padded(x: np.ndarray, before: int, rows: int) -> np.ndarray:
-    """x (B, H, L, ...) placed at row `before` of `rows` zero rows (axis 2)."""
-    out = np.zeros(x.shape[:2] + (rows,) + x.shape[3:], dtype=x.dtype)
-    out[:, :, before : before + x.shape[2]] = x
+def _softmax_grad(p: np.ndarray, dp: np.ndarray, axis: int) -> np.ndarray:
+    """The scores' gradient p * (dp - sum(p * dp)) of softmax weights p over
+    `axis`, for the weights' gradient dp, formed in place in dp."""
+    dp -= (p * dp).sum(axis=axis, keepdims=True)
+    dp *= p
+    return dp
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (B, H, L) times b (B, H, d), (B, H, L, d): one product per element."""
+    return np.einsum("bhl,bhd->bhld", a, b)
+
+
+def _padded(xs: Sequence[np.ndarray], before: int, rows: int) -> np.ndarray:
+    """Arrays xs of one shape (B, H, L, d), each placed at row `before` of
+    `rows` zero rows: one (len(xs), B, H, rows, d) array."""
+    n_seq, n_heads, length, d = xs[0].shape
+    out = np.empty((len(xs), n_seq, n_heads, rows, d), dtype=xs[0].dtype)
+    out[:, :, :, :before] = 0
+    out[:, :, :, before + length:] = 0
+    for buf, x in zip(out, xs):
+        buf[:, :, before : before + length] = x
     return out
 
 
 def _chunk_view(x: np.ndarray, w: int) -> np.ndarray:
     """Contiguous (B, H, C*w + 2w, d) -> (B, H, C, d, 3w) overlapping views, no copy.
 
-    Chunk i sees rows [i*w, i*w + 3w) of x, which hold keys i*w - w ..
-    i*w + 2w - 1 when x is the key sequence padded by w rows on the left.
+    Chunk i sees rows [i*w, i*w + 3w) of x, which hold rows i*w - w ..
+    i*w + 2w - 1 of a sequence that x pads by w rows on the left: the keys
+    of query chunk i, or the queries that see key chunk i.
     """
     b, h, n, d = x.shape
     s0, s1, s2, s3 = x.strides
@@ -617,24 +649,27 @@ def _real_lengths(lengths, n_seq: int, length: int) -> np.ndarray:
 
 def _dense_rows(qd: np.ndarray, kd: np.ndarray, vd: np.ndarray, lengths: np.ndarray,
                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Query rows qd (B, H, G, dh) attending every real key of kd, vd (B, H, L, dh).
+    """Query rows qd (B, H, 1, dh) attending every real key of kd, vd (B, H, L, dh).
 
-    Returns the output and the weights p (B, H, G, L); keys at or past a
-    sequence's length get weight 0. Counts the G pairs of each real key.
+    Returns the output and the weights p (B, H, 1, L); keys at or past a
+    sequence's length get weight 0. Counts the pairs of each real key.
     """
-    keys = (np.arange(kd.shape[2]) < lengths[:, None])[:, None, None]
-    p = _softmax_masked((qd @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
-    attention_pairs.add(qd.shape[1] * qd.shape[2] * int(lengths.sum()))
+    s = qd @ kd.swapaxes(-1, -2)
+    s *= alpha
+    s += np.multiply(np.arange(kd.shape[2]) >= lengths[:, None], _MASKED,
+                     dtype=s.dtype)[:, None, None]    # keys past the end weigh 0
+    p = _softmax(s, axis=-1)
+    attention_pairs.add(qd.shape[1] * int(lengths.sum()))
     return p @ vd, p
 
 
-def _dense_rows_grad(g: np.ndarray, p: np.ndarray, qd: np.ndarray, kd: np.ndarray,
-                     vd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dq, dk, dv) of `_dense_rows` for output gradient g; dq and dk still
-    lack the factor alpha."""
-    dp = g @ vd.swapaxes(-1, -2)
-    ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
-    return ds @ kd, ds.swapaxes(-1, -2) @ qd, p.swapaxes(-1, -2) @ g
+def _dense_rows_grad(g: np.ndarray, p: np.ndarray, kd: np.ndarray,
+                     vd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dq, ds) of `_dense_rows` for output gradient g (B, H, 1, dh): ds is the
+    scores' gradient, so key x's gradient is ds[x] * q and its value's p[x] * g.
+    dq and ds still lack the factor alpha."""
+    ds = _softmax_grad(p, g @ vd.swapaxes(-1, -2), axis=-1)
+    return ds @ kd, ds
 
 
 def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray,
@@ -660,6 +695,11 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
     rows and keys summed over heads, which is what the linear-scaling checks
     measure. `kept_rows_attention` runs a few of these rows alone, with the
     same pairs; its row 0 goes through the same dense helpers.
+
+    The rule keeps the padded q, k and v and the weights. Its key and value
+    gradients come from the same overlapping views: chunk i of keys gets one
+    product of its (w, 3w) band of score gradients, gathered from the three
+    query chunks that see it, with the 3w query rows around it.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.shape != kd.shape or qd.shape != vd.shape or qd.ndim != 4:
@@ -679,78 +719,94 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
 
     # Scores and weights live slot-first, (S, B, H, C, w), so the softmax
     # reduces over a leading axis; matmuls read and write them through
-    # (B, H, C, w, S) views. mask is (S, B, 1, C, w): the window layout,
-    # then each sequence's real keys. row_local (B, 1, C, w) marks the
-    # rows the band serves: real and not row 0.
-    key_real = np.arange(span + 2 * w) - w < lengths[:, None]     # (B, span + 2w)
-    win_real = _chunk_view(key_real.reshape(n_seq, 1, -1, 1), w)[:, 0, :, 0]  # (B, C, 3w)
-    slots = np.zeros((span, n_slots), dtype=bool)
-    slots[:length] = neighbor_valid
-    mask = np.repeat(slots.T.reshape(n_slots, 1, 1, n_chunks, w), n_seq, axis=1)
-    mask[:win] &= win_real.transpose(2, 0, 1)[:, :, None, :, None]
-    row_local = np.ones(span, dtype=bool)
-    row_local[0] = False
-    row_local = row_local.reshape(1, 1, n_chunks, w) & key_real[:, w : w + span].reshape(n_seq, 1, n_chunks, w)
+    # (B, H, C, w, S) views. A pair left out gets _MASKED added to its score,
+    # so it weighs exactly 0 (each real row keeps its own key); the rest add
+    # zeros and keep their bits. `off` (S, B, 1, C, w) sums two such terms:
+    # `layout` (S, C, w) leaves pairs out by the window layout, and
+    # `past_end` (3w, B, C, 1) a window slot's key past its sequence's end.
+    # row_local (B, 1, C, w) marks the rows the band serves: real and not row 0.
+    layout = np.zeros((n_slots, span), dtype=qd.dtype)
+    np.multiply(np.logical_not(neighbor_valid.T), _MASKED, out=layout[:, :length])
+    layout = layout.reshape(n_slots, 1, n_chunks, w)
+    key_off = np.multiply(np.arange(-w, span + w) >= lengths[:, None], _MASKED, dtype=qd.dtype)
+    b0, b1 = key_off.strides
+    past_end = np.ndarray((win, n_seq, n_chunks, 1), qd.dtype, key_off, 0, (b1, b0, w * b1, 0))
+    off = np.empty((n_slots, n_seq, 1, n_chunks, w), dtype=qd.dtype)
+    np.add(layout[:win], past_end, out=off[:win, :, 0])
+    off[win] = layout[win]
+    row_local = (np.arange(span) < lengths[:, None]).reshape(n_seq, 1, n_chunks, w)
+    row_local[:, :, 0, 0] = False
 
-    qc = _padded(qd, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
-    kp = _padded(kd, w, span + 2 * w)
-    vp = _padded(vd, w, span + 2 * w)
+    # q, k and v padded by w zero rows on the left, up to span + 2w rows
+    qp, kp, vp = _padded((qd, kd, vd), w, span + 2 * w)
+    qc = qp[:, :, w : w + span].reshape(n_seq, n_heads, n_chunks, w, d_head)
     kc = _chunk_view(kp, w)                                  # (B, H, C, dh, 3w)
     vc = _chunk_view(vp, w)
+    k0, v0 = kp[:, :, w], vp[:, :, w]                        # key 0, (B, H, dh)
     s = np.empty((n_slots, n_seq, n_heads, n_chunks, w), dtype=qd.dtype)
     s_rows = s.transpose(1, 2, 3, 4, 0)
     np.matmul(qc, kc, out=s_rows[..., :win])
-    np.matmul(qc, kd[:, :, None, [0]].swapaxes(-1, -2), out=s_rows[..., win:])
+    np.matmul(qc, k0[:, :, None, :, None], out=s_rows[..., win:])
     s *= alpha
-    p = _softmax_masked(s, mask, axis=0)
+    s += off
+    p = _softmax(s, axis=0)
     p *= row_local
     p_rows = p.transpose(1, 2, 3, 4, 0)
-    out_c = p_rows[..., :win] @ vc.swapaxes(-1, -2)          # (B, H, C, w, dh)
-    out_c += p[win][..., None] * vd[:, :, None, None, 0]
-    out_data = out_c.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
-    q_gl = qd[:, :, [0]]                                     # (B, H, 1, dh)
-    out_data[:, :, [0]], p_gl = _dense_rows(q_gl, kd, vd, lengths, alpha)
-    attention_pairs.add(n_heads * int(np.count_nonzero(mask & row_local)))
-    # the backward reads K and V from the padded copies, so k's and v's arrays can go
-    k_real, v_real = kp[:, :, w : w + length], vp[:, :, w : w + length]
+    out_data = (p_rows[..., :win] @ vc.swapaxes(-1, -2)).reshape(n_seq, n_heads, span, d_head)
+    out_data += _outer(p[win].reshape(n_seq, n_heads, span), v0)
+    out_data = out_data[:, :, :length]
+    out_data[:, :, :1], p_gl = _dense_rows(qd[:, :, :1], kd, vd, lengths, alpha)
+    # Rows 1 .. n - 1 of a sequence of n: its pairs within w of each other,
+    # less row 0's, and key 0 from each row past w.
+    m = np.minimum(lengths - 1, w)
+    attention_pairs.add(n_heads * int((lengths * (2 * m + 1) - (m + 1) ** 2
+                                       + np.maximum(lengths - 1 - w, 0)).sum()))
 
     def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
             sv: GradSlot | None) -> None:
-        gc = _padded(g, 0, span).reshape(n_seq, n_heads, n_chunks, w, d_head)
+        flat = (n_seq, n_heads, span, d_head)
+        gp = _padded((g,), w, span + 2 * w)[0]
+        gc = gp[:, :, w : w + span].reshape(n_seq, n_heads, n_chunks, w, d_head)
         dp = np.empty_like(p)
         dp_rows = dp.transpose(1, 2, 3, 4, 0)
         np.matmul(gc, vc, out=dp_rows[..., :win])
-        np.matmul(gc, v_real[:, :, None, [0]].swapaxes(-1, -2), out=dp_rows[..., win:])
-        ds = p * (dp - (p * dp).sum(axis=0))
+        np.matmul(gc, v0[:, :, None, :, None], out=dp_rows[..., win:])
+        ds = _softmax_grad(p, dp, axis=0)
         ds_rows = ds.transpose(1, 2, 3, 4, 0)
-        dq = ds_rows[..., :win] @ kc.swapaxes(-1, -2)
-        dq += ds[win][..., None] * k_real[:, :, None, None, 0]
-        # window slots j*w .. j*w + w - 1 of chunk i are padded key rows (i + j)*w ..
-        dkp = np.zeros((n_seq, n_heads, n_chunks + 2, w, d_head), dtype=p.dtype)
-        dvp = np.zeros_like(dkp)
-        dk_win = ds_rows[..., :win].swapaxes(-1, -2) @ qc      # (B, H, C, 3w, dh)
-        dv_win = p_rows[..., :win].swapaxes(-1, -2) @ gc
-        for j in range(3):
-            dkp[:, :, j : j + n_chunks] += dk_win[:, :, :, j * w : (j + 1) * w]
-            dvp[:, :, j : j + n_chunks] += dv_win[:, :, :, j * w : (j + 1) * w]
-        dk = dkp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
-        dv = dvp.reshape(n_seq, n_heads, span + 2 * w, d_head)[:, :, w : w + length]
-        flat = (n_seq, n_heads, 1, span)
-        dk[:, :, 0] += (ds[win].reshape(flat) @ qc.reshape(n_seq, n_heads, span, d_head))[:, :, 0]
-        dv[:, :, 0] += (p[win].reshape(flat) @ gc.reshape(n_seq, n_heads, span, d_head))[:, :, 0]
-        dq = dq.reshape(n_seq, n_heads, span, d_head)[:, :, :length]
-        dq_gl, dk_gl, dv_gl = _dense_rows_grad(g[:, :, [0]], p_gl, q_gl, k_real, v_real)
-        dq[:, :, [0]] += dq_gl
-        dk += dk_gl
-        dv += dv_gl
+        dq = (ds_rows[..., :win] @ kc.swapaxes(-1, -2)).reshape(n_seq, n_heads, span, d_head)
+        dq += _outer(ds[win].reshape(n_seq, n_heads, span), k0)
+        # Key chunk i is seen by query chunks i - 1, i and i + 1, through their
+        # window slots 2w.., w.. and 0..: its band holds those score
+        # gradients as (key, query row) for query rows i*w - w .. i*w + 2w - 1.
+        band = np.empty((2, n_seq, n_heads, n_chunks, w, win), dtype=p.dtype)
+        band[:, :, :, 0, :, :w] = 0
+        band[:, :, :, -1, :, 2 * w:] = 0
+        for b, x in zip(band, (ds, p)):
+            x = x.transpose(1, 2, 3, 0, 4)                   # (B, H, C, slot, row)
+            b[:, :, 1:, :, :w] = x[:, :, :-1, 2 * w : win]
+            b[:, :, :, :, w : 2 * w] = x[:, :, :, w : 2 * w]
+            b[:, :, :-1, :, 2 * w:] = x[:, :, 1:, :w]
+        dk = (band[0] @ _chunk_view(qp, w).swapaxes(-1, -2)).reshape(flat)[:, :, :length]
+        dv = (band[1] @ _chunk_view(gp, w).swapaxes(-1, -2)).reshape(flat)[:, :, :length]
+        # key 0, seen by every row through its own slot
+        row0 = (n_seq, n_heads, 1, span)
+        dk[:, :, 0] += (ds[win].reshape(row0) @ qp[:, :, w : w + span])[:, :, 0]
+        dv[:, :, 0] += (p[win].reshape(row0) @ gp[:, :, w : w + span])[:, :, 0]
+        dq = dq[:, :, :length]
+        g_gl = g[:, :, :1]
+        dq_gl, ds_gl = _dense_rows_grad(g_gl, p_gl, kp[:, :, w : w + length],
+                                        vp[:, :, w : w + length])
+        dq[:, :, 0] += dq_gl[:, :, 0]
+        dk += _outer(ds_gl[:, :, 0], qp[:, :, w])
+        dv += _outer(p_gl[:, :, 0], g_gl[:, :, 0])
         dq *= alpha
         dk *= alpha
         if sq is not None:
-            _accum(sq, dq)
+            _accum(sq, dq, own=True)
         if sk is not None:
-            _accum(sk, dk)
+            _accum(sk, dk, own=True)
         if sv is not None:
-            _accum(sv, dv)
+            _accum(sv, dv, own=True)
 
     return _result(out_data, (q, k, v), bwd)
 
@@ -770,9 +826,11 @@ def kept_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: n
     and counts the scored pairs of every head. With M = 0 only the dense
     rows run.
 
-    Each window row gathers its 2w + 1 keys from K and V padded by w rows,
-    so the backward adds the key gradients of one window offset, over all
-    rows, with one plain fancy add; key 0's are summed per sequence.
+    The rule keeps q, k, v and the weights, and no gathered block. Per
+    sequence and head, row 0 and the window rows are the columns of two
+    small matrices: their queries and output gradients, and their score
+    gradients and weights at the rows of their keys. The window rows' dp,
+    and dq, dk and dv, are then each one product.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 3 or kd.shape != vd.shape or kd.ndim != 4 \
@@ -785,7 +843,7 @@ def kept_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: n
     if seq.shape != (qd.shape[0] - n_seq,) or pos.shape != seq.shape or seq.size and (
             not ((seq >= 0) & (seq < n_seq)).all()
             or not ((pos >= 1) & (pos < lengths[seq])).all()
-            or np.unique(seq * length + pos).size != seq.size):
+            or np.bincount(seq * length + pos).max() > 1):
         raise ValueError(f"the {qd.shape[0] - n_seq} query rows after row 0 of each sequence "
                          f"must be distinct, real and not row 0, got sequences {seq.tolist()} "
                          f"at positions {pos.tolist()}")
@@ -796,60 +854,81 @@ def kept_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: n
     if seq.size:
         w = max(min(window, length - 1), 1)    # a wider window changes no pair
         span = 2 * w + 1
-        padded = length + 2 * w
-        # K and V side by side, (B * (len + 2w), 2, H, dh), with w zero rows
-        # around each sequence: key x of sequence b is row b * (len + 2w) + w + x.
-        # Row m's slot j < 2w + 1 holds key pos[m] - w + j; key 0 follows.
-        kv = np.zeros((n_seq, padded, 2, n_heads, d_head), dtype=qd.dtype)
-        kv[:, w : w + length, 0] = kd.transpose(0, 2, 1, 3)
-        kv[:, w : w + length, 1] = vd.transpose(0, 2, 1, 3)
-        kv = kv.reshape(n_seq * padded, 2, n_heads, d_head)
-        at = seq * padded + pos
-        slots = np.concatenate([at[:, None] + np.arange(span), (seq * padded + w)[:, None]], axis=1)
-        kvc = np.take(kv, slots, axis=0)                            # (M, 2w + 2, 2, H, dh)
-        kc = kvc[:, :, 0].transpose(0, 2, 1, 3)                     # (M, H, 2w + 2, dh)
-        vc = kvc[:, :, 1].transpose(0, 2, 1, 3)
+        # Row m's slot j < 2w + 1 holds key pos[m] - w + j, and slot 2w + 1 key
+        # 0; a key outside the sequence reads the sequence's nearest row, and
+        # is masked.
         key = pos[:, None] + np.arange(-w, w + 1)
         mask = np.concatenate([(key >= 0) & (key < lengths[seq][:, None]),
                                (pos > w)[:, None]], axis=1)[:, None]
+        slots = np.zeros((seq.size, span + 1), dtype=np.int64)
+        np.minimum(np.maximum(key, 0), length - 1, out=slots[:, :span])
+        slots += (seq * length)[:, None]
         q_win = qd[n_seq:]
-        s = (kc @ q_win[..., None])[..., 0]                         # (M, H, 2w + 2)
+        # The forward gathers each row's keys and values, (M, 2w + 2, H, dh)
+        # each, from their (B * len, H, dh) rows, and lets them go: its
+        # per-row products round as they always have.
+        kc, vc = (np.take(x.transpose(0, 2, 1, 3).reshape(n_seq * length, n_heads, d_head),
+                          slots, axis=0) for x in (kd, vd))
+        s = (kc.transpose(0, 2, 1, 3) @ q_win[..., None])[..., 0]   # (M, H, 2w + 2)
         s *= alpha
         p = _softmax_masked(s, mask, axis=-1)
-        out_data = np.concatenate([out_data, (p[:, :, None] @ vc)[:, :, 0]])
+        out_win = (p[:, :, None] @ vc.transpose(0, 2, 1, 3))[:, :, 0]
+        out_data = np.concatenate([out_data, out_win])
         attention_pairs.add(n_heads * int(np.count_nonzero(mask)))
-        kv_shape = kv.shape
+        # column 1 + r of sequence b's matrix: its window row r, in input order
+        counts = np.bincount(seq, minlength=n_seq)
+        order = np.argsort(seq, kind="stable")
+        col = np.empty_like(seq)
+        col[order] = np.arange(1, seq.size + 1) - (np.cumsum(counts) - counts)[seq[order]]
 
     def bwd(g: np.ndarray, sq: GradSlot | None, sk: GradSlot | None,
             sv: GradSlot | None) -> None:
-        dq, dk, dv = _dense_rows_grad(g[:n_seq, :, None], p_gl, q_gl, kd, vd)
-        dq = dq[:, :, 0] * alpha
-        dk *= alpha
-        if seq.size:
-            g_win = g[n_seq:]
-            dp = (vc @ g_win[..., None])[..., 0]
-            ds = p * (dp - (p * dp).sum(axis=-1, keepdims=True))
+        g_gl = g[:n_seq, :, None]
+        if not seq.size:
+            dq, ds_gl = _dense_rows_grad(g_gl, p_gl, kd, vd)
+            dq = dq[:, :, 0] * alpha
+            dk = _outer(ds_gl[:, :, 0], q_gl[:, :, 0])
+            dk *= alpha
+            dv = _outer(p_gl[:, :, 0], g_gl[:, :, 0])
+        else:
+            # Per sequence and head, column 0 is row 0 and column 1 + r its
+            # window row r: `rows` holds their queries and output gradients,
+            # `dp` every key's value against their output gradients, and
+            # `weights` their score gradients and weights. Key x is row w + x
+            # of dp and weights, so each window slot has a cell, `at`: slot
+            # j <= 2w row pos[m] + j, slot 2w + 1 row w (key 0).
+            n_cols, padded = 1 + counts.max(), length + 2 * w
+            rows = np.zeros((2, n_seq, n_heads, n_cols, d_head), dtype=qd.dtype)
+            rows[0, :, :, 0], rows[1, :, :, 0] = q_gl[:, :, 0], g_gl[:, :, 0]
+            rows[0, seq, :, col], rows[1, seq, :, col] = q_win, g[n_seq:]
+            dp = np.zeros((n_seq, n_heads, padded, n_cols), dtype=qd.dtype)
+            np.matmul(vd, rows[1].swapaxes(-1, -2), out=dp[:, :, w : w + length])
+            at = np.concatenate([pos[:, None] + np.arange(span), np.full((seq.size, 1), w)], axis=1)
+            at = (((seq * n_heads)[:, None, None] + np.arange(n_heads)[:, None]) * padded
+                  + at[:, None]) * n_cols + col[:, None, None]               # (M, H, 2w + 2)
+            ds = _softmax_grad(p, dp.reshape(-1)[at], axis=-1)
             ds *= alpha
-            dq = np.concatenate([dq, (ds[:, :, None] @ kc)[:, :, 0]])
-            # slot j's key and value gradients are coef[j] * rows, (M, 2, H, dh):
-            # formed one slot at a time, as an (M, 2w + 2, 2, H, dh) block costs more
-            coef = np.ascontiguousarray(np.stack([ds, p], axis=1).transpose(3, 0, 1, 2))[..., None]
-            rows = np.stack([q_win, g_win], axis=1)
-            dkv = np.zeros(kv_shape, dtype=qd.dtype)
-            for j in range(span):
-                dkv[at + j] += coef[j] * rows
-            dkv = dkv.reshape(n_seq, padded, 2, n_heads, d_head)
-            member = (seq == np.arange(n_seq)[:, None]).astype(qd.dtype)   # (B, M)
-            dkv[:, w] += (member @ (coef[span] * rows).reshape(seq.size, -1)).reshape(
-                n_seq, 2, n_heads, d_head)
-            dk += dkv[:, w : w + length, 0].transpose(0, 2, 1, 3)
-            dv += dkv[:, w : w + length, 1].transpose(0, 2, 1, 3)
+            ds_gl = _softmax_grad(p_gl[:, :, 0], dp[:, :, w : w + length, 0], axis=-1)
+            weights = np.zeros((2, n_seq, n_heads, padded, n_cols), dtype=qd.dtype)
+            np.multiply(ds_gl, alpha, out=weights[0, :, :, w : w + length, 0])
+            weights[1, :, :, w : w + length, 0] = p_gl[:, :, 0]
+            # key 0's slot and a window slot share a cell only where key 0's
+            # slot is masked, so key 0's slot adds
+            wk, wv = weights.reshape(2, -1)
+            cells, cell0 = at[..., :span].reshape(-1), at[..., span].reshape(-1)
+            wk[cells], wv[cells] = ds[..., :span].reshape(-1), p[..., :span].reshape(-1)
+            wk[cell0] += ds[..., span].reshape(-1)
+            wv[cell0] += p[..., span].reshape(-1)
+            weights = weights[:, :, :, w : w + length]
+            dk, dv = weights @ rows
+            dq = weights[0].swapaxes(-1, -2) @ kd                            # (B, H, n_cols, dh)
+            dq = np.concatenate([dq[:, :, 0], dq[seq, :, col]])
         if sq is not None:
-            _accum(sq, dq)
+            _accum(sq, dq, own=True)
         if sk is not None:
-            _accum(sk, dk)
+            _accum(sk, dk, own=True)
         if sv is not None:
-            _accum(sv, dv)
+            _accum(sv, dv, own=True)
 
     return _result(out_data, (q, k, v), bwd)
 

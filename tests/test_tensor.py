@@ -454,6 +454,24 @@ def test_cross_entropy_gradcheck():
     fd_gradcheck(lambda: T.cross_entropy_mean(x, targets), [x], rng)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+def test_cross_entropy_gradient_has_the_bytes_of_softmax_minus_one_hot(dtype):
+    """The rule normalizes the exp(logits - max) array it keeps, in place, and
+    its gradient keeps the bytes of (e / z - onehot) * (g / n)."""
+    rng = np.random.default_rng(16)
+    logits = (rng.normal(size=(6, 11)) * 4).astype(dtype)
+    targets = rng.integers(0, 11, size=6)
+    x = T.Tensor(logits, needs_grad=True)
+    with T.GradTape() as tape:
+        loss = T.scale(T.cross_entropy_mean(x, targets), 0.7)
+    tape.backward(loss)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    dl = e / e.sum(axis=-1, keepdims=True)
+    dl[np.arange(6), targets] -= 1.0
+    expected = dl * (np.ones((), dtype=dtype) * 0.7 / 6)
+    assert x.grad.dtype == dtype and x.grad.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # tape mechanics
 
@@ -603,6 +621,51 @@ def test_op_record_keeps_no_input_tensor_alive(name):
     kept_alive, kept_grads = _op_grads(name, drop_inputs=False)
     assert not any(alive) and all(kept_alive)
     assert [g.tobytes() for g in grads] == [g.tobytes() for g in kept_grads]
+
+
+def _plain_input_grads(name):
+    """Gradients of op `name` on plain tensors that need one. Each input also
+    feeds the loss, scaled, through ops recorded before the op, so backward
+    runs the op's rule first: its slot takes a gradient from the rule, then
+    has another added into it."""
+    rng = np.random.default_rng(32)
+    inputs, terms = [], []
+
+    def make(shape):
+        x = T.Tensor(rng.normal(size=shape), needs_grad=True)
+        inputs.append(x)
+        terms.append(scalarize(T.scale(x, 0.5 + len(terms)), np.linspace(1.0, 2.0, x.data.size)))
+        return x
+
+    with T.GradTape() as tape:
+        out = _OPS[name](make)
+        loss = scalarize(out, np.linspace(-1.0, 1.0, out.data.size))
+        for term in terms:
+            loss = T.add(loss, term)
+    tape.backward(loss)
+    return [x.grad for x in inputs]
+
+
+@pytest.mark.parametrize("name", sorted(_OPS))
+def test_handed_over_gradients_keep_the_bits_of_copies(name, monkeypatch):
+    """A rule hands the gradient arrays it made to slots that have none, in
+    place of copies: the gradients keep the copies' bits, and no two slots
+    share memory, so adding into one leaves the others as they were."""
+    grads = _plain_input_grads(name)
+    for i, a in enumerate(grads):
+        assert all(not np.shares_memory(a, b) for b in grads[i + 1:])
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda s, g, own=False: accum(s, g))
+    assert [g.tobytes() for g in grads] == [g.tobytes() for g in _plain_input_grads(name)]
+
+
+def test_an_input_added_to_itself_gets_twice_the_gradient():
+    x = T.Tensor(np.arange(6.0).reshape(2, 3), needs_grad=True)
+    w = np.linspace(-1.0, 1.0, 6)
+    with T.GradTape() as tape:
+        loss = scalarize(T.add(x, x), w)
+    tape.backward(loss)
+    assert x.grad.tobytes() == (2 * w).reshape(2, 3).tobytes()
 
 
 def test_an_add_feeding_layer_norm_frees_the_sum_before_backward():
@@ -928,6 +991,51 @@ def test_windowed_rows_attention_gradcheck_with_padding():
     tape.backward(loss)
     for p in (k, v):  # nothing flows into the padded keys
         assert not p.grad[1, :, 4:].any() and not p.grad[2, :, 7:].any()
+
+
+def _held_arrays(rule):
+    """The distinct arrays a backward rule's closure keeps alive, each as the
+    outermost array that owns its memory."""
+    held, seen, todo = {}, set(), [rule]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            held[id(obj)] = obj
+        elif inspect.isfunction(obj):
+            for cell in obj.__closure__ or ():
+                try:
+                    todo.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return list(held.values())
+
+
+def test_kept_rows_rule_keeps_no_gathered_window_block():
+    """After a forward with window rows, the rule keeps q, k, v and the
+    weights: its float arrays take no more bytes than those, and it holds no
+    (M, 2w + 2, 2, H, dh) block of gathered keys and values, nor any index
+    block, only index vectors."""
+    rng = np.random.default_rng(53)
+    lengths, window, n_heads, d_head = [40, 33, 38], 3, 2, 4
+    rows = [[1, 5, 9, 20, 39], [2, 3, 30], [7, 8, 9, 10, 37]]
+    q, k, v, seq, pos, lens = _rows_setup(rng, lengths, window, rows, n_heads, d_head)
+    with T.GradTape() as tape:
+        T.kept_rows_attention(q, k, v, seq, pos, window, lens)
+    (_, rule, _), = tape._records
+    held = _held_arrays(rule)
+    m, slots = seq.size, 2 * window + 2
+    assert all(a.shape != (m, slots, 2, n_heads, d_head) for a in held)
+    floats = [a for a in held if a.dtype.kind == "f"]
+    weights = (len(lengths) * max(lengths) + m * slots) * n_heads * F64().itemsize
+    assert sum(a.nbytes for a in floats) <= q.data.nbytes + k.data.nbytes + v.data.nbytes + weights
+    assert all(a.ndim == 1 for a in held if a.dtype.kind != "f")
 
 
 def test_windowed_rows_attention_rejects_rows_it_cannot_serve():

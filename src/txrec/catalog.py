@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import CatalogError, CheckpointError, DataError
+from .errors import CatalogError, CheckpointError, DataError, write_whole
 
 log = logging.getLogger(__name__)
 
@@ -180,7 +180,7 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         lines = list(RESERVED_TOKENS) + self._tokens
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_whole(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -415,14 +415,15 @@ def load_interactions_jsonl(path: str | Path) -> list[InteractionSequence]:
 
 
 def _write_jsonl(path: str | Path, to_bytes: Callable[[Iterable], bytes], records: Iterable) -> None:
-    """Writes `to_bytes(records)` to `path`. The bytes are built first, so a
-    record holding text UTF-8 cannot encode is a DataError and writes nothing."""
+    """Writes `to_bytes(records)` to `path`, whole or not at all. The bytes are
+    built first, so a record holding text UTF-8 cannot encode is a DataError
+    and writes nothing."""
     try:
         raw = to_bytes(records)
     except UnicodeEncodeError as e:
         raise DataError(f"cannot write {path}: a record holds text UTF-8 cannot encode "
                         f"({e.reason})") from None
-    Path(path).write_bytes(raw)
+    write_whole(path, raw)
 
 
 def write_items_jsonl(path: str | Path, items: Iterable[Item]) -> None:

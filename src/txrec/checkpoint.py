@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, write_whole
 
 MAGIC = b"TXRC"
 VERSION = 1
@@ -30,7 +30,8 @@ _DTYPE_TAGS = {0: np.dtype("<f4")}
 
 
 def save_checkpoint(path: str | Path, config: dict, tensors: dict[str, np.ndarray]) -> None:
-    """Write config and tensors; tensor order follows dict insertion order."""
+    """Write config and tensors, whole or not at all (`write_whole`); tensor
+    order follows dict insertion order."""
     blob = json.dumps(config, ensure_ascii=False, sort_keys=True).encode("utf-8")
     out = bytearray()
     out += MAGIC
@@ -48,7 +49,7 @@ def save_checkpoint(path: str | Path, config: dict, tensors: dict[str, np.ndarra
             out += struct.pack("<I", dim)
         out += data.tobytes()
     out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
-    Path(path).write_bytes(out)
+    write_whole(path, out)
 
 
 def load_checkpoint(path: str | Path, check_finite: bool = True

@@ -5,7 +5,7 @@ pretraining, two-stage finetuning, evaluation, item encoding, and top-K
 recommendation. stdout carries machine-readable JSON only (evaluate and
 recommend); everything human-facing goes to stderr. Exit codes: 0 success,
 2 configuration problems, 3 data problems (a non-finite training loss
-among them), 4 checkpoint problems.
+among them), 4 checkpoint problems, 5 an output that could not be written.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .catalog import (Catalog, InputLimits, InteractionSequence, Item, Vocabular
                       build_model_input, load_interactions_jsonl, load_items_jsonl)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .encoder import Encoder, EncoderConfig, params_fingerprint
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError, WriteError, write_whole
 from .evaluator import CSV_HEADER, cold_start_split, evaluate_cases, leave_one_out
 from .objectives import LossConfig, MLMHead, cosine_scores
 from .rng import stream
@@ -322,9 +322,12 @@ def _epoch_logger(path: str | None):
     def write(record: dict) -> None:
         line = json.dumps(record)
         print(line, file=sys.stderr)
-        if path:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+        if path:  # a failed append stops the run: a log with a gap would pass for whole
+            try:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
+            except OSError as e:
+                raise WriteError(f"cannot write {path}: {e.strerror or e}") from None
 
     return write
 
@@ -511,10 +514,8 @@ def cmd_evaluate(args) -> int:
     payload = {name: rep.to_dict() if (rep := reports.get(name)) else None for name in groups}
     print(json.dumps(payload if args.cold_start else payload[None]))
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for rep in reports.values():
-                fh.write(rep.csv_row() + "\n")
+        rows = [CSV_HEADER] + [rep.csv_row() for rep in reports.values()]
+        write_whole(args.csv, ("\n".join(rows) + "\n").encode("utf-8"))
     return 0
 
 
@@ -658,6 +659,9 @@ def main(argv=None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 4
+    except WriteError as e:
+        print(f"write error: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

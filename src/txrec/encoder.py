@@ -71,7 +71,9 @@ def build_window_index(length: int, window: int) -> tuple[np.ndarray, np.ndarray
     holds key 0, the aggregate slot and the one global row, valid only when
     it is outside the row's window, so each allowed pair appears exactly
     once. Row 0 is handled densely by the kernel and keeps only its window
-    slots here. Invalid slots point at key 0.
+    slots here. Invalid slots point at key 0. The encoder builds one index
+    per config, at max_tokens + 1 rows, and passes each batch its first len
+    rows (see `tensor.windowed_attention`).
     """
     w = max(min(window, length - 1), 1)
     pos = np.arange(length)
@@ -200,7 +202,8 @@ class Encoder:
                 raise ValueError(f"rows must lie in 1 .. len - 1 of their input, got {pos.tolist()}")
         keep = np.concatenate([np.arange(n_seq) * length, seq * length + pos])
         h = T.reshape(self.embed(batch), (n_seq * length, cfg.d))
-        idx, valid = build_window_index(length, cfg.window)
+        # one index per config: the kernel masks its keys past each sequence's end
+        idx, valid = (a[:length] for a in build_window_index(cfg.max_tokens + 1, cfg.window))
         rate = cfg.dropout if dropout_rng is not None else 0.0
         heads = (n_seq, -1, cfg.n_heads, cfg.d // cfg.n_heads)
 

@@ -581,17 +581,10 @@ class PairCounter:
 attention_pairs = PairCounter()
 
 
-# A left-out pair's score: set to this, or with this added, it weighs exactly 0
-# beside any real score. Finite, so a fully masked padded row softmaxes to
-# finite weights.
+# Added to a left-out pair's score, it makes the pair weigh exactly 0 beside
+# any real score. Finite, so a fully masked padded row softmaxes to finite
+# weights.
 _MASKED = -1e30
-
-
-def _softmax_masked(s: np.ndarray, mask, axis: int) -> np.ndarray:
-    """Softmax over `axis` of the entries where mask holds, in place in s;
-    the rest get weight 0."""
-    np.copyto(s, _MASKED, where=np.logical_not(mask))
-    return _softmax(s, axis)
 
 
 def _softmax(s: np.ndarray, axis: int) -> np.ndarray:
@@ -689,7 +682,10 @@ def windowed_attention(q: Tensor, k: Tensor, v: Tensor, neighbor_idx: np.ndarray
 
     `lengths` (batch,) gives each sequence's real length in a right-padded
     batch and defaults to the full length: keys at or past a sequence's
-    length are masked, and its padded rows come out as zeros.
+    length are masked, and its padded rows come out as zeros. So the index
+    may also be the first len rows of one built for a longer sequence with
+    the same window, as the encoder passes it: the slots it marks valid past
+    a sequence's end are masked here, so they weigh exactly 0.
 
     `attention_pairs` is incremented by the number of scored pairs of real
     rows and keys summed over heads, which is what the linear-scaling checks
@@ -871,7 +867,8 @@ def kept_rows_attention(q: Tensor, k: Tensor, v: Tensor, seq: np.ndarray, pos: n
                           slots, axis=0) for x in (kd, vd))
         s = (kc.transpose(0, 2, 1, 3) @ q_win[..., None])[..., 0]   # (M, H, 2w + 2)
         s *= alpha
-        p = _softmax_masked(s, mask, axis=-1)
+        s += np.multiply(np.logical_not(mask), _MASKED, dtype=s.dtype)   # left-out keys weigh 0
+        p = _softmax(s, axis=-1)
         out_win = (p[:, :, None] @ vc.transpose(0, 2, 1, 3))[:, :, 0]
         out_data = np.concatenate([out_data, out_win])
         attention_pairs.add(n_heads * int(np.count_nonzero(mask)))

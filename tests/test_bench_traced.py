@@ -5,16 +5,23 @@ runs one companion-size pass of each workload under the tracer and checks
 that the pass calls every function its workload requires, for example
 `Encoder.encode` and `rank_of_target`, and that its spans account for the
 traced time. A code path that bypasses a traced function fails here, not
-only when `python3 bench/run.py --trace 1` is run.
+only when `python3 bench/run.py --trace 1` is run. So does an encoder call
+to `windowed_attention` in another form than the one the tracer reads.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from txrec import tensor
+from txrec.catalog import ModelBatch, ModelInput
+from txrec.encoder import Encoder, EncoderConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,3 +48,30 @@ def test_traced_companion_pass_is_complete(workload, tmp_path):
             pass
     assert tracer.completeness(workload, tracer.table()) == []
     assert workloads.CHECK[workload](data, result.outputs) == []
+
+
+def test_encoder_passes_neighbor_valid_where_the_tracer_reads_it(monkeypatch):
+    """`Tracer._pre` reads `windowed_attention`'s 5th positional argument as
+    neighbor_valid, a boolean (len, 3w + 1) array, to count slot use. A call
+    that passes something else there fails here, not in a traced run."""
+    cfg = EncoderConfig(d=8, n_layers=2, n_heads=2, window=3, ffn_dim=16, vocab_size=12,
+                        max_tokens=30, max_items=4, dropout=0.0)
+    enc = Encoder(cfg, np.random.default_rng(0))
+    original, calls = tensor.windowed_attention, []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "windowed_attention", spy)
+    inputs = [ModelInput(token_ids=np.full(n, 5), token_types=np.zeros(n, np.int64),
+                         item_positions=np.zeros(n, np.int64)) for n in (1, 3, 17, 31)]
+    for x in inputs:
+        enc.encode(x)
+    enc.encode(ModelBatch.pack(inputs[1:]))
+    assert len(calls) == cfg.n_layers * (len(inputs) + 1)
+    assert list(inspect.signature(original).parameters)[4] == "neighbor_valid"
+    for args, kwargs in calls:
+        assert len(args) >= 5
+        valid = tracing._arg(args, kwargs, 4, "neighbor_valid")
+        assert valid.dtype == bool and valid.shape == (args[0].shape[2], 3 * cfg.window + 1)

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
+import resource
+import signal
+import stat
 import struct
 import subprocess
 import sys
+import threading
 import time
 import warnings
 import zlib
@@ -24,6 +29,7 @@ from txrec import catalog as catalog_mod
 from txrec.catalog import RESERVED_TOKENS, load_items_jsonl
 from txrec.checkpoint import load_checkpoint, save_checkpoint
 from txrec.cli import _RUN_KEYS, Model, RunConfig, main, top_k, validate_run_config
+from txrec.errors import write_whole
 
 
 def run(*argv):
@@ -1339,6 +1345,97 @@ def test_make_synthetic_into_a_file_is_exit_2(tmp_path, capsys, under):
     assert run("make-synthetic", "--out", out, "--items-per-domain", 12, "--users", 4) == 2
     assert capsys.readouterr().err == f"config error: cannot write {out}: Not a directory\n"
     assert existing.read_text() == "keep"
+
+
+# ---------------------------------------------------------------------------
+# write failures: outputs are whole or absent
+
+
+def _child(*argv, file_limit: int) -> subprocess.CompletedProcess:
+    """`txrec argv` in a child process whose files may not grow past
+    `file_limit` bytes. Only the child lowers its own limit, and it ignores
+    SIGXFSZ, so a write past the limit fails with EFBIG."""
+    def limit_files():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (file_limit, file_limit))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1",
+           "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "txrec", *map(str, argv)], capture_output=True,
+                          text=True, timeout=120, env=env, preexec_fn=limit_files)
+
+
+@pytest.mark.parametrize("output", ["checkpoint", "vocab", "jsonl", "csv"])
+def test_a_failed_write_is_exit_5_and_keeps_the_old_file(workdir, tmp_path, output):
+    """Each output is first written whole in process, over a different good
+    file; then the same command, in a child that may not write that many
+    bytes, ends in exit 5 and one message. The old file keeps its bytes, and
+    no temporary file is left beside it."""
+    items, data = workdir["data"] / "items.jsonl", workdir["data"]
+    synthetic = ["make-synthetic", "--domains", 1, "--items-per-domain", 12, "--users", 6]
+    # (old command, new command, the output file under the path they end with)
+    old, new, inner = {
+        "checkpoint": (["encode-items", "--ckpt", workdir["fine"], "--items", items, "--out"],
+                       ["encode-items", "--ckpt", workdir["pre"], "--items", items, "--out"], ""),
+        "vocab": (["build-vocab", "--items", items, "--min-count", 3, "--out"],
+                  ["build-vocab", "--items", items, "--out"], ""),
+        "jsonl": (synthetic + ["--seed", 3, "--out"], synthetic + ["--out"],
+                  "domain_00/items.jsonl"),
+        "csv": (["evaluate", "--ckpt", workdir["pre"], "--data", data, "--zero-shot", "--csv"],
+                ["evaluate", "--ckpt", workdir["fine"], "--data", data, "--csv"], ""),
+    }[output]
+    assert run(*new, tmp_path / "new") == 0
+    new_size = (tmp_path / "new" / inner).stat().st_size
+    assert run(*old, tmp_path / "out") == 0
+    out = tmp_path / "out" / inner
+    before = {p: p.read_bytes() for p in out.parent.iterdir()}
+    assert before[out] != (tmp_path / "new" / inner).read_bytes() and new_size > 16
+    proc = _child(*new, tmp_path / "out", file_limit=new_size // 2)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == \
+        f"write error: cannot write {out}: {os.strerror(errno.EFBIG)}"
+    assert {p: p.read_bytes() for p in out.parent.iterdir()} == before
+
+
+def test_a_failed_epoch_log_append_stops_training_with_exit_5(workdir, tmp_path):
+    """A log that cannot take the next epoch record stops the run: no
+    checkpoint is written, and the log keeps its bytes."""
+    log = tmp_path / "train.log"
+    log.write_bytes(b"x" * 8192)
+    cfg = json.loads(workdir["config"].read_text())
+    cfg["log"] = str(log)
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "o.ckpt"
+    proc = _child("pretrain", "--config", cfg_path, "--out", out, file_limit=4096)
+    assert proc.returncode == 5
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == \
+        f"write error: cannot write {log}: {os.strerror(errno.EFBIG)}"
+    assert log.read_bytes() == b"x" * 8192 and not out.exists()
+
+
+def test_write_whole_writes_a_pipe_in_place_and_a_link_through(tmp_path):
+    """A target that is not a regular file is written in place, not replaced;
+    a link keeps pointing at the file that replaced its target."""
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()))
+    reader.start()
+    write_whole(pipe, b"through the pipe")
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [b"through the pipe"] and stat.S_ISFIFO(pipe.stat().st_mode)
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    write_whole(link, b"new")
+    assert link.is_symlink() and target.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "pipe", "target"]
 
 
 # ---------------------------------------------------------------------------

@@ -106,6 +106,20 @@ def test_window_index_is_cached_and_frozen():
         a[0][0, 0] = 5
 
 
+def test_encoder_builds_one_window_index_per_config():
+    """Every input length, 1 to max_tokens + 1, reads one cached index: the
+    one built for max_tokens + 1 rows, whose first len rows the kernel takes."""
+    cfg = _cfg(12, window=3, max_tokens=40)
+    enc = Encoder(cfg, stream(0, "init"))
+    rng = np.random.default_rng(5)
+    build_window_index.cache_clear()
+    for n in range(1, cfg.max_tokens + 2):
+        enc.encode(ModelInput(token_ids=rng.integers(4, 12, n), token_types=np.zeros(n, np.int64),
+                              item_positions=np.zeros(n, np.int64)))
+    info = build_window_index.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # forward
 

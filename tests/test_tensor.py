@@ -825,6 +825,35 @@ def test_padded_batch_pair_count_excludes_padding():
     assert T.attention_pairs.pairs == expected
 
 
+@pytest.mark.parametrize("dtype", [np.float32, F64])
+@pytest.mark.parametrize("lengths,window", [
+    ([13], 3), ([13, 6, 9], 3), ([9], 2), ([30, 11, 1, 17], 4),
+    ([3], 5), ([5, 2], 5), ([1], 3), ([4, 4], 4),   # len <= w: the exact index clamps w
+], ids=str)
+@pytest.mark.parametrize("padded", [False, True], ids=["no_lengths", "lengths"])
+def test_windowed_attention_takes_a_longer_index_prefix_bit_for_bit(lengths, window, padded, dtype):
+    """The first len rows of the index built for a longer sequence, as the
+    encoder passes it, give the exact index's output and q, k and v gradients
+    bit for bit: the prefix's valid slots past each sequence's end are masked
+    by `lengths`, or by the full length when none are given."""
+    rng = np.random.default_rng(sum(lengths) + window)
+    length = max(lengths)
+    shape = (len(lengths), 2, length, 3)
+    data = [rng.normal(size=shape) for _ in "qkv"]
+    g = rng.normal(size=shape)
+    lens = np.asarray(lengths) if padded else None
+    results = []
+    for idx, valid in (build_window_index(length, window),
+                       (a[:length] for a in build_window_index(length + 2 * window + 7, window))):
+        q, k, v = (T.Parameter(name, x, dtype=dtype) for name, x in zip("qkv", data))
+        with T.GradTape() as tape:
+            out = T.windowed_attention(q, k, v, idx, valid, lens)
+            loss = scalarize(out, g.reshape(-1))
+        tape.backward(loss)
+        results.append([x.tobytes() for x in (out.data, q.grad, k.grad, v.grad)])
+    assert results[0] == results[1]
+
+
 def test_padded_batch_rejects_lengths_that_do_not_fit():
     rng = np.random.default_rng(44)
     q, k, v, idx, valid, _ = _padded_setup(rng, [8, 8], 1, 2, 2)
@@ -894,7 +923,7 @@ def _global_row_by_formula(qd, kd, vd, lengths, g):
     alpha = 1.0 / math.sqrt(qd.shape[-1])
     keys = (np.arange(kd.shape[2]) < lengths[:, None])[:, None, None]
     q_gl = qd[:, :, [0]]
-    p_gl = T._softmax_masked((q_gl @ kd.swapaxes(-1, -2)) * alpha, keys, axis=-1)
+    p_gl = T._softmax(np.where(keys, (q_gl @ kd.swapaxes(-1, -2)) * alpha, T._MASKED), axis=-1)
     g_gl = g[:, :, [0]]
     dp_gl = g_gl @ vd.swapaxes(-1, -2)
     ds_gl = p_gl * (dp_gl - (p_gl * dp_gl).sum(axis=-1, keepdims=True))
